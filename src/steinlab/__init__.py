@@ -10,7 +10,6 @@ from .discrepancy import (
     ksd,
     scaled_scores,
     sksd,
-    stein_gram,
 )
 from .errors import (
     ConfigError,
@@ -67,7 +66,6 @@ __all__ = [
     "sgld_chain",
     "sksd",
     "ssvgd_direction",
-    "stein_gram",
 ]
 
 __version__ = "0.1.0"

@@ -10,9 +10,13 @@ where row i of ``B`` is either the full score of ``x_i`` (exact case) or
 ``(L/m)`` times the score of a subset posterior built from an independent
 uniform size-m subset of the L likelihood terms.  The double sum is
 accumulated over fixed 256-row blocks combined by a fixed reduction tree, so
-results are bit-identical for any worker count.  A dense Gram-matrix oracle
-(``stein_gram``) assembles the same pairwise terms from pointwise kernel
-calls for use in tests.
+results are bit-identical for any worker count.  Within a block pair the
+work goes one coordinate at a time on 256 x 256 matrices: one difference
+matrix per coordinate, shared by the squared distance and that coordinate's
+Stein term, so a worker holds O(256^2 * d) floats and never an
+``(n, n, d)`` or ``(256, 256, d)`` array.  The kernel profile takes one
+``pow`` per block pair for the power families (see
+:func:`kernels.radial_profile`).
 """
 
 from __future__ import annotations
@@ -175,22 +179,41 @@ def scaled_scores(batch, target, assignment=None) -> np.ndarray:
 def _block_pair_terms(X, B, spec, rows_a, rows_b):
     """Summed pairwise Stein terms (and their peak magnitude) for one
     ordered block pair; off-diagonal pairs are doubled to stand in for
-    their mirror image."""
+    their mirror image.
+
+    Works one coordinate at a time on ``(rows_a, rows_b)`` matrices: the
+    differences ``D_j`` are built once and shared by the squared distance
+    and every coordinate's term
+
+        T_j = K (Ba_j Bb_j^T) + 2 P1 D_j (Bb_j - Ba_j) - 4 P2 D_j^2 - 2 P1,
+
+    which is assembled in three reused buffers, so memory is d + O(1)
+    block matrices.
+    """
     a0, a1 = rows_a
     b0, b1 = rows_b
-    Xa, Xb = X[a0:a1], X[b0:b1]
-    Ba, Bb = B[a0:a1], B[b0:b1]
-    D = Xa[:, None, :] - Xb[None, :, :]
-    sq = np.add.reduce(D * D, axis=2)
-    K, P1, P2 = kernels.radial_profile(spec, sq)
-    T = (
-        Ba[:, None, :] * Bb[None, :, :] * K[:, :, None]
-        + 2.0 * P1[:, :, None] * D * (Bb[None, :, :] - Ba[:, None, :])
-        - 4.0 * P2[:, :, None] * (D * D)
-        - 2.0 * P1[:, :, None]
-    )
-    total = T.sum(axis=(0, 1))
-    peak = float(np.max(np.abs(T)))
+    Ba, Bb = B[a0:a1].T, B[b0:b1].T
+    D = list(kernels.coordinate_differences(X[a0:a1], X[b0:b1]))
+    K, P1, P2 = kernels.radial_profile(spec, kernels.sum_of_squares(D))
+    two_p1 = 2.0 * P1
+    four_p2 = 4.0 * P2
+    T, work, gap = np.empty_like(K), np.empty_like(K), np.empty_like(K)
+    total = np.empty(len(D))
+    peak = 0.0
+    for j, Dj in enumerate(D):
+        ba, bb = Ba[j, :, None], Bb[j, None, :]
+        np.multiply(ba, bb, out=T)
+        T *= K
+        np.multiply(two_p1, Dj, out=work)
+        np.subtract(bb, ba, out=gap)
+        work *= gap
+        T += work
+        np.multiply(Dj, Dj, out=work)
+        work *= four_p2
+        T -= work
+        T -= two_p1
+        total[j] = T.sum()
+        peak = max(peak, float(T.max()), -float(T.min()))
     if a0 != b0:
         total = 2.0 * total
     return total, peak
@@ -267,30 +290,3 @@ def ksd(batch, target, spec, threads=None, norm="l2") -> DiscrepancyResult:
     """Exact kernel Stein discrepancy (full scores; the m = L case)."""
     return _finish(batch, target, spec, None, None, threads, norm)
 
-
-def stein_gram(j, batch, B, spec) -> np.ndarray:
-    """Dense Gram matrix of coordinate-j pairwise Stein terms (test oracle).
-
-    ``M[i, p]`` is the (i, p) term of ``w_j^2``, assembled from pointwise
-    kernel calls; ``sum(M) / n^2`` must match ``coord_stein_sums`` and M is
-    symmetric positive semidefinite up to float noise.  Quadratic in n with
-    Python-loop constants, so keep n small.
-    """
-    X = batch.points
-    Bm = np.asarray(B, dtype=np.float64)
-    n = batch.n
-    M = np.empty((n, n))
-    for i in range(n):
-        for p in range(n):
-            xi, xp = X[i], X[p]
-            k = kernels.eval(spec, xi, xp)
-            gx = kernels.grad_x(spec, xi, xp)
-            gy = kernels.grad_y(spec, xi, xp)
-            cross = kernels.cross_deriv_diag(spec, xi, xp)
-            M[i, p] = (
-                Bm[i, j] * Bm[p, j] * k
-                + Bm[i, j] * gy[j]
-                + Bm[p, j] * gx[j]
-                + cross[j]
-            )
-    return M

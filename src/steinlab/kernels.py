@@ -7,9 +7,15 @@ All supported families are radial in the squared distance,
 * ``log_inverse``:  phi(s) = (alpha + log(1 + s)) ** beta  with alpha > 0, beta < 0
 * ``rbf``:          phi(s) = exp(-s)
 
-Gradients and the mixed second derivative d2k / dx_j dy_j are analytic so the
-quadratic-cost inner loops stay deterministic and cheap; finite differencing
-appears only in tests as an oracle.
+:func:`radial_profile` returns the kernel and its first two derivatives in
+the squared distance, analytically and with one transcendental call per
+element: the power families compute ``t = base ** (beta - 2)`` once and get
+``base ** beta = t * base * base`` and ``base ** (beta - 1) = t * base``
+from it.  Squared distances are summed one coordinate at a time from
+per-coordinate difference matrices (:func:`coordinate_differences`,
+:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  Finite
+differencing and pointwise kernel evaluation appear only in tests, as
+oracles.
 """
 
 from __future__ import annotations
@@ -89,14 +95,21 @@ def radial_profile(spec: KernelSpec, sq_dist):
 
         grad_x k = 2 p1 u,   grad_y k = -2 p1 u,
         d2k/dx_j dy_j = -4 p2 u_j^2 - 2 p1.
+
+    Each family makes one transcendental call.  The power families raise
+    their base ``b`` (``1 + r2/h`` for imq, ``w = alpha + log(1 + r2/h)``
+    for log_inverse) once, to ``t = b ** (beta - 2)``, and use
+    ``b ** beta = t b^2`` and ``b ** (beta - 1) = t b``.
     """
     q = np.asarray(sq_dist, dtype=np.float64)
     h = spec.bandwidth
     if spec.family == IMQ:
         base = 1.0 + q / h
-        k = base ** spec.beta
-        p1 = (spec.beta / h) * base ** (spec.beta - 1.0)
-        p2 = (spec.beta * (spec.beta - 1.0) / (h * h)) * base ** (spec.beta - 2.0)
+        t = base ** (spec.beta - 2.0)
+        tb = t * base
+        k = tb * base
+        p1 = (spec.beta / h) * tb
+        p2 = (spec.beta * (spec.beta - 1.0) / (h * h)) * t
     elif spec.family == RBF:
         k = np.exp(-q / h)
         p1 = -k / h
@@ -105,72 +118,45 @@ def radial_profile(spec: KernelSpec, sq_dist):
         base = 1.0 + q / h
         w = spec.alpha + np.log(base)
         dw = 1.0 / (h * base)
-        k = w ** spec.beta
-        p1 = spec.beta * w ** (spec.beta - 1.0) * dw
-        p2 = spec.beta * dw * dw * (
-            (spec.beta - 1.0) * w ** (spec.beta - 2.0) - w ** (spec.beta - 1.0)
-        )
+        t = w ** (spec.beta - 2.0)
+        tw = t * w
+        k = tw * w
+        p1 = spec.beta * tw * dw
+        p2 = spec.beta * dw * dw * ((spec.beta - 1.0) * t - tw)
     return k, p1, p2
 
 
-def _sq_norm(u):
-    # Same reduction as the batched squared-distance path, so pointwise and
-    # Gram evaluations agree to the bit.
-    return float(np.add.reduce(u * u))
+def coordinate_differences(X, Y):
+    """Per-coordinate difference matrices ``X[:, j] - Y[:, j]^T``, yielded
+    one coordinate at a time in order ``j = 0, 1, ...``."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    for xj, yj in zip(X.T, Y.T):
+        yield xj[:, None] - yj[None, :]
 
 
-def _pair(x, y):
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    return xv, yv
+def sum_of_squares(diffs) -> np.ndarray:
+    """``D_0^2 + D_1^2 + ...`` accumulated left to right over a nonempty
+    sequence of equal-shape difference matrices.
 
-
-def eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value k(x, y); symmetric in its arguments."""
-    xv, yv = _pair(x, y)
-    u = xv - yv
-    k, _, _ = radial_profile(spec, _sq_norm(u))
-    return float(k)
-
-
-def grad_x(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of k with respect to its first argument."""
-    xv, yv = _pair(x, y)
-    u = xv - yv
-    _, p1, _ = radial_profile(spec, _sq_norm(u))
-    return 2.0 * p1 * u
-
-
-def grad_y(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of k with respect to its second argument (-grad_x for
-    radial kernels)."""
-    return -grad_x(spec, x, y)
-
-
-def cross_deriv_diag(spec: KernelSpec, x, y) -> np.ndarray:
-    """Vector of mixed second derivatives d2k/dx_j dy_j, one per coordinate."""
-    xv, yv = _pair(x, y)
-    u = xv - yv
-    _, p1, p2 = radial_profile(spec, _sq_norm(u))
-    return -4.0 * p2 * (u * u) - 2.0 * p1
+    Every squared distance in the package comes from here, so the Stein
+    blocks, the SVGD direction and the median heuristic share one
+    summation order.
+    """
+    diffs = iter(diffs)
+    first = next(diffs)
+    total = first * first
+    for Dj in diffs:
+        total += Dj * Dj
+    return total
 
 
 def squared_distances(X, Y) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of X and Y."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.add.reduce(diff * diff, axis=2)
-
-
-def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
-    """Kernel Gram matrix between rows of X and Y (Y defaults to X)."""
-    if Y is None:
-        Y = X
-    k, _, _ = radial_profile(spec, squared_distances(X, Y))
-    return k
+    """Pairwise squared Euclidean distances between rows of X and Y, summed
+    in coordinate order; memory is three matrices of the output shape."""
+    return sum_of_squares(coordinate_differences(X, Y))
 
 
 def median_heuristic_bandwidth(points) -> float:
@@ -187,8 +173,7 @@ def median_heuristic_bandwidth(points) -> float:
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
     iu = np.triu_indices(n, k=1)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt(np.add.reduce(diff * diff, axis=2))[iu]
+    dists = np.sqrt(squared_distances(pts, pts)[iu])
     med = float(np.median(dists))
     if med == 0.0:
         warnings.warn(

@@ -8,7 +8,8 @@ computed from the round-start positions, where B_j is the full score of
 source particle j or its (L/m)-scaled subset score under a fresh per-round
 assignment of one independent size-m subset per particle.  Directions are
 assembled in fixed row blocks and concatenated in order, so a run is
-bit-identical for any worker count.
+bit-identical for any worker count.  Each block computes its own n x 256
+kernel and profile columns, so memory is O(256 n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -100,14 +101,15 @@ def ssvgd_direction(batch, target, spec, assignment=None, threads=None) -> np.nd
     X = batch.points
     n = batch.n
     B = scaled_scores(batch, target, assignment)
-    K, P1, _ = kernels.radial_profile(spec, kernels.squared_distances(X, X))
-    col_p1 = P1.sum(axis=0)
     workers = resolve_threads(threads)
 
     def block_direction(span):
         i0, i1 = span
-        drift = K[:, i0:i1].T @ B
-        rep = P1[:, i0:i1].T @ X - X[i0:i1] * col_p1[i0:i1, None]
+        K, P1, _ = kernels.radial_profile(
+            spec, kernels.squared_distances(X, X[i0:i1])
+        )
+        drift = K.T @ B
+        rep = P1.T @ X - X[i0:i1] * P1.sum(axis=0)[:, None]
         return (drift + 2.0 * rep) / n
 
     parts = ordered_map(block_direction, row_blocks(n), workers)

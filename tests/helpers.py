@@ -1,8 +1,12 @@
-"""Shared test oracles: finite differences and random problem builders.
+"""Shared test oracles: finite differences, pointwise kernel calls, dense
+Stein-term assemblies and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
-stay well above cancellation noise at the standard step of 1e-5.
+stay well above cancellation noise at the standard step of 1e-5.  The
+pointwise kernel functions, the dense Gram oracle ``stein_gram`` and the
+dense ``(rows_a, rows_b, d)`` block formula ``dense_block_pair_terms`` are
+independent assemblies of the quantities the library computes blockwise.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
 )
+from steinlab import kernels
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -34,6 +39,118 @@ def kernel_value_ld(spec, x, y):
     if spec.family == "rbf":
         return np.exp(-s)
     return (np.longdouble(spec.alpha) + np.log1p(s)) ** beta
+
+
+def _sq_norm(u):
+    # Same left-to-right coordinate order as kernels.squared_distances, so
+    # pointwise and Gram evaluations agree to the bit.
+    total = u[0] * u[0]
+    for v in u[1:]:
+        total += v * v
+    return float(total)
+
+
+def _pair(x, y):
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    if xv.shape != yv.shape:
+        raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    return xv, yv
+
+
+def kernel_eval(spec, x, y):
+    """Kernel value k(x, y) at one pair of points."""
+    xv, yv = _pair(x, y)
+    k, _, _ = kernels.radial_profile(spec, _sq_norm(xv - yv))
+    return float(k)
+
+
+def kernel_grad_x(spec, x, y):
+    """Gradient of k with respect to its first argument."""
+    xv, yv = _pair(x, y)
+    u = xv - yv
+    _, p1, _ = kernels.radial_profile(spec, _sq_norm(u))
+    return 2.0 * p1 * u
+
+
+def kernel_grad_y(spec, x, y):
+    """Gradient of k with respect to its second argument (-grad_x for
+    radial kernels)."""
+    return -kernel_grad_x(spec, x, y)
+
+
+def kernel_cross_deriv_diag(spec, x, y):
+    """Vector of mixed second derivatives d2k/dx_j dy_j, one per coordinate."""
+    xv, yv = _pair(x, y)
+    u = xv - yv
+    _, p1, p2 = kernels.radial_profile(spec, _sq_norm(u))
+    return -4.0 * p2 * (u * u) - 2.0 * p1
+
+
+def kernel_gram(spec, X, Y=None):
+    """Kernel Gram matrix between rows of X and Y (Y defaults to X)."""
+    if Y is None:
+        Y = X
+    k, _, _ = kernels.radial_profile(spec, kernels.squared_distances(X, Y))
+    return k
+
+
+def stein_gram(j, batch, B, spec):
+    """Dense Gram matrix of coordinate-j pairwise Stein terms.
+
+    ``M[i, p]`` is the (i, p) term of ``w_j^2``, assembled from pointwise
+    kernel calls; ``sum(M) / n^2`` must match ``coord_stein_sums`` and M is
+    symmetric positive semidefinite up to float noise.  Quadratic in n with
+    Python-loop constants, so keep n small.
+    """
+    X = batch.points
+    Bm = np.asarray(B, dtype=np.float64)
+    n = batch.n
+    M = np.empty((n, n))
+    for i in range(n):
+        for p in range(n):
+            xi, xp = X[i], X[p]
+            k = kernel_eval(spec, xi, xp)
+            gx = kernel_grad_x(spec, xi, xp)
+            gy = kernel_grad_y(spec, xi, xp)
+            cross = kernel_cross_deriv_diag(spec, xi, xp)
+            M[i, p] = (
+                Bm[i, j] * Bm[p, j] * k
+                + Bm[i, j] * gy[j]
+                + Bm[p, j] * gx[j]
+                + cross[j]
+            )
+    return M
+
+
+def dense_block_pair_terms(X, B, spec, rows_a, rows_b):
+    """All-coordinates block formula: the pairwise Stein terms of one block
+    pair built as one ``(rows_a, rows_b, d)`` array, summed per coordinate,
+    with their peak magnitude; off-diagonal pairs are doubled.
+
+    Squared distances come from ``kernels.squared_distances``: numpy's
+    last-axis reduction sums eight or more coordinates pairwise, which can
+    move a term by one ulp, so taking them from the library keeps the peak
+    comparable bit for bit.
+    """
+    a0, a1 = rows_a
+    b0, b1 = rows_b
+    Xa, Xb = X[a0:a1], X[b0:b1]
+    Ba, Bb = B[a0:a1], B[b0:b1]
+    D = Xa[:, None, :] - Xb[None, :, :]
+    sq = kernels.squared_distances(Xa, Xb)
+    K, P1, P2 = kernels.radial_profile(spec, sq)
+    T = (
+        Ba[:, None, :] * Bb[None, :, :] * K[:, :, None]
+        + 2.0 * P1[:, :, None] * D * (Bb[None, :, :] - Ba[:, None, :])
+        - 4.0 * P2[:, :, None] * (D * D)
+        - 2.0 * P1[:, :, None]
+    )
+    total = T.sum(axis=(0, 1))
+    peak = float(np.max(np.abs(T)))
+    if a0 != b0:
+        total = 2.0 * total
+    return total, peak
 
 
 def fd_kernel_grad_x(spec, x, y, step=FD_STEP):

@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_instance
+from helpers import (
+    dense_block_pair_terms,
+    kernel_cross_deriv_diag,
+    random_instance,
+    stein_gram,
+)
 from steinlab import (
     KernelSpec,
     NumericalConsistencyError,
@@ -18,9 +23,10 @@ from steinlab import (
     make_gmm_posterior,
     scaled_scores,
     sksd,
-    stein_gram,
 )
 from steinlab import kernels as kernels_module
+from steinlab.discrepancy import NEGATIVE_TOLERANCE, _block_pair_terms
+from steinlab.parallel import row_blocks
 
 IMQ = KernelSpec("imq", beta=-0.5)
 
@@ -160,7 +166,7 @@ class TestCoordSteinSums:
         x = np.array([[0.4, -2.0, 1.0]])
         batch = SampleBatch(x)
         w_sq = coord_stein_sums(batch, np.zeros((1, 3)), spec)
-        expected = kernels_module.cross_deriv_diag(spec, x[0], x[0])
+        expected = kernel_cross_deriv_diag(spec, x[0], x[0])
         assert np.array_equal(w_sq, expected)
 
     def test_matches_gram_oracle(self):
@@ -224,6 +230,61 @@ class TestCoordSteinSums:
         batch = SampleBatch(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape"):
             coord_stein_sums(batch, np.zeros((2, 2)), IMQ)
+
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6])
+    def test_negative_floor_boundary(self, monkeypatch, margin):
+        # K = P2 = 0 and P1 = -a on the diagonal, b off it: with zero
+        # scores the four terms are 2a, -2b, -2b, 2a, so w_sq = a - b and
+        # the peak is 2 max(a, b) = 2b.  Put w_sq a relative `margin` above
+        # (positive) or below (negative) the floor -1e-8 * peak; the
+        # literal pins the tolerance itself.
+        assert NEGATIVE_TOLERANCE == 1e-8
+        b = 1.0
+        floor = -1e-8 * 2.0 * b
+        a = b + floor * (1.0 - margin)
+
+        def hostile_profile(spec, sq):
+            q = np.asarray(sq, dtype=np.float64)
+            return np.zeros_like(q), np.where(q == 0.0, -a, b), np.zeros_like(q)
+
+        monkeypatch.setattr(kernels_module, "radial_profile", hostile_profile)
+        batch = SampleBatch(np.array([[0.0], [1.0]]))
+        if margin > 0:
+            w_sq = coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            assert floor < w_sq[0] < 0.0
+        else:
+            with pytest.raises(NumericalConsistencyError, match="floor"):
+                coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+
+
+ENGINE_SPECS = {
+    "imq": KernelSpec("imq", beta=-0.5),
+    "log_inverse": KernelSpec("log_inverse", beta=-0.8, alpha=1.3, bandwidth=2.0),
+    "rbf": KernelSpec("rbf", bandwidth=1.5),
+}
+
+
+class TestBlockEngine:
+    """The per-coordinate block engine against the dense (rows, rows, d)
+    block formula, on every block pair of a batch."""
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("n", [1, 255, 257, 600])
+    def test_matches_dense_block_formula(self, n, d, family):
+        rng = np.random.default_rng(1000 * n + d)
+        X = rng.normal(0.3, 1.0, size=(n, d))
+        B = -X + 0.5 * rng.standard_normal((n, d))
+        spec = ENGINE_SPECS[family]
+        blocks = row_blocks(n)
+        for ia, rows_a in enumerate(blocks):
+            for rows_b in blocks[ia:]:
+                total, peak = _block_pair_terms(X, B, spec, rows_a, rows_b)
+                ref_total, ref_peak = dense_block_pair_terms(
+                    X, B, spec, rows_a, rows_b
+                )
+                assert peak == ref_peak
+                np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
 
 
 class TestSksdAndKsd:

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steinlab import ConfigError, SampleBatch, cli, io, ksd, make_gaussian
+import steinlab
+from steinlab import ConfigError, SampleBatch, cli, io, iid_gaussian, ksd, make_gaussian
 from steinlab.kernels import KernelSpec
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -416,6 +419,74 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "tune-sgld" in proc.stdout
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreadCount:
+    """Command outputs do not depend on how many threads BLAS uses: SSVGD
+    directions go through matrix products."""
+
+    def _run_commands(self, workdir, blas_threads):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        if blas_threads is not None:
+            env.update({k: str(blas_threads) for k in BLAS_THREAD_VARS})
+        src = str(Path(steinlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for command, out in (("score", "score.json"), ("ssvgd", "particles.csv")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "steinlab.cli", command,
+                 "--config", "run.ini", "--out", out, "--threads", "2"],
+                cwd=workdir, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+    def test_pinned_and_default_blas_write_identical_files(self, tmp_path):
+        config = textwrap.dedent("""\
+            [target]
+            kind = gaussian
+            dim = 3
+            mu = 0
+            sigma_sq = 1
+            L = 6
+
+            [kernel]
+            family = imq
+            beta = -0.5
+
+            [score]
+            samples = samples.csv
+            m = 2
+            seed = 7
+
+            [svgd]
+            rounds = 4
+            batch = 3
+            step = 0.05
+            bandwidth_policy = median_per_round
+            checkpoint_every = 2
+            report_ksd = true
+            save_trajectory = true
+            init_n = 300
+            init_mu = 0.5
+            init_sigma = 0.5
+            seed = 7
+            """)
+        outputs = []
+        for label, blas_threads in (("pinned", 1), ("default", None)):
+            workdir = tmp_path / label
+            workdir.mkdir()
+            (workdir / "run.ini").write_text(config)
+            io.write_samples_csv(workdir / "samples.csv",
+                                 iid_gaussian(300, 3, 0.2, 1.0, seed=4))
+            outputs.append(self._run_commands(workdir, blas_threads))
+        pinned, default = outputs
+        assert "score.json" in pinned and "particles.round-4.csv" in pinned
+        assert pinned == default
 
 
 class TestLibraryJsonRoundTrip:

@@ -7,6 +7,11 @@ from helpers import (
     assert_rel_close,
     fd_kernel_cross,
     fd_kernel_grad_x,
+    kernel_cross_deriv_diag,
+    kernel_eval,
+    kernel_gram,
+    kernel_grad_x,
+    kernel_grad_y,
     random_kernel_spec,
 )
 from steinlab import DegenerateBandwidthWarning, KernelSpec
@@ -24,20 +29,20 @@ ALL_SPECS = [
 class TestEval:
     def test_zero_distance_values(self):
         x = np.array([0.4, -1.3, 2.2])
-        assert kernels.eval(KernelSpec("imq", beta=-0.5), x, x) == 1.0
-        assert kernels.eval(KernelSpec("rbf", bandwidth=2.0), x, x) == 1.0
+        assert kernel_eval(KernelSpec("imq", beta=-0.5), x, x) == 1.0
+        assert kernel_eval(KernelSpec("rbf", bandwidth=2.0), x, x) == 1.0
         spec = KernelSpec("log_inverse", beta=-0.5, alpha=1.7)
-        assert kernels.eval(spec, x, x) == pytest.approx(1.7 ** -0.5, rel=1e-15)
+        assert kernel_eval(spec, x, x) == pytest.approx(1.7 ** -0.5, rel=1e-15)
 
     def test_imq_unit_distance(self):
         spec = KernelSpec("imq", beta=-0.5)
-        assert kernels.eval(spec, [0.0], [1.0]) == pytest.approx(
+        assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(
             0.7071067811865476, rel=1e-14
         )
-        assert kernels.eval(spec, [0.0], [1.0]) == 2.0 ** -0.5
+        assert kernel_eval(spec, [0.0], [1.0]) == 2.0 ** -0.5
 
     def test_rbf_zero_distance_with_bandwidth(self):
-        assert kernels.eval(KernelSpec("rbf", bandwidth=2.0), [0.0], [0.0]) == 1.0
+        assert kernel_eval(KernelSpec("rbf", bandwidth=2.0), [0.0], [0.0]) == 1.0
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_symmetry(self, spec):
@@ -45,24 +50,24 @@ class TestEval:
         for _ in range(25):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            assert kernels.eval(spec, x, y) == kernels.eval(spec, y, x)
+            assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            kernels.eval(KernelSpec("imq"), [0.0, 1.0], [0.0])
+            kernel_eval(KernelSpec("imq"), [0.0, 1.0], [0.0])
 
 
 class TestDerivatives:
     def test_imq_grad_example(self):
         spec = KernelSpec("imq", beta=-0.5)
-        g = kernels.grad_x(spec, [0.0], [1.0])
+        g = kernel_grad_x(spec, [0.0], [1.0])
         assert g[0] == pytest.approx(2.0 ** -1.5, rel=1e-14)
         assert_rel_close(g, fd_kernel_grad_x(spec, [0.0], [1.0]))
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_grad_zero_at_coincident_points(self, spec):
         x = np.array([1.0, -2.0])
-        assert np.array_equal(kernels.grad_x(spec, x, x), np.zeros(2))
+        assert np.array_equal(kernel_grad_x(spec, x, x), np.zeros(2))
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_grad_y_negates_grad_x(self, spec):
@@ -71,14 +76,14 @@ class TestDerivatives:
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             assert np.array_equal(
-                kernels.grad_y(spec, x, y), -kernels.grad_x(spec, x, y)
+                kernel_grad_y(spec, x, y), -kernel_grad_x(spec, x, y)
             )
 
     def test_cross_at_coincident_points(self):
         x = np.array([0.3, 0.9, -4.0])
-        imq = kernels.cross_deriv_diag(KernelSpec("imq", beta=-0.5), x, x)
+        imq = kernel_cross_deriv_diag(KernelSpec("imq", beta=-0.5), x, x)
         assert np.array_equal(imq, np.full(3, 1.0))
-        rbf = kernels.cross_deriv_diag(KernelSpec("rbf", bandwidth=2.0), x, x)
+        rbf = kernel_cross_deriv_diag(KernelSpec("rbf", bandwidth=2.0), x, x)
         assert_rel_close(rbf, np.full(3, 2.0 / 2.0), rtol=1e-14)
         assert_rel_close(rbf, fd_kernel_cross(KernelSpec("rbf", bandwidth=2.0), x, x))
 
@@ -89,8 +94,8 @@ class TestDerivatives:
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
             assert np.array_equal(
-                kernels.cross_deriv_diag(spec, x, y),
-                kernels.cross_deriv_diag(spec, y, x),
+                kernel_cross_deriv_diag(spec, x, y),
+                kernel_cross_deriv_diag(spec, y, x),
             )
 
     def test_finite_difference_agreement(self):
@@ -101,19 +106,19 @@ class TestDerivatives:
             d = int(rng.integers(1, 6))
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
-            assert_rel_close(kernels.grad_x(spec, x, y), fd_kernel_grad_x(spec, x, y))
+            assert_rel_close(kernel_grad_x(spec, x, y), fd_kernel_grad_x(spec, x, y))
             assert_rel_close(
-                kernels.cross_deriv_diag(spec, x, y), fd_kernel_cross(spec, x, y)
+                kernel_cross_deriv_diag(spec, x, y), fd_kernel_cross(spec, x, y)
             )
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_purity(self, spec):
         x = np.array([0.11, -0.7])
         y = np.array([1.3, 0.2])
-        assert kernels.eval(spec, x, y) == kernels.eval(spec, x, y)
-        assert np.array_equal(kernels.grad_x(spec, x, y), kernels.grad_x(spec, x, y))
+        assert kernel_eval(spec, x, y) == kernel_eval(spec, x, y)
+        assert np.array_equal(kernel_grad_x(spec, x, y), kernel_grad_x(spec, x, y))
         assert np.array_equal(
-            kernels.cross_deriv_diag(spec, x, y), kernels.cross_deriv_diag(spec, x, y)
+            kernel_cross_deriv_diag(spec, x, y), kernel_cross_deriv_diag(spec, x, y)
         )
 
 
@@ -125,7 +130,7 @@ class TestGram:
             n = int(rng.integers(2, 31))
             d = int(rng.integers(1, 6))
             X = rng.standard_normal((n, d))
-            G = kernels.gram(spec, X)
+            G = kernel_gram(spec, X)
             eigmin = float(np.linalg.eigvalsh(G).min())
             assert eigmin >= -1e-8 * np.trace(G)
 
@@ -135,10 +140,38 @@ class TestGram:
         spec = KernelSpec("log_inverse", beta=-0.8, alpha=1.3, bandwidth=2.0)
         X = rng.standard_normal((6, 3))
         Y = rng.standard_normal((4, 3))
-        G = kernels.gram(spec, X, Y)
-        pointwise = [[kernels.eval(spec, X[i], Y[j]) for j in range(4)]
+        G = kernel_gram(spec, X, Y)
+        pointwise = [[kernel_eval(spec, X[i], Y[j]) for j in range(4)]
                      for i in range(6)]
         np.testing.assert_allclose(G, pointwise, rtol=5e-16)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 20])
+    def test_matches_all_coordinates_reduction(self, d):
+        # Summed in coordinate order: the same bits as numpy's last-axis
+        # reduction below eight coordinates, where numpy sums sequentially;
+        # from eight on numpy sums pairwise, a difference of a few ulp.
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((40, d))
+        Y = rng.standard_normal((30, d))
+        diff = X[:, None, :] - Y[None, :, :]
+        reference = np.add.reduce(diff * diff, axis=2)
+        sq = kernels.squared_distances(X, Y)
+        if d < 8:
+            assert np.array_equal(sq, reference)
+        else:
+            np.testing.assert_allclose(sq, reference, rtol=4 * np.finfo(float).eps)
+
+    def test_symmetric_and_zero_diagonal(self):
+        X = np.random.default_rng(4).standard_normal((25, 9))
+        sq = kernels.squared_distances(X, X)
+        assert np.array_equal(sq, sq.T)
+        assert np.array_equal(np.diag(sq), np.zeros(25))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            kernels.squared_distances(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestMedianHeuristic:
