@@ -99,9 +99,12 @@ class DecomposableTarget:
             raise ValueError("term subset must be nonempty")
         if idx.min() < 0 or idx.max() >= self.L:
             raise ValueError(f"term indices must lie in [0, {self.L})")
-        idx = np.sort(idx)
-        if np.any(idx[1:] == idx[:-1]):
-            raise ValueError("term subset contains duplicate indices")
+        # Subsets from the rng module arrive sorted; np.sort would release
+        # the GIL once per score evaluation, so only unsorted input pays it.
+        if np.any(idx[1:] <= idx[:-1]):
+            idx = np.sort(idx)
+            if np.any(idx[1:] == idx[:-1]):
+                raise ValueError("term subset contains duplicate indices")
         return idx
 
     def _summed_terms(self, idx: np.ndarray, xv: np.ndarray) -> np.ndarray:

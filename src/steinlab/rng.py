@@ -30,6 +30,13 @@ def derive_seed(seed, *parts) -> int:
     return (int(seed) ^ int.from_bytes(digest, "little")) & _MASK64
 
 
+def _check_subset_size(pool_size, subset_size):
+    if not 1 <= subset_size <= pool_size:
+        raise ValueError(
+            f"subset size {subset_size} not in [1, {pool_size}]"
+        )
+
+
 def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     """Draw ``count`` independent uniform subsets of ``range(pool_size)``.
 
@@ -42,10 +49,7 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not 1 <= subset_size <= pool_size:
-        raise ValueError(
-            f"subset size {subset_size} not in [1, {pool_size}]"
-        )
+    _check_subset_size(pool_size, subset_size)
     u = gen.random((count, subset_size))
     pool = np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
     rows = np.arange(count)
@@ -53,3 +57,24 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
         r = j + (u[:, j] * (pool_size - j)).astype(np.int64)
         pool[rows, j], pool[rows, r] = pool[rows, r], pool[rows, j]
     return np.sort(pool[:, :subset_size], axis=1)
+
+
+def uniform_subset(gen, pool_size, subset_size) -> np.ndarray:
+    """One uniform subset: the same draws from ``gen`` and the same sorted
+    int64 result as ``uniform_subsets(gen, 1, pool_size, subset_size)[0]``.
+
+    For draws made one at a time in a loop, such as SGLD minibatches.  The
+    swaps run on Python ints (positions moved so far are kept in a dict)
+    instead of as about five numpy calls per member, each of which
+    releases the GIL and so hands it to any other busy thread.
+    """
+    _check_subset_size(pool_size, subset_size)
+    u = gen.random(subset_size).tolist()
+    moved = {}
+    picks = []
+    for j, uj in enumerate(u):
+        r = j + int(uj * (pool_size - j))
+        picks.append(moved.get(r, r))
+        moved[r] = moved.get(j, j)
+    picks.sort()
+    return np.array(picks, dtype=np.int64)

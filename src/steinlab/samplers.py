@@ -9,7 +9,7 @@ import numpy as np
 
 from .discrepancy import SampleBatch
 from .errors import DivergenceError
-from .rng import make_generator, uniform_subsets
+from .rng import make_generator, uniform_subset
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def sgld_chain(target, config: SgldConfig) -> SampleBatch:
     noise_scale = math.sqrt(config.step)
     out = np.empty((config.steps, target.dim))
     for t in range(config.steps):
-        idx = uniform_subsets(gen, 1, target.L, config.batch)[0]
+        idx = uniform_subset(gen, target.L, config.batch)
         ghat = target.grad_log_prior(x) + ratio * target.grad_log_terms(idx, x)
         x = x + half * ghat + noise_scale * gen.standard_normal(target.dim)
         if not np.all(np.isfinite(x)):

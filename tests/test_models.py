@@ -177,6 +177,16 @@ class TestSubsetScores:
             acc = acc + target.grad_log_term(l, x)
         np.testing.assert_allclose(target.grad_log_full(x), acc, rtol=1e-13)
 
+    def test_subset_order_does_not_matter(self):
+        target = _gmm_target()
+        x = np.array([0.3, -0.7])
+        want = target.grad_log_subset([0, 2, 5], x)
+        for sigma in ([5, 0, 2], [2, 5, 0], np.array([5, 2, 0])):
+            assert np.array_equal(target.grad_log_subset(sigma, x), want)
+            assert np.array_equal(
+                target.grad_log_terms(sigma, x), target.grad_log_terms([0, 2, 5], x)
+            )
+
     def test_subset_validation(self):
         target = _gmm_target()
         x = np.zeros(2)
@@ -184,6 +194,8 @@ class TestSubsetScores:
             target.grad_log_subset([], x)
         with pytest.raises(ValueError, match="duplicate"):
             target.grad_log_subset([1, 1], x)
+        with pytest.raises(ValueError, match="duplicate"):
+            target.grad_log_subset([3, 1, 3], x)
         with pytest.raises(ValueError, match="lie in"):
             target.grad_log_subset([0, 6], x)
         with pytest.raises(ValueError, match="dimension"):

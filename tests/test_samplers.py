@@ -9,6 +9,7 @@ from steinlab import (
     make_gaussian,
     sgld_chain,
 )
+from steinlab.rng import make_generator, uniform_subset, uniform_subsets
 
 
 def _std_normal_target(L=10):
@@ -105,6 +106,29 @@ class TestSgldChain:
         other.grad_log_full(np.zeros(1))
         second = sgld_chain(other, cfg)
         assert np.array_equal(first.points, second.points)
+
+
+class TestUniformSubset:
+    @pytest.mark.parametrize(
+        "pool_size, subset_size",
+        [(1, 1), (2, 1), (7, 7), (100, 10), (100, 100), (1000, 37)],
+    )
+    def test_matches_one_row_of_uniform_subsets(self, pool_size, subset_size):
+        # Same draws, same result, and the stream ends in the same state.
+        for seed in range(50):
+            one = make_generator(seed)
+            rows = make_generator(seed)
+            got = uniform_subset(one, pool_size, subset_size)
+            want = uniform_subsets(rows, 1, pool_size, subset_size)[0]
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert one.random() == rows.random()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="subset size"):
+            uniform_subset(make_generator(0), 5, 6)
+        with pytest.raises(ValueError, match="subset size"):
+            uniform_subset(make_generator(0), 5, 0)
 
 
 class TestIidGaussian:
