@@ -69,14 +69,15 @@ class SampleBatch:
 class SubsetAssignment:
     """One size-m subset of the L term indices per sample point.
 
-    ``subsets`` is an (n, m) int64 array whose rows are sorted ascending;
-    ``seed`` records the stream that generated it so the assignment can be
-    regenerated exactly with :func:`draw_subsets`.
+    ``subsets`` is an (n, m) int64 array whose rows are sorted ascending.
+    ``seed``, when not None, is the seed from which :func:`draw_subsets`
+    regenerates the assignment exactly; it is None for an assignment drawn
+    from the middle of a longer stream, such as an SSVGD round.
     """
 
     subsets: np.ndarray
     L: int
-    seed: int
+    seed: Optional[int]
 
     def __post_init__(self):
         subs = np.asarray(self.subsets, dtype=np.int64)
@@ -106,7 +107,9 @@ class DiscrepancyResult:
     ``value = sqrt(sum_j max(w_sq_j, 0))``; ``w_sq`` is stored after
     clamping.  ``term_evals`` counts likelihood-term gradient evaluations
     consumed: ``n * m`` on the subsampled path and ``n * L`` on the exact
-    path.  ``seed`` is None for the exact path.
+    path, taken from those shapes rather than from the target's shared
+    counter, so concurrent calls on one target each report their own.
+    ``seed`` is None for the exact path.
     """
 
     value: float
@@ -149,8 +152,9 @@ def scaled_scores(batch, target, assignment=None) -> np.ndarray:
     """Score matrix B.
 
     Row i is ``(L/m) * grad_log_subset(sigma_i, x_i)`` under an assignment,
-    or the exact ``grad_log_full(x_i)`` when ``assignment`` is None.
-    Consumes ``n * m`` (respectively ``n * L``) term-gradient evaluations.
+    or the exact ``grad_log_full(x_i)`` when ``assignment`` is None.  The
+    target scores one fixed row block of points per call.  Consumes
+    ``n * m`` (respectively ``n * L``) term-gradient evaluations.
     """
     X = batch.points
     if assignment is not None:
@@ -164,14 +168,16 @@ def scaled_scores(batch, target, assignment=None) -> np.ndarray:
             )
         scale = target.L / assignment.m
     B = np.empty_like(X)
-    for i in range(batch.n):
+    for i0, i1 in row_blocks(batch.n):
         try:
             if assignment is None:
-                B[i] = target.grad_log_full(X[i])
+                B[i0:i1] = target.grad_log_full(X[i0:i1])
             else:
-                B[i] = scale * target.grad_log_subset(assignment.subsets[i], X[i])
+                B[i0:i1] = scale * target.grad_log_subset(
+                    assignment.subsets[i0:i1], X[i0:i1]
+                )
         except NonFiniteScoreError as err:
-            err.point_index = i
+            err.point_index += i0
             raise
     return B
 
@@ -252,12 +258,8 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     return w_sq
 
 
-def _finish(batch, target, spec, assignment, seed, threads, norm) -> DiscrepancyResult:
-    if norm != "l2":
-        raise ValueError(f"only the 'l2' combining norm is implemented, got {norm!r}")
-    before = target.eval_counter.value
+def _finish(batch, target, spec, assignment, seed, threads) -> DiscrepancyResult:
     B = scaled_scores(batch, target, assignment)
-    term_evals = target.eval_counter.value - before
     w_sq = coord_stein_sums(batch, B, spec, threads=threads)
     clamped = np.maximum(w_sq, 0.0)
     m = assignment.m if assignment is not None else target.L
@@ -267,26 +269,23 @@ def _finish(batch, target, spec, assignment, seed, threads, norm) -> Discrepancy
         n=batch.n,
         m=int(m),
         L=int(target.L),
-        term_evals=int(term_evals),
+        term_evals=batch.n * int(m),
         seed=seed,
     )
 
 
-def sksd(batch, target, spec, m, seed, threads=None, norm="l2") -> DiscrepancyResult:
+def sksd(batch, target, spec, m, seed, threads=None) -> DiscrepancyResult:
     """Stochastic kernel Stein discrepancy with one independent size-m
     subset of likelihood terms per sample point.
 
     With ``m == target.L`` the drawn subsets are necessarily the full index
-    set and the result is bit-identical to :func:`ksd`.  Evaluation
-    accounting reads the target's counter, so the target must not be shared
-    with concurrent work during the call.  ``norm`` selects how the
-    per-coordinate pieces combine; only "l2" is shipped.
+    set and the result is bit-identical to :func:`ksd`.  The per-coordinate
+    pieces combine in the l2 norm.
     """
     assignment = draw_subsets(batch.n, target.L, m, seed)
-    return _finish(batch, target, spec, assignment, int(seed), threads, norm)
+    return _finish(batch, target, spec, assignment, int(seed), threads)
 
 
-def ksd(batch, target, spec, threads=None, norm="l2") -> DiscrepancyResult:
+def ksd(batch, target, spec, threads=None) -> DiscrepancyResult:
     """Exact kernel Stein discrepancy (full scores; the m = L case)."""
-    return _finish(batch, target, spec, None, None, threads, norm)
-
+    return _finish(batch, target, spec, None, None, threads)

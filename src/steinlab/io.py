@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import os
 import tempfile
 from io import StringIO
@@ -93,11 +94,16 @@ def _parse_rows(path, expect_header=None):
         parsed = []
         for col, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{number}: column {col}: {cell!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}:{number}: column {col}: {cell!r} is not finite"
+                )
+            parsed.append(value)
         rows.append(parsed)
     if not rows:
         raise ConfigError(f"{path}: header but no data rows")

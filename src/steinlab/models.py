@@ -2,7 +2,11 @@
 
 A target exposes the full score, per-term scores, and subset scores (with
 the prior share weighted by ``|subset| / L``), plus a thread-safe counter of
-how many likelihood-term gradients have been consumed.  Factories cover an
+how many likelihood-term gradients have been consumed.  Scores are computed
+on stacked rows: each factory supplies one batched ``terms_sum(subsets, X)``
+that gathers the ``(rows, m)`` term subsets into an ``(rows, m, d)`` stack
+and reduces it over the term axis, so scoring a block of points is one
+gather-and-reduce rather than one Python call per point.  Factories cover an
 equal-factor Gaussian, the bimodal Gaussian-mixture location posterior used
 for sampler step-size tuning, and Bayesian logistic regression with a flat
 prior.
@@ -60,22 +64,30 @@ class DecomposableTarget:
     """Target density whose likelihood splits into L independently
     evaluable terms.
 
-    ``grad_log_term(l, x)`` returns the score contribution of term ``l``
-    (0-based).  ``terms_sum(indices, x)`` must equal the ascending-order sum
-    of those contributions and exists so factories can plug in a vectorized
-    version; when absent, terms are stacked and reduced in ascending order.
-    ``log_prior`` / ``log_term`` evaluate the (unnormalized) log-density and
-    are consumed only by tests and diagnostics, never by the scoring paths.
+    Scores are computed on stacked rows.  ``terms_sum(subsets, X)`` takes an
+    ``(rows, m)`` index matrix and an ``(rows, d)`` point matrix and returns
+    the ``(rows, d)`` matrix whose row i is the ascending-order sum of the
+    score contributions of the terms ``subsets[i]`` at ``X[i]``, reduced with
+    ``np.add.reduce`` over the term axis.  ``grad_log_prior`` maps stacked
+    rows (or one point) to prior scores row by row; a constant ``(d,)``
+    result broadcasts.  ``grad_log_term(l, x)`` is the score contribution of
+    term ``l`` (0-based) at one point; the scoring paths call it only to name
+    the term behind a non-finite score.  ``log_prior`` / ``log_term``
+    evaluate the (unnormalized) log-density and are consumed only by tests
+    and diagnostics, never by the scoring paths.
 
-    All model state is immutable after construction; only ``eval_counter``
-    mutates, behind a lock.
+    The score methods accept one subset and one point, or an ``(n, m)`` index
+    matrix with an ``(n, d)`` point matrix, returning ``(n, d)``; a one-point
+    call is the one-row case of the same computation.  All model state is
+    immutable after construction; only ``eval_counter`` mutates, behind a
+    lock.
     """
 
     dim: int
     L: int
     grad_log_prior: Callable
     grad_log_term: Callable
-    terms_sum: Optional[Callable] = None
+    terms_sum: Callable
     log_prior: Optional[Callable] = None
     log_term: Optional[Callable] = None
     name: str = "target"
@@ -85,80 +97,105 @@ class DecomposableTarget:
         """Copy sharing all model state but counting evaluations separately."""
         return replace(self, eval_counter=EvalCounter())
 
-    def _check_point(self, x) -> np.ndarray:
-        xv = np.asarray(x, dtype=np.float64).reshape(-1)
-        if xv.shape[0] != self.dim:
+    def _points(self, x):
+        """``(X, single)``: the call's points as an (rows, d) matrix, and
+        whether the call passed one point."""
+        X = np.asarray(x, dtype=np.float64)
+        single = X.ndim < 2
+        if single:
+            X = X.reshape(1, -1)
+        if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(
-                f"point has dimension {xv.shape[0]}, target expects {self.dim}"
+                f"point has dimension {X.shape[-1]}, target expects {self.dim}"
             )
-        return xv
+        return X, single
 
-    def _canonical_indices(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size == 0:
+    def _subsets(self, indices, X, single) -> np.ndarray:
+        """The call's term subsets as an (rows, m) int64 matrix whose rows
+        are strictly ascending."""
+        subs = np.asarray(indices, dtype=np.int64)
+        if single:
+            subs = subs.reshape(1, -1)
+        if subs.ndim != 2 or subs.shape[0] != X.shape[0]:
+            raise ValueError(
+                f"expected one term subset per point, got shape {subs.shape} "
+                f"for {X.shape[0]} points"
+            )
+        if subs.shape[1] == 0:
             raise ValueError("term subset must be nonempty")
-        if idx.min() < 0 or idx.max() >= self.L:
+        if subs.min() < 0 or subs.max() >= self.L:
             raise ValueError(f"term indices must lie in [0, {self.L})")
         # Subsets from the rng module arrive sorted; np.sort would release
-        # the GIL once per score evaluation, so only unsorted input pays it.
-        if np.any(idx[1:] <= idx[:-1]):
-            idx = np.sort(idx)
-            if np.any(idx[1:] == idx[:-1]):
+        # the GIL once per SGLD step, so only unsorted input pays it.
+        if np.any(subs[:, 1:] <= subs[:, :-1]):
+            subs = np.sort(subs, axis=1)
+            if np.any(subs[:, 1:] == subs[:, :-1]):
                 raise ValueError("term subset contains duplicate indices")
-        return idx
+        return subs
 
-    def _summed_terms(self, idx: np.ndarray, xv: np.ndarray) -> np.ndarray:
-        if self.terms_sum is not None:
-            out = np.asarray(self.terms_sum(idx, xv), dtype=np.float64)
-        else:
-            rows = np.stack(
-                [
-                    np.asarray(self.grad_log_term(int(l), xv), dtype=np.float64)
-                    for l in idx
-                ]
+    def _term_sums(self, subs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        sums = np.asarray(self.terms_sum(subs, X), dtype=np.float64)
+        if sums.shape != X.shape:
+            raise ValueError(
+                f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
-            out = np.add.reduce(rows, axis=0)
-        self.eval_counter.add(idx.size)
-        if not np.all(np.isfinite(out)):
-            self._raise_non_finite(idx, xv)
-        return out
+        self.eval_counter.add(subs.size)
+        if not np.all(np.isfinite(sums)):
+            self._raise_non_finite(subs, X, _first_bad_row(sums))
+        return sums
 
-    def _raise_non_finite(self, idx, xv):
-        for l in idx:
-            g = np.asarray(self.grad_log_term(int(l), xv), dtype=np.float64)
+    def _raise_non_finite(self, subs, X, row):
+        x = X[row]
+        for l in subs[row]:
+            g = np.asarray(self.grad_log_term(int(l), x), dtype=np.float64)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteScoreError(
-                    f"non-finite score from likelihood term {int(l)} at x={xv!r}",
+                    f"non-finite score from likelihood term {int(l)} at point "
+                    f"{row}, x={x!r}",
                     term_index=int(l),
+                    point_index=row,
                 )
         raise NonFiniteScoreError(
-            f"non-finite summed score over {idx.size} terms at x={xv!r}"
+            f"non-finite summed score over {subs.shape[1]} terms at point "
+            f"{row}, x={x!r}",
+            point_index=row,
         )
+
+    def _subset_scores(self, subs, X, single) -> np.ndarray:
+        """``(m/L) * prior score + sum of subset term scores`` per row."""
+        prior = np.asarray(self.grad_log_prior(X), dtype=np.float64)
+        if not np.all(np.isfinite(prior)):
+            row = _first_bad_row(np.broadcast_to(prior, X.shape))
+            raise NonFiniteScoreError(
+                f"non-finite prior score at point {row}, x={X[row]!r}",
+                point_index=row,
+            )
+        out = (subs.shape[1] / self.L) * prior + self._term_sums(subs, X)
+        return out[0] if single else out
 
     def grad_log_terms(self, indices, x) -> np.ndarray:
         """Ascending-order sum of per-term scores over ``indices``."""
-        xv = self._check_point(x)
-        idx = self._canonical_indices(indices)
-        return self._summed_terms(idx, xv)
+        X, single = self._points(x)
+        sums = self._term_sums(self._subsets(indices, X, single), X)
+        return sums[0] if single else sums
 
     def grad_log_full(self, x) -> np.ndarray:
         """Exact full score: prior score plus the sum of all L term scores."""
-        xv = self._check_point(x)
-        prior = np.asarray(self.grad_log_prior(xv), dtype=np.float64)
-        if not np.all(np.isfinite(prior)):
-            raise NonFiniteScoreError(f"non-finite prior score at x={xv!r}")
-        return prior + self._summed_terms(np.arange(self.L), xv)
+        X, single = self._points(x)
+        subs = np.broadcast_to(np.arange(self.L), (X.shape[0], self.L))
+        return self._subset_scores(subs, X, single)
 
     def grad_log_subset(self, sigma, x) -> np.ndarray:
         """Score of the subset posterior prior^(|sigma|/L) * prod_{l in sigma}
         term_l, i.e. ``(|sigma|/L) * prior score + sum of subset term scores``.
         """
-        xv = self._check_point(x)
-        idx = self._canonical_indices(sigma)
-        prior = np.asarray(self.grad_log_prior(xv), dtype=np.float64)
-        if not np.all(np.isfinite(prior)):
-            raise NonFiniteScoreError(f"non-finite prior score at x={xv!r}")
-        return (idx.size / self.L) * prior + self._summed_terms(idx, xv)
+        X, single = self._points(x)
+        return self._subset_scores(self._subsets(sigma, X, single), X, single)
+
+
+def _first_bad_row(values) -> int:
+    """Index of the first row of a 2-D array holding a non-finite entry."""
+    return int(np.argmin(np.isfinite(values).all(axis=1)))
 
 
 def make_gaussian(mu, sigma_sq, L, dim=None) -> DecomposableTarget:
@@ -186,15 +223,15 @@ def make_gaussian(mu, sigma_sq, L, dim=None) -> DecomposableTarget:
         raise ValueError("L must be at least 1")
     L = int(L)
 
-    def full_score(x):
-        return -(np.asarray(x, dtype=np.float64) - mu) / sigma_sq
+    def full_score(X):
+        return -(np.asarray(X, dtype=np.float64) - mu) / sigma_sq
 
     return DecomposableTarget(
         dim=d,
         L=L,
         grad_log_prior=lambda x: np.zeros(d),
         grad_log_term=lambda l, x: (1.0 / L) * full_score(x),
-        terms_sum=lambda idx, x: (idx.size / L) * full_score(x),
+        terms_sum=lambda subsets, X: (subsets.shape[1] / L) * full_score(X),
         log_prior=lambda x: 0.0,
         log_term=lambda l, x: (
             -0.5 * float(np.sum((np.asarray(x, float) - mu) ** 2 / sigma_sq)) / L
@@ -225,9 +262,12 @@ def make_gmm_posterior(
     prior_var = np.array([sigma1_sq, sigma2_sq], dtype=np.float64)
     sx = float(sigma_x_sq)
 
-    def _score_rows(yy, th):
-        r1 = yy - th[0]
-        r2 = yy - th[0] - th[1]
+    def _score_terms(yy, th):
+        """Per-term scores, shape (..., m, 2), of observations yy (..., m)
+        at the locations th (..., 2)."""
+        t1, t2 = th[..., 0:1], th[..., 1:2]
+        r1 = yy - t1
+        r2 = yy - t1 - t2
         la = -(r1 * r1) / (2.0 * sx)
         lb = -(r2 * r2) / (2.0 * sx)
         mm = np.maximum(la, lb)
@@ -236,7 +276,7 @@ def make_gmm_posterior(
         den = (wa + wb) * sx
         g1 = (wa * r1 + wb * r2) / den
         g2 = (wb * r2) / den
-        return np.stack([g1, g2], axis=1)
+        return np.stack([g1, g2], axis=-1)
 
     def _log_term(l, th):
         th = np.asarray(th, dtype=np.float64)
@@ -252,10 +292,12 @@ def make_gmm_posterior(
         dim=2,
         L=int(y.size),
         grad_log_prior=lambda th: -np.asarray(th, dtype=np.float64) / prior_var,
-        grad_log_term=lambda l, th: _score_rows(
+        grad_log_term=lambda l, th: _score_terms(
             y[l : l + 1], np.asarray(th, dtype=np.float64)
         )[0],
-        terms_sum=lambda idx, th: np.add.reduce(_score_rows(y[idx], th), axis=0),
+        terms_sum=lambda subsets, TH: np.add.reduce(
+            _score_terms(y[subsets], TH), axis=1
+        ),
         log_prior=lambda th: -0.5
         * float(np.sum(np.asarray(th, float) ** 2 / prior_var)),
         log_term=_log_term,
@@ -280,10 +322,12 @@ def make_logreg(X, y) -> DecomposableTarget:
         raise ValueError("labels must take values in {0, 1}")
     d = X.shape[1]
 
-    def _score_rows(idx, w):
+    def _score_terms(idx, w):
+        """Per-term scores, shape (..., m, d), of the terms idx (..., m) at
+        the weights w (..., d)."""
         Xs = X[idx]
-        z = np.add.reduce(Xs * w, axis=1)
-        return (y[idx] - sigmoid(z))[:, None] * Xs
+        z = np.add.reduce(Xs * w[..., None, :], axis=-1)
+        return (y[idx] - sigmoid(z))[..., None] * Xs
 
     def _log_term(l, w):
         z = float(np.add.reduce(X[l] * np.asarray(w, float)))
@@ -293,10 +337,10 @@ def make_logreg(X, y) -> DecomposableTarget:
         dim=d,
         L=int(y.size),
         grad_log_prior=lambda w: np.zeros(d),
-        grad_log_term=lambda l, w: _score_rows(
+        grad_log_term=lambda l, w: _score_terms(
             np.array([l]), np.asarray(w, dtype=np.float64)
         )[0],
-        terms_sum=lambda idx, w: np.add.reduce(_score_rows(idx, w), axis=0),
+        terms_sum=lambda subsets, W: np.add.reduce(_score_terms(subsets, W), axis=1),
         log_prior=lambda w: 0.0,
         log_term=_log_term,
         name="logreg",

@@ -141,7 +141,7 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
     gen = make_generator(config.seed)
     policy = config.resolved_bandwidth_policy()
     acc = np.zeros_like(X)
-    evals_start = target.eval_counter.value
+    evals_per_round = n * config.batch
     checkpoints = []
     for r in range(config.rounds):
         if policy == MEDIAN_PER_ROUND:
@@ -154,7 +154,9 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
         if config.batch == target.L:
             assignment = None
         else:
-            assignment = SubsetAssignment(subsets, L=target.L, seed=config.seed)
+            # Rounds continue the run's stream, which draw_subsets cannot
+            # resume from a seed, so no seed is recorded.
+            assignment = SubsetAssignment(subsets, L=target.L, seed=None)
         direction = ssvgd_direction(
             SampleBatch(X), target, spec, assignment, threads=threads
         )
@@ -166,11 +168,9 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
         if not np.all(np.isfinite(X)):
             raise DivergenceError(f"particles diverged at round {r}", step=r)
         if config.checkpoint_every and (r + 1) % config.checkpoint_every == 0:
-            checkpoints.append(
-                (r + 1, X.copy(), target.eval_counter.value - evals_start)
-            )
+            checkpoints.append((r + 1, X.copy(), (r + 1) * evals_per_round))
     return SsvgdResult(
         final=SampleBatch(X),
         checkpoints=tuple(checkpoints),
-        term_evals=target.eval_counter.value - evals_start,
+        term_evals=config.rounds * evals_per_round,
     )

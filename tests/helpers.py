@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
-Stein-term assemblies and random problem builders.
+Stein-term assemblies, a per-point score loop and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -151,6 +151,23 @@ def dense_block_pair_terms(X, B, spec, rows_a, rows_b):
     if a0 != b0:
         total = 2.0 * total
     return total, peak
+
+
+def pointwise_scaled_scores(batch, target, assignment=None):
+    """Score matrix B built one point at a time: row i is
+    ``(L/m) * grad_log_subset(sigma_i, x_i)``, or ``grad_log_full(x_i)``
+    without an assignment.  Reference for the row-blocked
+    ``scaled_scores``."""
+    X = batch.points
+    if assignment is not None:
+        scale = target.L / assignment.m
+    B = np.empty_like(X)
+    for i in range(batch.n):
+        if assignment is None:
+            B[i] = target.grad_log_full(X[i])
+        else:
+            B[i] = scale * target.grad_log_subset(assignment.subsets[i], X[i])
+    return B
 
 
 def fd_kernel_grad_x(spec, x, y, step=FD_STEP):

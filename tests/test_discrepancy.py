@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,21 +8,26 @@ import pytest
 from helpers import (
     dense_block_pair_terms,
     kernel_cross_deriv_diag,
+    pointwise_scaled_scores,
     random_instance,
     stein_gram,
 )
 from steinlab import (
+    DecomposableTarget,
     KernelSpec,
+    NonFiniteScoreError,
     NumericalConsistencyError,
     SampleBatch,
     SubsetAssignment,
     coord_stein_sums,
     draw_subsets,
     gen_gmm_data,
+    gen_logreg_data,
     iid_gaussian,
     ksd,
     make_gaussian,
     make_gmm_posterior,
+    make_logreg,
     scaled_scores,
     sksd,
 )
@@ -150,6 +157,62 @@ class TestScaledScores:
             scaled_scores(batch, target, draw_subsets(5, 3, 1, seed=0))
         with pytest.raises(ValueError, match="points"):
             scaled_scores(batch, target, draw_subsets(4, 4, 1, seed=0))
+
+
+SCORE_TARGETS = {
+    "gaussian": lambda: make_gaussian([0.5, -1.0], [1.0, 2.5], 6),
+    "gmm": lambda: make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 12, seed=4)),
+    "logreg-d1": lambda: make_logreg(*gen_logreg_data(15, 1, [0.7], seed=1)),
+    "logreg-d2": lambda: make_logreg(*gen_logreg_data(15, 2, [0.7, -0.4], seed=2)),
+    "logreg-d9": lambda: make_logreg(
+        *gen_logreg_data(15, 9, np.linspace(-1.0, 1.0, 9), seed=3)
+    ),
+}
+
+
+class TestBatchedScores:
+    @pytest.mark.parametrize("m", [1, 3, "L", "exact"])
+    @pytest.mark.parametrize("n", [1, 255, 257, 600])
+    @pytest.mark.parametrize("kind", sorted(SCORE_TARGETS))
+    def test_matches_pointwise_loop(self, kind, n, m):
+        target = SCORE_TARGETS[kind]()
+        batch = iid_gaussian(n, target.dim, 0.2, 1.5, seed=n)
+        if m == "exact":
+            assignment = None
+        else:
+            size = target.L if m == "L" else m
+            assignment = draw_subsets(n, target.L, size, seed=7)
+        want = pointwise_scaled_scores(batch, target.with_fresh_counter(), assignment)
+        got = scaled_scores(batch, target, assignment)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_non_finite_row_names_point_and_term(self, exact):
+        # Term 3 blows up at points beyond x = 5; points 300 and 400 are
+        # there, in the second row block, and the first of them is reported.
+        def term(l, x):
+            return np.where((l == 3) & (x > 5.0), np.inf, -x)
+
+        def terms_sum(subsets, X):
+            hit = np.any(subsets == 3, axis=1)[:, None] & (X > 5.0)
+            return np.where(hit, np.inf, -subsets.shape[1] * X)
+
+        target = DecomposableTarget(
+            dim=1,
+            L=5,
+            grad_log_prior=lambda x: np.zeros(1),
+            grad_log_term=term,
+            terms_sum=terms_sum,
+        )
+        points = np.zeros((450, 1))
+        points[[300, 400], 0] = 10.0
+        batch = SampleBatch(points)
+        assignment = None if exact else draw_subsets(450, 5, 5, seed=1)
+        with pytest.raises(NonFiniteScoreError) as err:
+            scaled_scores(batch, target, assignment)
+        assert err.value.point_index == 300
+        assert err.value.term_index == 3
 
 
 class TestCoordSteinSums:
@@ -312,6 +375,27 @@ class TestSksdAndKsd:
         assert sub.term_evals == 13 * 2
         exact = ksd(batch, target, IMQ)
         assert exact.term_evals == 13 * 8
+
+    def test_concurrent_calls_report_their_own_cost(self):
+        # Two threads score on one shared target; each result counts only
+        # its own evaluations, and the shared counter sees all of them.
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 40, seed=6))
+        jobs = [(iid_gaussian(n, 2, 0.0, 1.0, seed=n), m)
+                for n, m in ((30, 3), (20, 40))] * 10
+
+        def score(job):
+            batch, m = job
+            return sksd(batch, target, IMQ, m=m, seed=1).term_evals
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                evals = list(pool.map(score, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert evals == [30 * 3, 20 * 40] * 10
+        assert target.eval_counter.value == sum(evals)
 
     def test_single_point_value_example(self):
         target = make_gaussian(0.0, 1.0, 1, dim=2)

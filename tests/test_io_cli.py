@@ -40,6 +40,13 @@ class TestSampleCsv:
         with pytest.raises(ConfigError, match="cannot read"):
             io.read_samples_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# seed = 1\nx1,x2\n1.0,2.0\n{cell},2.0\n")
+        with pytest.raises(ConfigError, match=r"bad.csv:4: column 1: .* not finite"):
+            io.read_samples_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("x1,x2\n1.0\n")
@@ -56,6 +63,13 @@ class TestDatasetCsv:
         wide.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError, match="single observation column"):
             io.read_observations_csv(wide)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_observations_reject_non_finite(self, tmp_path, cell):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"y\n0.5\n-1.25\n{cell}\n")
+        with pytest.raises(ConfigError, match=r"obs.csv:4: column 1: .* not finite"):
+            io.read_observations_csv(path)
 
     def test_labeled_final_column(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -165,6 +179,14 @@ class TestCliScore:
         cli.main(["score", "--config", str(config), "--out", "t8.json",
                   "--threads", "8"])
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t8.json").read_bytes()
+
+    def test_non_finite_sample_exit_code(self, mode_fixture, capsys):
+        tmp_path, config = mode_fixture
+        (tmp_path / "samples.csv").write_text("x1,x2\n0.0,nan\n")
+        assert cli.main(["score", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "samples.csv:2: column 2" in err
+        assert not (tmp_path / "result.json").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -200,16 +200,34 @@ class TestSubsetScores:
             target.grad_log_subset([0, 6], x)
         with pytest.raises(ValueError, match="dimension"):
             target.grad_log_full(np.zeros(3))
+        with pytest.raises(ValueError, match="one term subset per point"):
+            target.grad_log_subset([[0, 1], [1, 2]], np.zeros((3, 2)))
+
+    def test_terms_sum_must_return_one_row_per_point(self):
+        # A per-point terms_sum returning (d,) would broadcast over the rows.
+        target = DecomposableTarget(
+            dim=1,
+            L=2,
+            grad_log_prior=lambda x: np.zeros(1),
+            grad_log_term=lambda l, x: np.ones(1),
+            terms_sum=lambda subsets, X: np.ones(1),
+        )
+        with pytest.raises(ValueError, match="terms_sum returned shape"):
+            target.grad_log_full(np.zeros((3, 1)))
 
     def test_non_finite_score_names_term(self):
         def bad_term(l, x):
             return np.array([np.inf if l == 3 else 0.0])
+
+        def bad_terms_sum(subsets, X):
+            return np.add.reduce(np.where(subsets == 3, np.inf, 0.0), axis=1)[:, None]
 
         target = DecomposableTarget(
             dim=1,
             L=5,
             grad_log_prior=lambda x: np.zeros(1),
             grad_log_term=bad_term,
+            terms_sum=bad_terms_sum,
         )
         with pytest.raises(NonFiniteScoreError) as err:
             target.grad_log_full(np.zeros(1))

@@ -81,7 +81,7 @@ class TestSgldChain:
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
             grad_log_term=lambda l, x: np.full(1, 100.0),
-            terms_sum=lambda idx, x: np.full(1, 100.0),
+            terms_sum=lambda subsets, X: np.full(X.shape, 100.0),
         )
         with pytest.raises(DivergenceError) as err:
             sgld_chain(

@@ -14,9 +14,10 @@ from steinlab import (
     iid_gaussian,
     make_gaussian,
     run_ssvgd,
+    sksd,
     ssvgd_direction,
 )
-from steinlab import kernels
+from steinlab import discrepancy, kernels, svgd
 from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -102,7 +103,7 @@ class TestDirection:
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
             grad_log_term=lambda l, x: np.full(1, 1e308),
-            terms_sum=lambda idx, x: np.full(1, 1e308),
+            terms_sum=lambda subsets, X: np.full(X.shape, 1e308),
         )
         batch = SampleBatch(np.array([[0.0], [0.1]]))
         with pytest.raises(DivergenceError, match="particle"):
@@ -175,6 +176,32 @@ class TestRunSsvgd:
         assert result.checkpoints[0][2] == 10 * 6 * 2
         assert result.checkpoints[0][1].shape == (6, 1)
 
+    def test_recorded_seeds_regenerate_assignments(self, monkeypatch):
+        # An assignment that records a seed must be regenerated by
+        # draw_subsets from it; SSVGD rounds continue one stream and record
+        # none.
+        seen = []
+        scores = discrepancy.scaled_scores
+
+        def recording_scores(batch, target, assignment=None):
+            if assignment is not None:
+                seen.append(assignment)
+            return scores(batch, target, assignment)
+
+        monkeypatch.setattr(svgd, "scaled_scores", recording_scores)
+        monkeypatch.setattr(discrepancy, "scaled_scores", recording_scores)
+        target = make_gaussian(0.0, 1.0, 8)
+        init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
+        run_ssvgd(init, target, SvgdConfig(rounds=4, batch=3, kernel=IMQ,
+                                           bandwidth_policy="fixed", seed=21))
+        sksd(init, target, IMQ, m=3, seed=21)
+        assert len(seen) == 5
+        recorded = [a for a in seen if a.seed is not None]
+        assert len(recorded) == 1
+        for a in recorded:
+            again = draw_subsets(a.n, a.L, a.m, a.seed)
+            assert np.array_equal(again.subsets, a.subsets)
+
     def test_seeded_determinism_and_worker_independence(self):
         target = make_gaussian(0.0, 1.0, 8)
         init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
@@ -192,7 +219,7 @@ class TestRunSsvgd:
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
             grad_log_term=lambda l, x: np.full(1, 100.0),
-            terms_sum=lambda idx, x: np.full(1, 100.0),
+            terms_sum=lambda subsets, X: np.full(X.shape, 100.0),
         )
         init = SampleBatch(np.array([[1.0], [2.0]]))
         config = SvgdConfig(rounds=10, batch=1, kernel=IMQ, step=1e308,
