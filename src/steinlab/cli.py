@@ -116,28 +116,32 @@ def _int_list(section, name, key, default=None, required=False):
         raise ConfigError(f"[{name}] {key} = {raw!r} is not an integer list") from None
 
 
+def _int_or_full(raw, name, key, L):
+    """A subset size in [1, L], or None for the token 'full' (any case)."""
+    tok = str(raw).strip()
+    if tok.lower() == "full":
+        return None
+    try:
+        m = int(tok)
+    except ValueError:
+        raise ConfigError(
+            f"[{name}] {key} = {raw!r} is not an integer or 'full'"
+        ) from None
+    if not 1 <= m <= L:
+        raise ConfigError(f"[{name}] {key} = {m} is not in [1, L={L}]")
+    return m
+
+
 def _m_list(section, name, key, L, default="full"):
     """Subset sizes; the token 'full' means m = L (the exact path)."""
     raw = _get(section, name, key, default=default)
     out = []
     for tok in str(raw).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() == "full":
-            out.append(L)
-        else:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ConfigError(
-                    f"[{name}] {key}: {tok!r} is not an integer or 'full'"
-                ) from None
+        if tok.strip():
+            m = _int_or_full(tok.strip(), name, key, L)
+            out.append(L if m is None else m)
     if not out:
         raise ConfigError(f"[{name}] {key} is empty")
-    for m in out:
-        if not 1 <= m <= L:
-            raise ConfigError(f"[{name}] {key}: m={m} not in [1, L={L}]")
     return out
 
 
@@ -271,7 +275,9 @@ def cmd_score(args) -> int:
         raise ConfigError(
             f"samples have dimension {batch.dim}, target expects {target.dim}"
         )
-    m = _get_int(sec, "score", "m")
+    m = _int_or_full(
+        _get(sec, "score", "m", default="full"), "score", "m", target.L
+    )
     seed = _resolve_seed(args, sec, "score")
     threads = resolve_threads(args.threads)
     echo.update({"score.samples": str(samples_path), "seed": str(seed)})
@@ -522,16 +528,11 @@ def cmd_ssvgd(args) -> int:
     kernel = _build_kernel(cfg, echo)
     sec = _section(cfg, "svgd")
     rounds = _get_int(sec, "svgd", "rounds", required=True)
-    batch_raw = str(_get(sec, "svgd", "batch", default="full")).strip().lower()
-    if batch_raw == "full":
+    batch = _int_or_full(
+        _get(sec, "svgd", "batch", default="full"), "svgd", "batch", target.L
+    )
+    if batch is None:
         batch = target.L
-    else:
-        try:
-            batch = int(batch_raw)
-        except ValueError:
-            raise ConfigError(
-                f"[svgd] batch = {batch_raw!r} is not an integer or 'full'"
-            ) from None
     step = _get_float(sec, "svgd", "step", 0.05)
     schedule = str(_get(sec, "svgd", "schedule", "adagrad")).strip().lower()
     fudge = _get_float(sec, "svgd", "fudge", 1e-6)
@@ -631,16 +632,9 @@ def cmd_curve(args) -> int:
     n_grid = _int_list(sec, "curve", "n_grid", required=True)
     if not n_grid or min(n_grid) < 1:
         raise ConfigError("[curve] n_grid must be positive sample sizes")
-    m_raw = str(_get(sec, "curve", "m", default="full")).strip().lower()
-    if m_raw == "full":
-        m = None
-    else:
-        try:
-            m = int(m_raw)
-        except ValueError:
-            raise ConfigError(
-                f"[curve] m = {m_raw!r} is not an integer or 'full'"
-            ) from None
+    m = _int_or_full(
+        _get(sec, "curve", "m", default="full"), "curve", "m", target.L
+    )
     reps = _get_int(sec, "curve", "seeds", 20)
     mu = _float_list(sec, "curve", "mu", default="0")
     sigma = _get_float(sec, "curve", "sigma", 1.0)
@@ -649,7 +643,7 @@ def cmd_curve(args) -> int:
     echo.update(
         {
             "curve.n_grid": ",".join(str(n) for n in n_grid),
-            "curve.m": m_raw,
+            "curve.m": "full" if m is None else str(m),
             "curve.seeds": str(reps),
             "curve.mu": ",".join(sio.fmt_float(v) for v in mu),
             "curve.sigma": sio.fmt_float(sigma),

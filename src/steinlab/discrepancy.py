@@ -11,16 +11,23 @@ where row i of ``B`` is either the full score of ``x_i`` (exact case) or
 uniform size-m subset of the L likelihood terms.  The double sum is
 accumulated over fixed 256-row blocks combined by a fixed reduction tree, so
 results are bit-identical for any worker count.  Within a block pair the
-work goes one coordinate at a time on 256 x 256 matrices: one difference
-matrix per coordinate, shared by the squared distance and that coordinate's
-Stein term, so a worker holds O(256^2 * d) floats and never an
-``(n, n, d)`` or ``(256, 256, d)`` array.  The kernel profile takes one
-``pow`` per block pair for the power families (see
-:func:`kernels.radial_profile`).
+pairwise terms are never formed: each coordinate's sum comes from row
+reductions, namely one product of the kernel matrix with the scores per
+block pair and, per coordinate, a product of ``P1 * D_j`` with the scores,
+row sums, and per-row dot products of ``P2`` with ``D_j^2``, where ``D_j``
+is the coordinate's difference matrix.  Every block matrix lives in a
+per-call workspace of six 256 x 256 matrices per worker, whatever the
+dimension, written with ``out=`` and freed when the call returns; no
+``(n, n, d)`` or ``(256, 256, d)`` array and no per-pair block matrix is
+allocated.  The kernel profile takes one ``pow`` per block pair for the
+power families (see :func:`kernels.radial_profile`).  The largest pairwise
+term magnitude, which scales the negativity floor, is computed in a second
+pass only when some piece is negative.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +35,13 @@ import numpy as np
 
 from . import kernels
 from .errors import NonFiniteScoreError, NumericalConsistencyError
-from .parallel import ordered_map, resolve_threads, row_blocks, tree_reduce_sum
+from .parallel import (
+    BLOCK_ROWS,
+    ordered_map,
+    resolve_threads,
+    row_blocks,
+    tree_reduce_sum,
+)
 from .rng import make_generator, uniform_subsets
 
 NEGATIVE_TOLERANCE = 1e-8
@@ -182,56 +195,107 @@ def scaled_scores(batch, target, assignment=None) -> np.ndarray:
     return B
 
 
-def _block_pair_terms(X, B, spec, rows_a, rows_b):
-    """Summed pairwise Stein terms (and their peak magnitude) for one
-    ordered block pair; off-diagonal pairs are doubled to stand in for
-    their mirror image.
+class _Workspace:
+    """Block matrices that one worker reuses for every block pair of one
+    :func:`coord_stein_sums` call, one flat array per matrix, each viewed
+    as a contiguous ``(rows_a, rows_b)`` matrix."""
 
-    Works one coordinate at a time on ``(rows_a, rows_b)`` matrices: the
-    differences ``D_j`` are built once and shared by the squared distance
-    and every coordinate's term
+    def __init__(self, rows):
+        self._size = rows * rows
+        self._flat = []
+
+    def matrices(self, count, shape):
+        while len(self._flat) < count:
+            self._flat.append(np.empty(self._size))
+        used = shape[0] * shape[1]
+        return [flat[:used].reshape(shape) for flat in self._flat[:count]]
+
+
+def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
+    """Summed pairwise Stein terms of one ordered block pair, per
+    coordinate; off-diagonal pairs are doubled to stand in for their mirror
+    image.
+
+    The coordinate-j term is
 
         T_j = K (Ba_j Bb_j^T) + 2 P1 D_j (Bb_j - Ba_j) - 4 P2 D_j^2 - 2 P1,
 
-    which is assembled in three reused buffers, so memory is d + O(1)
-    block matrices.
+    and it is never formed.  Its row sums come from ``K @ Bb`` (once per
+    block pair), ``(P1 D_j) @ Bb_j``, the row sums of ``P1 D_j`` and of
+    ``P1``, and the per-row dot products of ``P2`` with ``D_j^2``; they are
+    combined per row, then summed.  No matrix product reduces over more
+    than one block, so the bits do not depend on the BLAS thread count.
+    Six workspace matrices hold everything, whatever the dimension;
+    ``D_j`` is rebuilt after the profile instead of kept.
     """
     a0, a1 = rows_a
     b0, b1 = rows_b
-    Ba, Bb = B[a0:a1].T, B[b0:b1].T
-    D = list(kernels.coordinate_differences(X[a0:a1], X[b0:b1]))
-    K, P1, P2 = kernels.radial_profile(spec, kernels.sum_of_squares(D))
-    two_p1 = 2.0 * P1
-    four_p2 = 4.0 * P2
-    T, work, gap = np.empty_like(K), np.empty_like(K), np.empty_like(K)
-    total = np.empty(len(D))
-    peak = 0.0
-    for j, Dj in enumerate(D):
-        ba, bb = Ba[j, :, None], Bb[j, None, :]
-        np.multiply(ba, bb, out=T)
-        T *= K
-        np.multiply(two_p1, Dj, out=work)
-        np.subtract(bb, ba, out=gap)
-        work *= gap
-        T += work
-        np.multiply(Dj, Dj, out=work)
-        work *= four_p2
-        T -= work
-        T -= two_p1
-        total[j] = T.sum()
-        peak = max(peak, float(T.max()), -float(T.min()))
+    Xa, Xb, Ba, Bb = X[a0:a1], X[b0:b1], B[a0:a1], B[b0:b1]
+    S, K, P1, P2, W, D = workspace.matrices(6, (a1 - a0, b1 - b0))
+    kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=S)
+    K, P1, P2 = kernels.radial_profile(spec, S, out=(K, P1, P2), scratch=(W, D))
+    # Per coordinate and row: sum_b P1 D_j Bb_j, sum_b P1 D_j and
+    # sum_b P2 D_j^2.
+    p1d_b, p1d, p2dd = np.empty((3, X.shape[1], a1 - a0))
+    # Matrix-vector products, row sums and per-row dot products (a stacked
+    # matmul) rather than a two-column matrix product and einsum: the first
+    # call of either of those adds about 0.3 MB to the process's resident
+    # set (OpenBLAS GEMM buffers, einsum's iterator buffers), which
+    # one-dimensional runs did not use before.
+    for j, Dj in enumerate(kernels.coordinate_differences(Xa, Xb, out=D)):
+        np.multiply(P1, Dj, out=W)
+        np.matmul(W, Bb[:, j], out=p1d_b[j])
+        np.add.reduce(W, axis=1, out=p1d[j])
+        np.multiply(Dj, Dj, out=Dj)
+        np.matmul(P2[:, None, :], Dj[:, :, None], out=p2dd[j, :, None, None])
+    rows = (
+        Ba.T * ((K @ Bb).T - 2.0 * p1d)
+        + 2.0 * p1d_b
+        - 4.0 * p2dd
+        - 2.0 * P1.sum(axis=1)
+    )
+    total = rows.sum(axis=1)
     if a0 != b0:
         total = 2.0 * total
-    return total, peak
+    return total
+
+
+def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
+    """Largest pairwise Stein term magnitude ``max_j max |T_j|`` of one
+    block pair, from ``T_j`` formed in full (seven workspace matrices)."""
+    a0, a1 = rows_a
+    b0, b1 = rows_b
+    Xa, Xb, Ba, Bb = X[a0:a1], X[b0:b1], B[a0:a1], B[b0:b1]
+    T, K, P1, P2, W, D, gap = workspace.matrices(7, (a1 - a0, b1 - b0))
+    kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=T)
+    K, P1, P2 = kernels.radial_profile(spec, T, out=(K, P1, P2), scratch=(W, D))
+    two_p1 = np.multiply(P1, 2.0, out=P1)
+    four_p2 = np.multiply(P2, 4.0, out=P2)
+    peak = 0.0
+    for j, Dj in enumerate(kernels.coordinate_differences(Xa, Xb, out=D)):
+        ba, bb = Ba[:, j, None], Bb[None, :, j]
+        np.multiply(ba, bb, out=T)
+        T *= K
+        np.multiply(two_p1, Dj, out=W)
+        np.subtract(bb, ba, out=gap)
+        W *= gap
+        T += W
+        np.multiply(Dj, Dj, out=W)
+        W *= four_p2
+        T -= W
+        T -= two_p1
+        peak = max(peak, float(T.max()), -float(T.min()))
+    return peak
 
 
 def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     """Per-coordinate squared discrepancy pieces w_j^2, before clamping.
 
     Each w_j^2 is a squared norm, so genuine negatives are bugs: values
-    below ``-1e-8 * scale`` (scale = the largest pairwise term magnitude
-    encountered) raise :class:`NumericalConsistencyError` instead of being
-    silently repaired.
+    below ``-1e-8 * scale`` (scale = the largest pairwise term magnitude)
+    raise :class:`NumericalConsistencyError` instead of being silently
+    repaired.  That floor is never positive, so the scale is computed, in a
+    second pass over the block pairs, only when some piece is negative.
     """
     X = batch.points
     Bm = np.asarray(B, dtype=np.float64)
@@ -242,19 +306,26 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     workers = resolve_threads(threads)
     blocks = row_blocks(batch.n)
     tasks = [(a, b) for ia, a in enumerate(blocks) for b in blocks[ia:]]
-    results = ordered_map(
-        lambda pair: _block_pair_terms(X, Bm, spec, pair[0], pair[1]),
-        tasks,
-        workers,
-    )
-    w_sq = tree_reduce_sum([r[0] for r in results]) / float(batch.n) ** 2
-    scale = max(r[1] for r in results)
-    floor = -NEGATIVE_TOLERANCE * scale
-    if np.any(w_sq < floor):
-        j = int(np.argmin(w_sq))
-        raise NumericalConsistencyError(
-            f"w_sq[{j}] = {w_sq[j]!r} is below the float-noise floor {floor!r}"
-        )
+    # One workspace per worker thread, freed with this call.
+    workspaces = threading.local()
+
+    def over_block_pairs(block_fn):
+        def run(pair):
+            workspace = getattr(workspaces, "it", None)
+            if workspace is None:
+                workspace = workspaces.it = _Workspace(min(batch.n, BLOCK_ROWS))
+            return block_fn(X, Bm, spec, pair[0], pair[1], workspace)
+
+        return ordered_map(run, tasks, workers)
+
+    w_sq = tree_reduce_sum(over_block_pairs(_block_pair_sums)) / float(batch.n) ** 2
+    if np.any(w_sq < 0.0):
+        floor = -NEGATIVE_TOLERANCE * max(over_block_pairs(_block_pair_peak))
+        if np.any(w_sq < floor):
+            j = int(np.argmin(w_sq))
+            raise NumericalConsistencyError(
+                f"w_sq[{j}] = {w_sq[j]!r} is below the float-noise floor {floor!r}"
+            )
     return w_sq
 
 

@@ -13,7 +13,9 @@ element: the power families compute ``t = base ** (beta - 2)`` once and get
 ``base ** beta = t * base * base`` and ``base ** (beta - 1) = t * base``
 from it.  Squared distances are summed one coordinate at a time from
 per-coordinate difference matrices (:func:`coordinate_differences`,
-:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  Finite
+:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  All
+three write into caller-supplied arrays when given them (``out=``), which
+is how the Stein engine reuses one workspace across block pairs.  Finite
 differencing and pointwise kernel evaluation appear only in tests, as
 oracles.
 """
@@ -86,7 +88,7 @@ class KernelSpec:
         return cls(family=family, **kwargs)
 
 
-def radial_profile(spec: KernelSpec, sq_dist):
+def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
     """Kernel value and derivatives in the squared distance, elementwise.
 
     Returns ``(k, p1, p2)`` where ``p1 = dk/d(r2)`` and ``p2 = d2k/d(r2)^2``
@@ -100,46 +102,75 @@ def radial_profile(spec: KernelSpec, sq_dist):
     their base ``b`` (``1 + r2/h`` for imq, ``w = alpha + log(1 + r2/h)``
     for log_inverse) once, to ``t = b ** (beta - 2)``, and use
     ``b ** beta = t b^2`` and ``b ** (beta - 1) = t b``.
+
+    ``out`` is three float64 arrays of ``sq_dist``'s shape that receive
+    ``k, p1, p2`` and are returned; ``scratch`` is two more that
+    log_inverse uses for intermediates.  Both are allocated when None, and
+    neither may share memory with ``sq_dist``.  The arithmetic is the same
+    either way, so the results are too, bit for bit.
     """
     q = np.asarray(sq_dist, dtype=np.float64)
+    if out is None:
+        out = (np.empty_like(q), np.empty_like(q), np.empty_like(q))
+    k, p1, p2 = out
     h = spec.bandwidth
+    beta = spec.beta
     if spec.family == IMQ:
-        base = 1.0 + q / h
-        t = base ** (spec.beta - 2.0)
-        tb = t * base
-        k = tb * base
-        p1 = (spec.beta / h) * tb
-        p2 = (spec.beta * (spec.beta - 1.0) / (h * h)) * t
+        base = np.add(np.divide(q, h, out=k), 1.0, out=k)
+        t = np.power(base, beta - 2.0, out=p2)
+        tb = np.multiply(t, base, out=p1)
+        base *= tb
+        tb *= beta / h
+        t *= beta * (beta - 1.0) / (h * h)
     elif spec.family == RBF:
-        k = np.exp(-q / h)
-        p1 = -k / h
-        p2 = k / (h * h)
+        np.exp(np.divide(q, -h, out=k), out=k)
+        np.divide(k, -h, out=p1)
+        np.divide(k, h * h, out=p2)
     else:
-        base = 1.0 + q / h
-        w = spec.alpha + np.log(base)
-        dw = 1.0 / (h * base)
-        t = w ** (spec.beta - 2.0)
-        tw = t * w
-        k = tw * w
-        p1 = spec.beta * tw * dw
-        p2 = spec.beta * dw * dw * ((spec.beta - 1.0) * t - tw)
+        if scratch is None:
+            scratch = (np.empty_like(q), np.empty_like(q))
+        tw, u = scratch
+        base = np.add(np.divide(q, h, out=k), 1.0, out=k)
+        dw = np.divide(1.0, np.multiply(base, h, out=p1), out=p1)
+        w = np.add(np.log(base, out=k), spec.alpha, out=k)
+        t = np.power(w, beta - 2.0, out=p2)
+        np.multiply(t, w, out=tw)
+        w *= tw
+        t *= beta - 1.0
+        t -= tw
+        np.multiply(dw, beta, out=u)
+        u *= dw
+        t *= u
+        tw *= beta
+        dw *= tw
     return k, p1, p2
 
 
-def coordinate_differences(X, Y):
+def coordinate_differences(X, Y, out=None):
     """Per-coordinate difference matrices ``X[:, j] - Y[:, j]^T``, yielded
-    one coordinate at a time in order ``j = 0, 1, ...``."""
+    one coordinate at a time in order ``j = 0, 1, ...``.
+
+    With ``out`` every matrix is written into that one array, so each
+    yielded matrix is valid only until the next is requested.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    for xj, yj in zip(X.T, Y.T):
-        yield xj[:, None] - yj[None, :]
+    shape = (X.shape[0], Y.shape[0])
+    # Filling each row with x_j first and then subtracting the contiguous
+    # row y_j in place is faster than one broadcast subtraction, and gives
+    # the same bits.
+    for xj, yj in zip(X.T, np.ascontiguousarray(Y.T)):
+        D = np.empty(shape) if out is None else out
+        np.copyto(D, xj[:, None])
+        yield np.subtract(D, yj, out=D)
 
 
-def sum_of_squares(diffs) -> np.ndarray:
+def sum_of_squares(diffs, out=None) -> np.ndarray:
     """``D_0^2 + D_1^2 + ...`` accumulated left to right over a nonempty
-    sequence of equal-shape difference matrices.
+    sequence of equal-shape difference matrices, written into ``out`` when
+    given.  Every matrix after the first is squared in place.
 
     Every squared distance in the package comes from here, so the Stein
     blocks, the SVGD direction and the median heuristic share one
@@ -147,9 +178,9 @@ def sum_of_squares(diffs) -> np.ndarray:
     """
     diffs = iter(diffs)
     first = next(diffs)
-    total = first * first
+    total = np.multiply(first, first, out=out)
     for Dj in diffs:
-        total += Dj * Dj
+        total += np.multiply(Dj, Dj, out=Dj)
     return total
 
 

@@ -9,7 +9,9 @@ source particle j or its (L/m)-scaled subset score under a fresh per-round
 assignment of one independent size-m subset per particle.  Directions are
 assembled in fixed row blocks and concatenated in order, so a run is
 bit-identical for any worker count.  Each block computes its own n x 256
-kernel and profile columns, so memory is O(256 n), not O(n^2).
+kernel and profile columns, so memory is O(256 n), not O(n^2), and sums
+their products with the sources over 256-row source blocks, so results are
+also bit-identical for any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import kernels
 from .discrepancy import SampleBatch, SubsetAssignment, scaled_scores
 from .errors import DivergenceError
-from .parallel import ordered_map, resolve_threads, row_blocks
+from .parallel import ordered_map, resolve_threads, row_blocks, tree_reduce_sum
 from .rng import make_generator, uniform_subsets
 
 CONSTANT = "constant"
@@ -103,13 +105,22 @@ def ssvgd_direction(batch, target, spec, assignment=None, threads=None) -> np.nd
     B = scaled_scores(batch, target, assignment)
     workers = resolve_threads(threads)
 
+    sources = row_blocks(n)
+
+    def source_sum(M, Y):
+        # M.T @ Y with every matrix product reducing over at most one
+        # 256-row source block, summed in a fixed order: OpenBLAS splits
+        # longer reductions differently when it threads, which changes the
+        # bits with the BLAS thread count.
+        return tree_reduce_sum([M[s0:s1].T @ Y[s0:s1] for s0, s1 in sources])
+
     def block_direction(span):
         i0, i1 = span
         K, P1, _ = kernels.radial_profile(
             spec, kernels.squared_distances(X, X[i0:i1])
         )
-        drift = K.T @ B
-        rep = P1.T @ X - X[i0:i1] * P1.sum(axis=0)[:, None]
+        drift = source_sum(K, B)
+        rep = source_sum(P1, X) - X[i0:i1] * P1.sum(axis=0)[:, None]
         return (drift + 2.0 * rep) / n
 
     parts = ordered_map(block_direction, row_blocks(n), workers)

@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
-Stein-term assemblies, a per-point score loop and random problem builders.
+Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
+loop and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -21,7 +22,9 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
 )
-from steinlab import kernels
+from steinlab import NumericalConsistencyError, kernels
+from steinlab.discrepancy import NEGATIVE_TOLERANCE
+from steinlab.parallel import row_blocks, tree_reduce_sum
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -153,6 +156,26 @@ def dense_block_pair_terms(X, B, spec, rows_a, rows_b):
     return total, peak
 
 
+def eager_coord_stein_sums(batch, B, spec):
+    """``coord_stein_sums`` with the peak always computed: every block pair
+    of the dense formula above contributes its sums and its peak, and the
+    pieces are checked against ``-NEGATIVE_TOLERANCE * peak`` whatever
+    their sign.  Reference for the engine's lazy peak pass."""
+    X = batch.points
+    Bm = np.asarray(B, dtype=np.float64)
+    blocks = row_blocks(batch.n)
+    parts = [
+        dense_block_pair_terms(X, Bm, spec, rows_a, rows_b)
+        for ia, rows_a in enumerate(blocks)
+        for rows_b in blocks[ia:]
+    ]
+    w_sq = tree_reduce_sum([total for total, _ in parts]) / float(batch.n) ** 2
+    floor = -NEGATIVE_TOLERANCE * max(peak for _, peak in parts)
+    if np.any(w_sq < floor):
+        raise NumericalConsistencyError(f"w_sq = {w_sq!r} is below {floor!r}")
+    return w_sq
+
+
 def pointwise_scaled_scores(batch, target, assignment=None):
     """Score matrix B built one point at a time: row i is
     ``(L/m) * grad_log_subset(sigma_i, x_i)``, or ``grad_log_full(x_i)``
@@ -248,8 +271,9 @@ def random_kernel_spec(rng, families=("imq", "log_inverse", "rbf")):
 
 
 def random_instance(rng, kinds=("gmm", "logreg"), families=("imq", "log_inverse"),
-                    max_n=50, max_d=5):
-    """Random (batch, target, spec, m) problem for oracle comparisons."""
+                    max_n=50, max_d=5, n=None):
+    """Random (batch, target, spec, m) problem for oracle comparisons; the
+    sample size is ``n``, or drawn from [2, max_n] when None."""
     kind = kinds[rng.integers(len(kinds))]
     if kind == "gmm":
         L = int(rng.integers(3, 12))
@@ -266,7 +290,8 @@ def random_instance(rng, kinds=("gmm", "logreg"), families=("imq", "log_inverse"
         d = int(rng.integers(1, max_d + 1))
         L = int(rng.integers(1, 12))
         target = make_gaussian(0.0, 1.0, L, dim=d)
-    n = int(rng.integers(2, max_n + 1))
+    if n is None:
+        n = int(rng.integers(2, max_n + 1))
     batch = iid_gaussian(n, d, 0.0, 1.2, seed=int(rng.integers(2**32)))
     m = int(rng.integers(1, target.L + 1))
     spec = random_kernel_spec(rng, families=families)

@@ -1,12 +1,18 @@
 import itertools
+import os
+import subprocess
 import sys
+import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
     dense_block_pair_terms,
+    eager_coord_stein_sums,
     kernel_cross_deriv_diag,
     pointwise_scaled_scores,
     random_instance,
@@ -32,7 +38,12 @@ from steinlab import (
     sksd,
 )
 from steinlab import kernels as kernels_module
-from steinlab.discrepancy import NEGATIVE_TOLERANCE, _block_pair_terms
+from steinlab.discrepancy import (
+    NEGATIVE_TOLERANCE,
+    _block_pair_peak,
+    _block_pair_sums,
+    _Workspace,
+)
 from steinlab.parallel import row_blocks
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -280,7 +291,7 @@ class TestCoordSteinSums:
             )
 
     def test_large_negative_raises(self, monkeypatch):
-        def hostile_profile(spec, sq):
+        def hostile_profile(spec, sq, out=None, scratch=None):
             q = np.asarray(sq, dtype=np.float64)
             return np.zeros_like(q), np.ones_like(q), np.zeros_like(q)
 
@@ -306,7 +317,7 @@ class TestCoordSteinSums:
         floor = -1e-8 * 2.0 * b
         a = b + floor * (1.0 - margin)
 
-        def hostile_profile(spec, sq):
+        def hostile_profile(spec, sq, out=None, scratch=None):
             q = np.asarray(sq, dtype=np.float64)
             return np.zeros_like(q), np.where(q == 0.0, -a, b), np.zeros_like(q)
 
@@ -315,9 +326,13 @@ class TestCoordSteinSums:
         if margin > 0:
             w_sq = coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
             assert floor < w_sq[0] < 0.0
+            eager = eager_coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            np.testing.assert_allclose(w_sq, eager, rtol=0, atol=1e-12 * 2.0 * b)
         else:
             with pytest.raises(NumericalConsistencyError, match="floor"):
                 coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            with pytest.raises(NumericalConsistencyError):
+                eager_coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
 
 
 ENGINE_SPECS = {
@@ -328,8 +343,9 @@ ENGINE_SPECS = {
 
 
 class TestBlockEngine:
-    """The per-coordinate block engine against the dense (rows, rows, d)
-    block formula, on every block pair of a batch."""
+    """The block engine's sums and peak pass against the dense
+    (rows, rows, d) block formula, on every block pair of a batch, with
+    one workspace reused across the pairs as a worker does."""
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     @pytest.mark.parametrize("d", [1, 8, 9])
@@ -340,14 +356,168 @@ class TestBlockEngine:
         B = -X + 0.5 * rng.standard_normal((n, d))
         spec = ENGINE_SPECS[family]
         blocks = row_blocks(n)
+        workspace = _Workspace(blocks[0][1])
         for ia, rows_a in enumerate(blocks):
             for rows_b in blocks[ia:]:
-                total, peak = _block_pair_terms(X, B, spec, rows_a, rows_b)
+                total = _block_pair_sums(X, B, spec, rows_a, rows_b, workspace)
+                peak = _block_pair_peak(X, B, spec, rows_a, rows_b, workspace)
                 ref_total, ref_peak = dense_block_pair_terms(
                     X, B, spec, rows_a, rows_b
                 )
                 assert peak == ref_peak
                 np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
+
+
+def _profile_shifted_by(shift):
+    """The library profile with ``shift`` added to ``p1``: every pairwise
+    term moves by ``-2 shift`` plus a ``D_j``-weighted part, so a piece can
+    be pushed below zero."""
+    true_profile = kernels_module.radial_profile
+
+    def shifted(spec, sq, out=None, scratch=None):
+        k, p1, p2 = true_profile(spec, sq, out=out, scratch=scratch)
+        p1 += shift
+        return k, p1, p2
+
+    return shifted
+
+
+def _raised(fn):
+    try:
+        return False, fn()
+    except NumericalConsistencyError:
+        return True, None
+
+
+class TestLazyPeak:
+    """The peak behind the negativity floor is computed only when a piece
+    is negative; the raise decision matches an oracle that always computes
+    it."""
+
+    def test_raises_exactly_when_eager_oracle_does(self, monkeypatch):
+        outcomes = []
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            n = (1, 255, 257, 600)[seed % 4]
+            batch, target, spec, m = random_instance(
+                rng, kinds=("gmm", "logreg", "gaussian"),
+                families=("imq", "log_inverse", "rbf"), n=n,
+            )
+            B = scaled_scores(batch, target, draw_subsets(batch.n, target.L, m, seed=seed))
+            # Shifts from zero (genuine pieces) up to the largest piece.
+            scale = float(np.max(np.abs(coord_stein_sums(batch, B, spec))))
+            shift = 0.0 if seed < 4 else float(rng.uniform(-1.0, 1.0)) * scale
+            monkeypatch.setattr(kernels_module, "radial_profile", _profile_shifted_by(shift))
+            raised, w_sq = _raised(lambda: coord_stein_sums(batch, B, spec, threads=2))
+            eager_raised, eager = _raised(lambda: eager_coord_stein_sums(batch, B, spec))
+            monkeypatch.undo()
+            assert raised == eager_raised, (seed, shift)
+            if not raised:
+                np.testing.assert_allclose(w_sq, eager, rtol=1e-10, atol=1e-12 * scale)
+            outcomes.append(raised)
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("shift, peak_pass", [(0.0, False), (-0.5, True)])
+    def test_peak_pass_only_for_negative_pieces(self, monkeypatch, shift, peak_pass):
+        rng = np.random.default_rng(8)
+        batch, target, spec, m = random_instance(
+            rng, kinds=("gaussian",), families=("imq",), max_d=3, n=600
+        )
+        B = scaled_scores(batch, target, None)
+        profile = _profile_shifted_by(shift)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "radial_profile", counted)
+        raised, w_sq = _raised(lambda: coord_stein_sums(batch, B, spec))
+        pairs = 6  # three row blocks
+        if peak_pass:
+            assert len(calls) == 2 * pairs
+        else:
+            assert not raised and np.all(w_sq >= 0.0)
+            assert len(calls) == pairs
+
+
+class TestWorkspaceMemory:
+    """One call holds six 256 x 256 workspace matrices per worker and
+    frees them on return; the stated slack of 256 KiB covers the O(256 d)
+    row vectors and the per-pair results."""
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    def test_peak_allocation_is_six_block_matrices(self, family):
+        rng = np.random.default_rng(3)
+        X = rng.normal(0.3, 1.0, size=(600, 9))
+        B = -X + 0.5 * rng.standard_normal((600, 9))
+        batch = SampleBatch(X)
+        spec = ENGINE_SPECS[family]
+        coord_stein_sums(batch, B, spec, threads=1)
+        tracemalloc.start()
+        try:
+            coord_stein_sums(batch, B, spec, threads=1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 256 * 256 * 8
+        assert peak <= 6 * block + 256 * 1024
+        assert current < block
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+PROPERTY_SCRIPT = textwrap.dedent("""\
+    import sys
+    import numpy as np
+    from helpers import random_instance
+    from steinlab import coord_stein_sums, draw_subsets, scaled_scores
+    from steinlab.svgd import ssvgd_direction
+
+    parts = []
+    for case, (family, n) in enumerate(
+        (f, n) for f in ("imq", "log_inverse", "rbf") for n in (255, 257, 513, 700)
+    ):
+        rng = np.random.default_rng(case)
+        batch, target, spec, m = random_instance(
+            rng, kinds=("gmm", "logreg", "gaussian"), families=(family,),
+            max_d=12, n=n,
+        )
+        assignment = draw_subsets(batch.n, target.L, m, seed=case)
+        B = scaled_scores(batch, target, assignment)
+        parts.append(coord_stein_sums(batch, B, spec, threads=2))
+        parts.append(ssvgd_direction(batch, target, spec, assignment, threads=2).ravel())
+    np.save(sys.argv[1], np.concatenate(parts))
+    """)
+
+
+class TestBlasThreadProperty:
+    """The pairwise layers' matrix products give the same bits with BLAS
+    pinned to one thread and at its default, on random instances."""
+
+    def test_pinned_and_default_blas_bit_identical(self, tmp_path):
+        tests_dir = Path(__file__).resolve().parent
+        src = str(Path(kernels_module.__file__).resolve().parents[1])
+        script = tmp_path / "property.py"
+        script.write_text(PROPERTY_SCRIPT)
+        results = []
+        for label, blas_threads in (("pinned", 1), ("default", None)):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+            if blas_threads is not None:
+                env.update({k: str(blas_threads) for k in BLAS_THREAD_VARS})
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, str(tests_dir), env.get("PYTHONPATH")) if p
+            )
+            out = tmp_path / f"{label}.npy"
+            proc = subprocess.run(
+                [sys.executable, str(script), str(out)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            results.append(np.load(out))
+        pinned, default = results
+        assert pinned.size > 0 and np.all(np.isfinite(pinned))
+        assert pinned.tobytes() == default.tobytes()
 
 
 class TestSksdAndKsd:

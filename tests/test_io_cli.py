@@ -158,6 +158,30 @@ class TestCliScore:
         assert v_full["w_sq"] == v_exact["w_sq"]
         assert v_exact["seed"] is None and v_exact["m"] == 10
 
+    def test_m_full_matches_omitted_m(self, mode_fixture):
+        tmp_path, config = mode_fixture
+        full = _write(tmp_path / "full.ini",
+                      config.read_text().replace("m = 1", "m = full"))
+        exact = _write(tmp_path / "exact.ini",
+                       config.read_text().replace("m = 1\n", ""))
+        assert cli.main(["score", "--config", str(full), "--out", "full.json"]) == 0
+        assert cli.main(["score", "--config", str(exact), "--out", "exact.json"]) == 0
+        assert (tmp_path / "full.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
+
+    @pytest.mark.parametrize("value, message", [
+        ("fulll", "[score] m = 'fulll' is not an integer or 'full'"),
+        ("0", "[score] m = 0 is not in [1, L=10]"),
+        ("11", "[score] m = 11 is not in [1, L=10]"),
+    ])
+    def test_bad_m_names_section_and_key(self, mode_fixture, capsys, value, message):
+        tmp_path, config = mode_fixture
+        bad = _write(tmp_path / "bad.ini",
+                     config.read_text().replace("m = 1", f"m = {value}"))
+        assert cli.main(["score", "--config", str(bad), "--out", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "bad.json").exists()
+
     def test_missing_samples_no_partial_output(self, mode_fixture, capsys):
         tmp_path, config = mode_fixture
         (tmp_path / "samples.csv").unlink()
