@@ -74,14 +74,17 @@ def _get_float(section, name, key, default=None, required=False):
         raise ConfigError(f"[{name}] {key} = {raw!r} is not a number") from None
 
 
-def _get_int(section, name, key, default=None, required=False):
+def _get_int(section, name, key, default=None, required=False, minimum=None):
     raw = _get(section, name, key, default=None, required=required)
     if raw is None:
         return default
     try:
-        return int(str(raw).strip())
+        value = int(str(raw).strip())
     except (TypeError, ValueError):
         raise ConfigError(f"[{name}] {key} = {raw!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{name}] {key} = {value} is less than {minimum}")
+    return value
 
 
 def _get_bool(section, name, key, default=False):
@@ -104,6 +107,16 @@ def _float_list(section, name, key, default=None, required=False):
         return [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"[{name}] {key} = {raw!r} is not a number list") from None
+
+
+def _per_coordinate(values, name, key, dim):
+    """One value for every coordinate, or exactly ``dim`` values, as a
+    length-``dim`` array."""
+    if len(values) not in (1, dim):
+        raise ConfigError(
+            f"[{name}] {key} has {len(values)} values; expected 1 or dim = {dim}"
+        )
+    return np.broadcast_to(np.asarray(values, dtype=float), (dim,))
 
 
 def _int_list(section, name, key, default=None, required=False):
@@ -165,13 +178,12 @@ def _build_target(cfg, echo):
                 "target.L": str(L),
             }
         )
-        mu_arr = np.broadcast_to(np.asarray(mu, float), (dim,)) if len(mu) == 1 else np.asarray(mu, float)
-        sig_arr = (
-            np.broadcast_to(np.asarray(sigma_sq, float), (dim,))
-            if len(sigma_sq) == 1
-            else np.asarray(sigma_sq, float)
+        return make_gaussian(
+            _per_coordinate(mu, "target", "mu", dim),
+            _per_coordinate(sigma_sq, "target", "sigma_sq", dim),
+            L,
+            dim=dim,
         )
-        return make_gaussian(mu_arr, sig_arr, L, dim=dim)
     if kind == "gmm_posterior":
         data_path = _get(sec, "target", "data")
         sigma1_sq = _get_float(sec, "target", "sigma1_sq", 10.0)
@@ -295,7 +307,7 @@ def cmd_tune_sgld(args) -> int:
     spec = _build_kernel(cfg, echo)
     sec = _section(cfg, "tune")
     eps_grid = _float_list(sec, "tune", "eps_grid", default=DEFAULT_EPS_GRID)
-    trials = _get_int(sec, "tune", "trials", 10)
+    trials = _get_int(sec, "tune", "trials", 10, minimum=1)
     chain_steps = _get_int(sec, "tune", "chain_steps", 1000)
     sgld_batch = _get_int(sec, "tune", "sgld_batch", 1)
     init = _float_list(sec, "tune", "init", default="0")
@@ -304,6 +316,9 @@ def cmd_tune_sgld(args) -> int:
     threads = resolve_threads(args.threads)
     if not eps_grid:
         raise ConfigError("[tune] eps_grid is empty")
+    bad = [eps for eps in eps_grid if not eps > 0.0]
+    if bad:
+        raise ConfigError(f"[tune] eps_grid entry {bad[0]!r} is not positive")
     echo.update(
         {
             "tune.eps_grid": ",".join(sio.fmt_float(e) for e in eps_grid),
@@ -552,8 +567,7 @@ def cmd_ssvgd(args) -> int:
         init_mu = _float_list(sec, "svgd", "init_mu", default="0")
         init_sigma = _get_float(sec, "svgd", "init_sigma", 1.0)
         init_seed = derive_seed(seed, "ssvgd-init")
-        mu = np.broadcast_to(np.asarray(init_mu, float), (target.dim,)) \
-            if len(init_mu) == 1 else np.asarray(init_mu, float)
+        mu = _per_coordinate(init_mu, "svgd", "init_mu", target.dim)
         init = iid_gaussian(init_n, target.dim, mu, init_sigma, init_seed)
         echo.update(
             {
@@ -635,7 +649,7 @@ def cmd_curve(args) -> int:
     m = _int_or_full(
         _get(sec, "curve", "m", default="full"), "curve", "m", target.L
     )
-    reps = _get_int(sec, "curve", "seeds", 20)
+    reps = _get_int(sec, "curve", "seeds", 20, minimum=1)
     mu = _float_list(sec, "curve", "mu", default="0")
     sigma = _get_float(sec, "curve", "sigma", 1.0)
     seed = _resolve_seed(args, sec, "curve")
@@ -650,8 +664,7 @@ def cmd_curve(args) -> int:
             "seed": str(seed),
         }
     )
-    mu_arr = np.broadcast_to(np.asarray(mu, float), (target.dim,)) \
-        if len(mu) == 1 else np.asarray(mu, float)
+    mu_arr = _per_coordinate(mu, "curve", "mu", target.dim)
 
     def run_cell(cell):
         n, rep = cell

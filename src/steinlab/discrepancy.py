@@ -11,18 +11,18 @@ where row i of ``B`` is either the full score of ``x_i`` (exact case) or
 uniform size-m subset of the L likelihood terms.  The double sum is
 accumulated over fixed 256-row blocks combined by a fixed reduction tree, so
 results are bit-identical for any worker count.  Within a block pair the
-pairwise terms are never formed: each coordinate's sum comes from row
-reductions, namely one product of the kernel matrix with the scores per
-block pair and, per coordinate, a product of ``P1 * D_j`` with the scores,
-row sums, and per-row dot products of ``P2`` with ``D_j^2``, where ``D_j``
-is the coordinate's difference matrix.  Every block matrix lives in a
-per-call workspace of six 256 x 256 matrices per worker, whatever the
-dimension, written with ``out=`` and freed when the call returns; no
-``(n, n, d)`` or ``(256, 256, d)`` array and no per-pair block matrix is
-allocated.  The kernel profile takes one ``pow`` per block pair for the
-power families (see :func:`kernels.radial_profile`).  The largest pairwise
-term magnitude, which scales the negativity floor, is computed in a second
-pass only when some piece is negative.
+pairwise terms are never formed: once the kernel profile ``K, P1, P2`` is
+built from the squared distances, every coordinate's sum comes from three
+matrix products of those profiles with per-point columns (coordinates
+centred on the b-block mean, scores, and their products), combined per row;
+no per-coordinate pass over a block matrix follows the profile.  Every
+block matrix lives in a per-call workspace of six 256 x 256 matrices per
+worker, whatever the dimension, written with ``out=`` and freed when the
+call returns; no ``(n, n, d)`` or ``(256, 256, d)`` array and no per-pair
+block matrix is allocated.  The kernel profile takes one ``pow`` per block
+pair for the power families (see :func:`kernels.radial_profile`).  The
+largest pairwise term magnitude, which scales the negativity floor, is
+computed in a second pass only when some piece is negative.
 """
 
 from __future__ import annotations
@@ -220,13 +220,19 @@ def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
 
         T_j = K (Ba_j Bb_j^T) + 2 P1 D_j (Bb_j - Ba_j) - 4 P2 D_j^2 - 2 P1,
 
-    and it is never formed.  Its row sums come from ``K @ Bb`` (once per
-    block pair), ``(P1 D_j) @ Bb_j``, the row sums of ``P1 D_j`` and of
-    ``P1``, and the per-row dot products of ``P2`` with ``D_j^2``; they are
-    combined per row, then summed.  No matrix product reduces over more
-    than one block, so the bits do not depend on the BLAS thread count.
-    Six workspace matrices hold everything, whatever the dimension;
-    ``D_j`` is rebuilt after the profile instead of kept.
+    and it is never formed.  With both blocks centred on the b-block mean,
+    ``D_j = xa_j - xb_j``, so its row sums expand into three matrix
+    products, ``P1 @ [1, xb, Bb, xb Bb]``, ``P2 @ [1, xb, xb^2]`` and
+    ``K @ Bb``, combined per row and coordinate, then summed.  The centring
+    keeps the expansion from cancelling the digits of ``D_j`` when the
+    points sit far from the origin; what it still loses grows with the
+    squared distance of the points from the b-block mean over the squared
+    distances of the pairs that carry the weight (with two clusters 50
+    apart mixed in one block and bandwidths near 1, a block sum's error is
+    about 20 times that of summing the formed terms).  No matrix product
+    reduces over more than one block, so the bits do not depend on the
+    BLAS thread count.  Six workspace matrices hold the block matrices,
+    whatever the dimension.
     """
     a0, a1 = rows_a
     b0, b1 = rows_b
@@ -234,27 +240,30 @@ def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
     S, K, P1, P2, W, D = workspace.matrices(6, (a1 - a0, b1 - b0))
     kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=S)
     K, P1, P2 = kernels.radial_profile(spec, S, out=(K, P1, P2), scratch=(W, D))
-    # Per coordinate and row: sum_b P1 D_j Bb_j, sum_b P1 D_j and
-    # sum_b P2 D_j^2.
-    p1d_b, p1d, p2dd = np.empty((3, X.shape[1], a1 - a0))
-    # Matrix-vector products, row sums and per-row dot products (a stacked
-    # matmul) rather than a two-column matrix product and einsum: the first
-    # call of either of those adds about 0.3 MB to the process's resident
-    # set (OpenBLAS GEMM buffers, einsum's iterator buffers), which
-    # one-dimensional runs did not use before.
-    for j, Dj in enumerate(kernels.coordinate_differences(Xa, Xb, out=D)):
-        np.multiply(P1, Dj, out=W)
-        np.matmul(W, Bb[:, j], out=p1d_b[j])
-        np.add.reduce(W, axis=1, out=p1d[j])
-        np.multiply(Dj, Dj, out=Dj)
-        np.matmul(P2[:, None, :], Dj[:, :, None], out=p2dd[j, :, None, None])
-    rows = (
-        Ba.T * ((K @ Bb).T - 2.0 * p1d)
-        + 2.0 * p1d_b
-        - 4.0 * p2dd
-        - 2.0 * P1.sum(axis=1)
+    d = X.shape[1]
+    c = Xb.mean(axis=0)
+    # Columns [xb^2, 1, xb, Bb, xb Bb]: P2 takes the first 2d + 1 of them,
+    # P1 the last 3d + 1.
+    cols = np.empty((b1 - b0, 4 * d + 1))
+    xb = np.subtract(Xb, c, out=cols[:, d + 1 : 2 * d + 1])
+    np.multiply(xb, xb, out=cols[:, :d])
+    cols[:, d] = 1.0
+    cols[:, 2 * d + 1 : 3 * d + 1] = Bb
+    np.multiply(xb, Bb, out=cols[:, 3 * d + 1 :])
+    p2_xb2, r2, p2_xb = np.split(P2 @ cols[:, : 2 * d + 1], [d, d + 1], axis=1)
+    r1, p1_xb, p1_b, p1_xbb = np.split(
+        P1 @ cols[:, d:], [1, d + 1, 2 * d + 1], axis=1
     )
-    total = rows.sum(axis=1)
+    del cols, xb  # freed before the row arithmetic to keep a call's peak low
+    kb = K @ Bb
+    xa = Xa - c
+    # Per row and coordinate, written over the products they come from:
+    # sum_b P1 D_j, sum_b P1 D_j Bb_j and sum_b P2 D_j^2.
+    p1d = np.subtract(xa * r1, p1_xb, out=p1_xb)
+    p1d_b = np.subtract(xa * p1_b, p1_xbb, out=p1_b)
+    p2dd = np.add((xa * r2 - 2.0 * p2_xb) * xa, p2_xb2, out=p2_xb2)
+    rows = Ba * (kb - 2.0 * p1d) + 2.0 * p1d_b - 4.0 * p2dd - 2.0 * r1
+    total = rows.sum(axis=0)
     if a0 != b0:
         total = 2.0 * total
     return total

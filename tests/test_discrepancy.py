@@ -342,30 +342,82 @@ ENGINE_SPECS = {
 }
 
 
+def _engine_sample(n, d, layout="plain"):
+    """Points and scores for the block-engine tests.  ``offset`` moves
+    every point by 1e3 and ``clusters`` moves a random half of them by 50
+    in every coordinate; the scores stay those of the unmoved points, as
+    for a target moved with them."""
+    rng = np.random.default_rng(1000 * n + d)
+    X = rng.normal(0.3, 1.0, size=(n, d))
+    B = -X + 0.5 * rng.standard_normal((n, d))
+    if layout == "offset":
+        X += 1e3
+    elif layout == "clusters":
+        X[rng.random(n) < 0.5] += 50.0
+    return X, B
+
+
+def _block_pair_results(X, B, spec):
+    """Engine sums and peak next to the dense block formula's, for every
+    block pair of the batch, with one workspace reused across the pairs as
+    a worker does; also yields the pair's term count."""
+    blocks = row_blocks(X.shape[0])
+    workspace = _Workspace(blocks[0][1])
+    for ia, rows_a in enumerate(blocks):
+        for rows_b in blocks[ia:]:
+            total = _block_pair_sums(X, B, spec, rows_a, rows_b, workspace)
+            peak = _block_pair_peak(X, B, spec, rows_a, rows_b, workspace)
+            ref_total, ref_peak = dense_block_pair_terms(X, B, spec, rows_a, rows_b)
+            count = (rows_a[1] - rows_a[0]) * (rows_b[1] - rows_b[0])
+            yield total, peak, ref_total, ref_peak, count
+
+
 class TestBlockEngine:
     """The block engine's sums and peak pass against the dense
-    (rows, rows, d) block formula, on every block pair of a batch, with
-    one workspace reused across the pairs as a worker does."""
+    (rows, rows, d) block formula, on every block pair of a batch."""
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     @pytest.mark.parametrize("d", [1, 8, 9])
     @pytest.mark.parametrize("n", [1, 255, 257, 600])
     def test_matches_dense_block_formula(self, n, d, family):
-        rng = np.random.default_rng(1000 * n + d)
-        X = rng.normal(0.3, 1.0, size=(n, d))
-        B = -X + 0.5 * rng.standard_normal((n, d))
-        spec = ENGINE_SPECS[family]
-        blocks = row_blocks(n)
-        workspace = _Workspace(blocks[0][1])
-        for ia, rows_a in enumerate(blocks):
-            for rows_b in blocks[ia:]:
-                total = _block_pair_sums(X, B, spec, rows_a, rows_b, workspace)
-                peak = _block_pair_peak(X, B, spec, rows_a, rows_b, workspace)
-                ref_total, ref_peak = dense_block_pair_terms(
-                    X, B, spec, rows_a, rows_b
-                )
-                assert peak == ref_peak
-                np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
+        X, B = _engine_sample(n, d)
+        for total, peak, ref_total, ref_peak, _ in _block_pair_results(
+            X, B, ENGINE_SPECS[family]
+        ):
+            assert peak == ref_peak
+            np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    def test_offset_sample_matches_dense_block_formula(self, n, d, family):
+        # Without centring, the expansion of D_j^2 around the origin
+        # cancels about six digits here (relative errors near 1e-8).
+        X, B = _engine_sample(n, d, "offset")
+        for total, peak, ref_total, ref_peak, _ in _block_pair_results(
+            X, B, ENGINE_SPECS[family]
+        ):
+            assert peak == ref_peak
+            np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    def test_two_clusters_within_block_term_scale(self, n, d, family):
+        # With the clusters mixed in one block, points sit about 25 from
+        # the block mean while the pairs that carry the weight lie about 1
+        # apart, so the expansion loses digits: errors reach 2.9e-15 of the
+        # block's term count times its peak term (4.9e-13 without
+        # centring).  A block total can cancel far below that scale, so the
+        # error is bounded against the scale, not against the total.
+        X, B = _engine_sample(n, d, "clusters")
+        for total, peak, ref_total, ref_peak, count in _block_pair_results(
+            X, B, ENGINE_SPECS[family]
+        ):
+            assert peak == ref_peak
+            np.testing.assert_allclose(
+                total, ref_total, rtol=0, atol=1e-13 * count * ref_peak
+            )
 
 
 def _profile_shifted_by(shift):

@@ -422,32 +422,36 @@ class TestCliSsvgd:
         )
 
 
+def _curve_config(tmp_path, *, seeds=3, mu="0,0"):
+    return _write(
+        tmp_path / "curve.ini",
+        f"""\
+        [target]
+        kind = gaussian
+        dim = 2
+        mu = 0
+        sigma_sq = 1
+        L = 4
+
+        [kernel]
+        family = imq
+        beta = -0.5
+
+        [curve]
+        n_grid = 50
+        m = 1
+        seeds = {seeds}
+        mu = {mu}
+        sigma = 1.0
+        seed = 2
+        """,
+    )
+
+
 class TestCliCurve:
     def test_rows_and_reproducibility(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        config = _write(
-            tmp_path / "curve.ini",
-            """\
-            [target]
-            kind = gaussian
-            dim = 2
-            mu = 0
-            sigma_sq = 1
-            L = 4
-
-            [kernel]
-            family = imq
-            beta = -0.5
-
-            [curve]
-            n_grid = 50
-            m = 1
-            seeds = 3
-            mu = 0,0
-            sigma = 1.0
-            seed = 2
-            """,
-        )
+        config = _curve_config(tmp_path)
         assert cli.main(["curve", "--config", str(config), "--out", "c.csv"]) == 0
         body = [l for l in (tmp_path / "c.csv").read_text().splitlines()
                 if l and not l.startswith("#")]
@@ -456,10 +460,103 @@ class TestCliCurve:
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
 
 
+class TestConfigValidation:
+    """Bad values fail with exit 2 and a message naming section and key,
+    before any output is written."""
+
+    @staticmethod
+    def _assert_config_error(capsys, argv, message, out):
+        assert cli.main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mu = 0", "mu = 0,1,2", "[target] mu has 3 values; expected 1 or dim = 2"),
+        ("sigma_sq = 1", "sigma_sq = 1,2,3",
+         "[target] sigma_sq has 3 values; expected 1 or dim = 2"),
+        ("mu = 0", "mu = ", "[target] mu has 0 values; expected 1 or dim = 2"),
+    ], ids=["mu", "sigma_sq", "empty-mu"])
+    def test_target_lists_take_one_or_dim_values(self, mode_fixture, capsys,
+                                                 old, new, message):
+        tmp_path, config = mode_fixture
+        bad = _write(tmp_path / "bad.ini", config.read_text().replace(old, new, 1))
+        self._assert_config_error(
+            capsys, ["score", "--config", str(bad)], message, "bad.json"
+        )
+
+    def test_curve_mu_takes_one_or_dim_values(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = _curve_config(tmp_path, mu="0,0,0")
+        self._assert_config_error(
+            capsys, ["curve", "--config", str(config)],
+            "[curve] mu has 3 values; expected 1 or dim = 2", "c.csv",
+        )
+
+    def test_svgd_init_mu_takes_one_or_dim_values(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        config = _svgd_config(tmp_path, rounds=1, batch=5,
+                              init_lines=["init_n = 4", "init_mu = 0,1"])
+        self._assert_config_error(
+            capsys, ["ssvgd", "--config", str(config)],
+            "[svgd] init_mu has 2 values; expected 1 or dim = 1", "p.csv",
+        )
+
+    def test_dim_length_lists_match_one_value(self, mode_fixture):
+        tmp_path, config = mode_fixture
+        text = config.read_text()
+        assert "mu = 0\nsigma_sq = 1\n" in text
+        listed = _write(tmp_path / "listed.ini", text.replace(
+            "mu = 0\nsigma_sq = 1\n", "mu = 0,0\nsigma_sq = 1,1\n"))
+        for path, out in ((config, "one.json"), (listed, "listed.json")):
+            assert cli.main(["score", "--config", str(path), "--out", out]) == 0
+        one, listed_doc = (json.loads((tmp_path / name).read_text())
+                           for name in ("one.json", "listed.json"))
+        assert listed_doc["result"] == one["result"]
+
+    def test_curve_seeds_must_be_positive(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = _curve_config(tmp_path, seeds=0)
+        self._assert_config_error(
+            capsys, ["curve", "--config", str(config)],
+            "[curve] seeds = 0 is less than 1", "c.csv",
+        )
+
+    def test_tune_trials_must_be_positive(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = _tune_config(tmp_path, trials=0)
+        self._assert_config_error(
+            capsys, ["tune-sgld", "--config", str(config)],
+            "[tune] trials = 0 is less than 1", "t.csv",
+        )
+
+    @pytest.mark.parametrize("grid, entry", [
+        ("-1e-3", "-0.001"), ("5e-3,0", "0.0"), ("5e-3,nan", "nan"),
+    ], ids=["negative", "zero", "nan"])
+    def test_tune_step_sizes_must_be_positive(self, tmp_path, monkeypatch, capsys,
+                                              grid, entry):
+        monkeypatch.chdir(tmp_path)
+        config = _tune_config(tmp_path, grid=grid)
+        self._assert_config_error(
+            capsys, ["tune-sgld", "--config", str(config)],
+            f"[tune] eps_grid entry {entry} is not positive", "t.csv",
+        )
+
+
+def _with_src_on_path(env):
+    """``env`` with the tested package's source directory first on
+    PYTHONPATH, so a child interpreter imports the same package."""
+    src = str(Path(steinlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "steinlab.cli", "--help"],
+            env=_with_src_on_path(dict(os.environ)),
             capture_output=True,
             text=True,
         )
@@ -478,10 +575,7 @@ class TestBlasThreadCount:
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         if blas_threads is not None:
             env.update({k: str(blas_threads) for k in BLAS_THREAD_VARS})
-        src = str(Path(steinlab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        _with_src_on_path(env)
         for command, out in (("score", "score.json"), ("ssvgd", "particles.csv")):
             proc = subprocess.run(
                 [sys.executable, "-m", "steinlab.cli", command,
