@@ -11,17 +11,21 @@ All supported families are radial in the squared distance,
 the squared distance, analytically and with one transcendental call per
 element: the power families compute ``t = base ** (beta - 2)`` once and get
 ``base ** beta = t * base * base`` and ``base ** (beta - 1) = t * base``
-from it.  Squared distances are summed one coordinate at a time from
-per-coordinate difference matrices (:func:`coordinate_differences`,
-:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  All
-three write into caller-supplied arrays when given them (``out=``), which
-is how the Stein engine reuses one workspace across block pairs.  Finite
-differencing and pointwise kernel evaluation appear only in tests, as
-oracles.
+from it.  Exact squared distances are summed one coordinate at a time
+from per-coordinate difference matrices (:func:`coordinate_differences`,
+:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed; the SVGD
+direction, the median heuristic and the Stein engine's peak pass take
+them from here, and so do the Stein block sums below three dimensions
+(from three on, those come from one matrix product, see
+:mod:`steinlab.discrepancy`).  All three write into caller-supplied arrays
+when given them (``out=``), which is how the Stein engine reuses one
+workspace across block pairs.  Finite differencing and pointwise kernel
+evaluation appear only in tests, as oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -172,9 +176,9 @@ def sum_of_squares(diffs, out=None) -> np.ndarray:
     sequence of equal-shape difference matrices, written into ``out`` when
     given.  Every matrix after the first is squared in place.
 
-    Every squared distance in the package comes from here, so the Stein
-    blocks, the SVGD direction and the median heuristic share one
-    summation order.
+    The SVGD direction, the median heuristic, the Stein peak pass and the
+    Stein block sums below three dimensions take their squared distances
+    from here, so they share one summation order.
     """
     diffs = iter(diffs)
     first = next(diffs)
@@ -190,8 +194,21 @@ def squared_distances(X, Y) -> np.ndarray:
     return sum_of_squares(coordinate_differences(X, Y))
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_index(n):
+    """Read-only flat indices of the pairs ``i < j`` of an n x n matrix, in
+    row order, computed once per n."""
+    index = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    index.flags.writeable = False
+    return index
+
+
 def median_heuristic_bandwidth(points) -> float:
     """``median(pairwise distances)^2 / log(n)`` over all point pairs.
+
+    The median is taken as ``np.median`` takes it, bit for bit, but from a
+    partition of the squared distances, with a square root of only the
+    middle one or two.
 
     Returns ``BANDWIDTH_FLOOR`` and emits :class:`DegenerateBandwidthWarning`
     when the median distance is zero (at least half of all pairs coincide),
@@ -203,9 +220,18 @@ def median_heuristic_bandwidth(points) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
-    iu = np.triu_indices(n, k=1)
-    dists = np.sqrt(squared_distances(pts, pts)[iu])
-    med = float(np.median(dists))
+    sq = squared_distances(pts, pts).ravel()[_pair_index(n)]
+    half = sq.size // 2
+    # The last position is partitioned too, as np.median does, so that a
+    # NaN distance, which sorts last, still gives a NaN median.
+    if sq.size % 2:
+        part = np.partition(sq, (half, -1))
+        med = math.sqrt(part[half])
+    else:
+        part = np.partition(sq, (half - 1, half, -1))
+        med = (math.sqrt(part[half - 1]) + math.sqrt(part[half])) / 2.0
+    if math.isnan(part[-1]):
+        med = math.nan
     if med == 0.0:
         warnings.warn(
             "median pairwise distance is zero; using the floor bandwidth",

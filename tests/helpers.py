@@ -1,6 +1,6 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
 Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
-loop and random problem builders.
+loop, a ``np.median`` median heuristic and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -9,6 +9,9 @@ pointwise kernel functions, the dense Gram oracle ``stein_gram`` and the
 dense ``(rows_a, rows_b, d)`` block formula ``dense_block_pair_terms`` are
 independent assemblies of the quantities the library computes blockwise.
 """
+
+import math
+import warnings
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
 )
-from steinlab import NumericalConsistencyError, kernels
+from steinlab import DegenerateBandwidthWarning, NumericalConsistencyError, kernels
 from steinlab.discrepancy import NEGATIVE_TOLERANCE
 from steinlab.parallel import row_blocks, tree_reduce_sum
 
@@ -174,6 +177,22 @@ def eager_coord_stein_sums(batch, B, spec):
     if np.any(w_sq < floor):
         raise NumericalConsistencyError(f"w_sq = {w_sq!r} is below {floor!r}")
     return w_sq
+
+
+def median_heuristic_oracle(points):
+    """``kernels.median_heuristic_bandwidth`` as ``np.median`` of the square
+    roots of every pair's squared distance, taken by ``np.triu_indices``."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    iu = np.triu_indices(n, k=1)
+    dists = np.sqrt(kernels.squared_distances(pts, pts)[iu])
+    med = float(np.median(dists))
+    if med == 0.0:
+        warnings.warn("zero median distance", DegenerateBandwidthWarning)
+        return kernels.BANDWIDTH_FLOOR
+    return med * med / math.log(n)
 
 
 def pointwise_scaled_scores(batch, target, assignment=None):

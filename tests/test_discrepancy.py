@@ -377,7 +377,7 @@ class TestBlockEngine:
     (rows, rows, d) block formula, on every block pair of a batch."""
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
-    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("n", [1, 255, 257, 600])
     def test_matches_dense_block_formula(self, n, d, family):
         X, B = _engine_sample(n, d)
@@ -388,7 +388,7 @@ class TestBlockEngine:
             np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
-    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("n", [1, 257, 600])
     def test_offset_sample_matches_dense_block_formula(self, n, d, family):
         # Without centring, the expansion of D_j^2 around the origin
@@ -401,7 +401,7 @@ class TestBlockEngine:
             np.testing.assert_allclose(total, ref_total, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
-    @pytest.mark.parametrize("d", [1, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("n", [1, 257, 600])
     def test_two_clusters_within_block_term_scale(self, n, d, family):
         # With the clusters mixed in one block, points sit about 25 from

@@ -12,6 +12,7 @@ from helpers import (
     kernel_gram,
     kernel_grad_x,
     kernel_grad_y,
+    median_heuristic_oracle,
     random_kernel_spec,
 )
 from steinlab import DegenerateBandwidthWarning, KernelSpec
@@ -199,6 +200,37 @@ class TestMedianHeuristic:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             kernels.median_heuristic_bandwidth(np.zeros((1, 2)))
+
+    # Pair counts n(n-1)/2: odd for n = 2, 3, 6, 7, 50, even for 4, 5, 8, 9.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 50])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_np_median_oracle(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        for pts in (
+            rng.standard_normal((n, d)),
+            rng.integers(0, 3, size=(n, d)).astype(float),  # tied distances
+            1e3 + rng.standard_normal((n, d)),
+        ):
+            assert kernels.median_heuristic_bandwidth(pts) == median_heuristic_oracle(
+                pts
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_degenerate_floor_equals_oracle(self, n):
+        # Over half of the pairs coincide: all points at 0, or (from n = 5
+        # on) all but one.
+        pts = np.zeros((n, 2))
+        if n >= 5:
+            pts[0] = 1.0
+        with pytest.warns(DegenerateBandwidthWarning):
+            bw = kernels.median_heuristic_bandwidth(pts)
+        with pytest.warns(DegenerateBandwidthWarning):
+            assert bw == median_heuristic_oracle(pts) == kernels.BANDWIDTH_FLOOR
+
+    def test_nan_point_gives_nan_as_oracle(self):
+        pts = np.array([[0.0], [1.0], [np.nan], [3.0]])
+        assert math.isnan(kernels.median_heuristic_bandwidth(pts))
+        assert math.isnan(median_heuristic_oracle(pts))
 
 
 class TestSpecValidation:
