@@ -30,7 +30,7 @@ from .models import (
     make_logreg,
 )
 from .rng import derive_seed, make_generator
-from .samplers import SgldConfig, iid_gaussian, sgld_chain
+from .samplers import SgldConfig, SgldSweep, iid_gaussian, sgld_chain
 from .svgd import SsvgdResult, SvgdConfig, run_ssvgd, ssvgd_direction
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "NumericalConsistencyError",
     "SampleBatch",
     "SgldConfig",
+    "SgldSweep",
     "SsvgdResult",
     "SteinlabError",
     "SubsetAssignment",

@@ -39,7 +39,7 @@ from .models import (
 )
 from .parallel import ordered_map, resolve_threads
 from .rng import derive_seed, make_generator
-from .samplers import SgldConfig, iid_gaussian, sgld_chain
+from .samplers import SgldConfig, SgldSweep, iid_gaussian, sgld_chain
 from .svgd import SvgdConfig, run_ssvgd
 
 DEFAULT_EPS_GRID = "1e-4,5e-4,1e-3,5e-3,1e-2,5e-2"
@@ -143,6 +143,14 @@ def _int_or_full(raw, name, key, L):
     if not 1 <= m <= L:
         raise ConfigError(f"[{name}] {key} = {m} is not in [1, L={L}]")
     return m
+
+
+def _minibatch(section, name, key, L):
+    """An SGLD minibatch size in [1, L]; 1 when the key is absent."""
+    batch = _get_int(section, name, key, 1)
+    if not 1 <= batch <= L:
+        raise ConfigError(f"[{name}] {key} = {batch} is not in [1, L={L}]")
+    return batch
 
 
 def _m_list(section, name, key, L, default="full"):
@@ -308,9 +316,10 @@ def cmd_tune_sgld(args) -> int:
     sec = _section(cfg, "tune")
     eps_grid = _float_list(sec, "tune", "eps_grid", default=DEFAULT_EPS_GRID)
     trials = _get_int(sec, "tune", "trials", 10, minimum=1)
-    chain_steps = _get_int(sec, "tune", "chain_steps", 1000)
-    sgld_batch = _get_int(sec, "tune", "sgld_batch", 1)
+    chain_steps = _get_int(sec, "tune", "chain_steps", 1000, minimum=1)
+    sgld_batch = _minibatch(sec, "tune", "sgld_batch", target.L)
     init = _float_list(sec, "tune", "init", default="0")
+    chain_init = _per_coordinate(init, "tune", "init", target.dim)
     m_values = _m_list(sec, "tune", "m_list", target.L)
     seed = _resolve_seed(args, sec, "tune")
     threads = resolve_threads(args.threads)
@@ -331,58 +340,43 @@ def cmd_tune_sgld(args) -> int:
         }
     )
 
-    def run_cell(cell):
-        eps, trial = cell
-        chain_seed = derive_seed(seed, "tune-chain", sio.fmt_float(eps), trial)
-        cell_target = target.with_fresh_counter()
-        rows = []
-        try:
-            chain = sgld_chain(
-                cell_target,
-                SgldConfig(
-                    step=eps,
-                    batch=sgld_batch,
-                    steps=chain_steps,
-                    init=np.asarray(init, float),
-                    seed=chain_seed,
-                ),
+    chain_cells = [(eps, trial) for eps in eps_grid for trial in range(trials)]
+    chains = sgld_chain(
+        target.with_fresh_counter(),
+        SgldSweep(
+            SgldConfig(
+                step=eps,
+                batch=sgld_batch,
+                steps=chain_steps,
+                init=chain_init,
+                seed=derive_seed(seed, "tune-chain", sio.fmt_float(eps), trial),
             )
-        except DivergenceError as err:
-            for m in m_values:
-                rows.append(
-                    {
-                        "epsilon": sio.fmt_float(eps),
-                        "m": m,
-                        "trial": trial,
-                        "value": "",
-                        "term_evals": "",
-                        "diverged": 1,
-                        "note": f"step {err.step}",
-                    }
-                )
-            return rows
-        for m in m_values:
-            # Subset draws are paired across the eps axis (derived from the
-            # trial and m only) so the argmin comparison is not blurred by
-            # independent subsampling noise per grid point.
-            score_seed = derive_seed(seed, "tune-score", trial, m)
-            result = _score_once(chain, target, spec, m, score_seed, threads=1)
-            rows.append(
-                {
-                    "epsilon": sio.fmt_float(eps),
-                    "m": m,
-                    "trial": trial,
-                    "value": sio.fmt_float(result.value),
-                    "term_evals": result.term_evals,
-                    "diverged": 0,
-                    "note": "",
-                }
-            )
-        return rows
+            for eps, trial in chain_cells
+        ),
+    )
 
-    cells = [(eps, trial) for eps in eps_grid for trial in range(trials)]
-    results = ordered_map(run_cell, cells, threads)
-    rows = [row for cell_rows in results for row in cell_rows]
+    def run_cell(cell):
+        (eps, trial), chain, m = cell
+        row = {"epsilon": sio.fmt_float(eps), "m": m, "trial": trial}
+        if isinstance(chain, DivergenceError):
+            row.update(value="", term_evals="", diverged=1,
+                       note=f"step {chain.step}")
+            return row
+        # Subset draws are paired across the eps axis (derived from the
+        # trial and m only) so the argmin comparison is not blurred by
+        # independent subsampling noise per grid point.
+        score_seed = derive_seed(seed, "tune-score", trial, m)
+        result = _score_once(chain, target, spec, m, score_seed, threads=1)
+        row.update(value=sio.fmt_float(result.value),
+                   term_evals=result.term_evals, diverged=0, note="")
+        return row
+
+    cells = [
+        (chain_cell, chain, m)
+        for chain_cell, chain in zip(chain_cells, chains)
+        for m in m_values
+    ]
+    rows = ordered_map(run_cell, cells, threads)
 
     summary = []
     argmin = {}
@@ -448,16 +442,19 @@ def cmd_tune_sgld(args) -> int:
     return 0
 
 
-def _sampler_section(cfg, name):
+def _sampler_section(cfg, name, target):
     sec = _section(cfg, name)
-    resolved = {
-        "step": sio.fmt_float(_get_float(sec, name, "step", required=True)),
-        "batch": str(_get_int(sec, name, "batch", 1)),
-        "init": ",".join(
-            sio.fmt_float(v) for v in _float_list(sec, name, "init", default="0")
-        ),
+    step = _get_float(sec, name, "step", required=True)
+    if not step > 0.0:
+        raise ConfigError(f"[{name}] step = {step!r} is not positive")
+    batch = _minibatch(sec, name, "batch", target.L)
+    init = _float_list(sec, name, "init", default="0")
+    _per_coordinate(init, name, "init", target.dim)
+    return {
+        "step": sio.fmt_float(step),
+        "batch": str(batch),
+        "init": ",".join(sio.fmt_float(v) for v in init),
     }
-    return resolved
 
 
 def cmd_rank_samplers(args) -> int:
@@ -474,8 +471,8 @@ def cmd_rank_samplers(args) -> int:
     threads = resolve_threads(args.threads)
     steps = max(n_grid)
     samplers = {
-        "a": _sampler_section(cfg, "sampler_a"),
-        "b": _sampler_section(cfg, "sampler_b"),
+        "a": _sampler_section(cfg, "sampler_a", target),
+        "b": _sampler_section(cfg, "sampler_b", target),
     }
     for label, resolved in samplers.items():
         for key, value in resolved.items():

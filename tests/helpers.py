@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
 Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
-loop, a ``np.median`` median heuristic and random problem builders.
+loop, a ``np.median`` median heuristic, a one-chain SGLD loop and random
+problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -25,9 +26,16 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
 )
-from steinlab import DegenerateBandwidthWarning, NumericalConsistencyError, kernels
+from steinlab import (
+    DegenerateBandwidthWarning,
+    DivergenceError,
+    NonFiniteScoreError,
+    NumericalConsistencyError,
+    kernels,
+)
 from steinlab.discrepancy import NEGATIVE_TOLERANCE
 from steinlab.parallel import row_blocks, tree_reduce_sum
+from steinlab.rng import make_generator, uniform_subset
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -210,6 +218,34 @@ def pointwise_scaled_scores(batch, target, assignment=None):
         else:
             B[i] = scale * target.grad_log_subset(assignment.subsets[i], X[i])
     return B
+
+
+def sgld_chain_oracle(target, config):
+    """One SGLD chain stepped alone, one point per score call: the reference
+    for the lockstep engine behind ``samplers.sgld_chain``.  Raises
+    ``DivergenceError`` naming the step whose iterate leaves the finite
+    range, or whose score is non-finite (chained from the
+    ``NonFiniteScoreError``)."""
+    x =np.asarray(config.init, dtype=np.float64).reshape(-1)
+    if x.shape == (1,) and target.dim > 1:
+        x = np.full(target.dim, float(x[0]))
+    gen = make_generator(config.seed)
+    ratio = target.L / config.batch
+    half = 0.5 * config.step
+    noise_scale = math.sqrt(config.step)
+    out = np.empty((config.steps, target.dim))
+    for t in range(config.steps):
+        idx = uniform_subset(gen, target.L, config.batch)
+        try:
+            terms = target.grad_log_terms(idx, x)
+        except NonFiniteScoreError as err:
+            raise DivergenceError(f"score at step {t}", step=t) from err
+        ghat = target.grad_log_prior(x) + ratio * terms
+        x = x + half * ghat + noise_scale * gen.standard_normal(target.dim)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"chain diverged at step {t}", step=t)
+        out[t] = x
+    return SampleBatch(out)
 
 
 def fd_kernel_grad_x(spec, x, y, step=FD_STEP):

@@ -285,6 +285,70 @@ class TestCliTune:
         assert "1e+308" not in summary.split("m,epsilon")[1]
 
 
+    def test_one_lockstep_sweep_before_any_scoring(self, tmp_path, monkeypatch):
+        # perfbench stamps set-up time and counts SGLD steps on the name
+        # cli.sgld_chain and its second argument's .steps.
+        monkeypatch.chdir(tmp_path)
+        config = _tune_config(tmp_path, grid="5e-3,1e-2,2e-2", trials=2)
+        calls = []
+
+        def recorder(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "sgld_chain", recorder("sgld_chain", cli.sgld_chain))
+        monkeypatch.setattr(cli, "sksd", recorder("sksd", cli.sksd))
+        monkeypatch.setattr(cli, "ksd", recorder("ksd", cli.ksd))
+        assert cli.main(["tune-sgld", "--config", str(config), "--out", "t.csv",
+                         "--threads", "2"]) == 0
+        names = [name for name, _ in calls]
+        assert names[0] == "sgld_chain" and names.count("sgld_chain") == 1
+        assert names.count("sksd") == 3 * 2 * 2
+        assert calls[0][1][1].steps == 3 * 2 * 80
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_are_divergences(self, tmp_path, monkeypatch):
+        # Large steps on the mixture posterior overflow (x - y)^2 in the
+        # score before the iterate overflows; those chains are diverged rows
+        # and the run goes on.
+        monkeypatch.chdir(tmp_path)
+        config = _write(tmp_path / "gmm.ini", """\
+            [target]
+            kind = gmm_posterior
+            l = 100
+            data_seed = 11
+
+            [kernel]
+            family = imq
+            beta = -0.5
+
+            [tune]
+            eps_grid = 1e-3,5e-1,2,1e3
+            trials = 2
+            chain_steps = 300
+            sgld_batch = 10
+            init = 0,1
+            m_list = 1,10
+            seed = 7
+            """)
+        outputs = []
+        for threads in ("1", "2"):
+            out = f"t{threads}.csv"
+            assert cli.main(["tune-sgld", "--config", str(config), "--out", out,
+                             "--threads", threads]) == 0
+            outputs.append(((tmp_path / out).read_bytes(),
+                            (tmp_path / f"t{threads}.summary.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        body = [l.split(",") for l in outputs[0][0].decode().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert len(body) == 4 * 2 * 2
+        assert all(row[5] == "0" for row in body if row[0] == "0.001")
+        diverged = [row for row in body if row[0] != "0.001"]
+        assert all(row[5] == "1" and row[6].startswith("step ") for row in diverged)
+
+
 def _rank_config(tmp_path, step_b="0.5"):
     # modest true weights keep the small-step chain inside the posterior
     # bulk at this horizon, so the large step loses clearly
@@ -529,6 +593,38 @@ class TestConfigValidation:
         self._assert_config_error(
             capsys, ["tune-sgld", "--config", str(config)],
             "[tune] trials = 0 is less than 1", "t.csv",
+        )
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("chain_steps = 80", "chain_steps = 0", "[tune] chain_steps = 0 is less than 1"),
+        ("sgld_batch = 2", "sgld_batch = 7", "[tune] sgld_batch = 7 is not in [1, L=6]"),
+        ("sgld_batch = 2", "sgld_batch = 0", "[tune] sgld_batch = 0 is not in [1, L=6]"),
+        ("init = 0", "init = 0,0", "[tune] init has 2 values; expected 1 or dim = 1"),
+    ], ids=["chain_steps", "sgld_batch-above-L", "sgld_batch-zero", "init"])
+    def test_tune_chain_settings(self, tmp_path, monkeypatch, capsys, old, new,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        text = _tune_config(tmp_path).read_text()
+        bad = _write(tmp_path / "bad.ini", text.replace(old, new, 1))
+        self._assert_config_error(
+            capsys, ["tune-sgld", "--config", str(bad)], message, "t.csv"
+        )
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("step = 5e-3", "step = 0", "[sampler_a] step = 0.0 is not positive"),
+        ("step = 0.5", "step = -0.5", "[sampler_b] step = -0.5 is not positive"),
+        ("batch = 4", "batch = 41", "[sampler_a] batch = 41 is not in [1, L=40]"),
+        ("batch = 4", "batch = 0", "[sampler_a] batch = 0 is not in [1, L=40]"),
+        ("init = 0", "init = 0,0,0",
+         "[sampler_a] init has 3 values; expected 1 or dim = 2"),
+    ], ids=["step-zero", "step-negative", "batch-above-L", "batch-zero", "init"])
+    def test_sampler_settings(self, tmp_path, monkeypatch, capsys, old, new,
+                              message):
+        monkeypatch.chdir(tmp_path)
+        text = _rank_config(tmp_path).read_text()
+        bad = _write(tmp_path / "bad.ini", text.replace(old, new, 1))
+        self._assert_config_error(
+            capsys, ["rank-samplers", "--config", str(bad)], message, "r.csv"
         )
 
     @pytest.mark.parametrize("grid, entry", [

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from helpers import sgld_chain_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
+    NonFiniteScoreError,
+    SampleBatch,
     SgldConfig,
+    SgldSweep,
+    gen_gmm_data,
+    gen_logreg_data,
     iid_gaussian,
     make_gaussian,
+    make_gmm_posterior,
+    make_logreg,
     sgld_chain,
 )
 from steinlab.rng import make_generator, uniform_subset, uniform_subsets
@@ -106,6 +114,139 @@ class TestSgldChain:
         other.grad_log_full(np.zeros(1))
         second = sgld_chain(other, cfg)
         assert np.array_equal(first.points, second.points)
+
+
+def _sweep_target(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return make_gaussian(rng.standard_normal(d), rng.uniform(0.5, 2.0, d), 12)
+    if kind == "gmm":
+        assert d == 2
+        return make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 30, seed))
+    X, y = gen_logreg_data(40, d, rng.standard_normal(d), seed)
+    return make_logreg(X, y)
+
+
+def _oracle_outcome(target, config):
+    try:
+        return sgld_chain_oracle(target.with_fresh_counter(), config)
+    except DivergenceError as err:
+        return err
+
+
+def _assert_matches_oracle(target, configs, results):
+    assert len(results) == len(configs)
+    for config, got in zip(configs, results):
+        want = _oracle_outcome(target, config)
+        if isinstance(want, DivergenceError):
+            assert isinstance(got, DivergenceError), config
+            assert got.step == want.step
+            assert type(got.__cause__) is type(want.__cause__)
+        else:
+            assert isinstance(got, SampleBatch), config
+            assert np.array_equal(got.points, want.points)
+
+
+class TestSgldSweep:
+    """Every chain of a lockstep sweep is bit-identical to the chain stepped
+    alone (``helpers.sgld_chain_oracle``)."""
+
+    @pytest.mark.parametrize("chains", [1, 2, 7])
+    @pytest.mark.parametrize("kind, d", [
+        ("gaussian", 1), ("gaussian", 2), ("gaussian", 9), ("gmm", 2),
+        ("logreg", 1), ("logreg", 2), ("logreg", 9),
+    ])
+    def test_chains_match_oracle(self, kind, d, chains):
+        target = _sweep_target(kind, d, seed=d + 10 * chains)
+        rng = np.random.default_rng(chains)
+        configs = [
+            SgldConfig(
+                step=float(rng.choice([1e-3, 5e-3, 2e-2, 1e-1])),
+                batch=3,
+                steps=120,
+                init=rng.standard_normal(d),
+                seed=int(rng.integers(2**32)),
+            )
+            for _ in range(chains)
+        ]
+        _assert_matches_oracle(
+            target, configs, sgld_chain(target, SgldSweep(configs))
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, cause", [
+        ("gaussian", type(None)), ("gmm", NonFiniteScoreError),
+    ], ids=["iterate-overflow", "non-finite-score"])
+    def test_rows_diverge_mid_sweep(self, kind, cause):
+        # Gaussian scores stay finite, so huge steps overflow the iterate;
+        # the mixture's scores turn NaN first, once (x - y)^2 overflows.
+        target = _sweep_target(kind, 2, seed=3)
+        steps = [1e-2, 1e3, 5e-3, 1e3, 1e-2, 50.0]
+        configs = [
+            SgldConfig(step=eps, batch=4, steps=300, init=0.0, seed=40 + i)
+            for i, eps in enumerate(steps)
+        ]
+        results = sgld_chain(target, SgldSweep(configs))
+        _assert_matches_oracle(target, configs, results)
+        diverged = [r for r in results if isinstance(r, DivergenceError)]
+        assert len(diverged) == 3
+        assert all(0 < r.step < 299 and type(r.__cause__) is cause for r in diverged)
+        assert diverged == results[1::2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_with_non_finite_scores_at_the_same_step(self):
+        # Two starts so far out that the first score is NaN: both rows leave
+        # at step 0 and the remaining row is re-scored and carries on.
+        target = _sweep_target("gmm", 2, seed=5)
+        configs = [
+            SgldConfig(step=1e-3, batch=5, steps=50, init=init, seed=i)
+            for i, init in enumerate([1e200, 0.0, -1e200])
+        ]
+        results = sgld_chain(target, SgldSweep(configs))
+        _assert_matches_oracle(target, configs, results)
+        assert [r.step for r in results[::2]] == [0, 0]
+        assert "non-finite score" in str(results[0])
+        with pytest.raises(DivergenceError) as err:
+            sgld_chain(target, configs[0])
+        assert err.value.step == 0
+        assert isinstance(err.value.__cause__, NonFiniteScoreError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_row_diverges(self):
+        target = _sweep_target("gmm", 2, seed=5)
+        configs = [
+            SgldConfig(step=1e-3, batch=5, steps=50, init=1e200, seed=i)
+            for i in range(3)
+        ]
+        results = sgld_chain(target, SgldSweep(configs))
+        assert [r.step for r in results] == [0, 0, 0]
+
+    @pytest.mark.parametrize("field", ["batch", "steps"])
+    def test_chains_share_batch_and_steps(self, field):
+        base = dict(step=1e-2, batch=2, steps=10, init=0.0, seed=0)
+        other = dict(base, **{field: base[field] + 1})
+        with pytest.raises(ValueError, match="share batch and steps"):
+            SgldSweep([SgldConfig(**base), SgldConfig(**other)])
+        with pytest.raises(ValueError, match="at least one chain"):
+            SgldSweep([])
+
+    def test_eval_count_and_total_steps(self):
+        target = _sweep_target("logreg", 2, seed=1)
+        sweep = SgldSweep(
+            SgldConfig(step=1e-2, batch=3, steps=25, init=0.0, seed=i)
+            for i in range(4)
+        )
+        assert sweep.steps == 4 * 25
+        results = sgld_chain(target, sweep)
+        assert all(isinstance(r, SampleBatch) for r in results)
+        assert target.eval_counter.value == 4 * 25 * 3
+
+    def test_batch_larger_than_terms(self):
+        sweep = SgldSweep(
+            [SgldConfig(step=1e-2, batch=13, steps=5, init=0.0, seed=0)]
+        )
+        with pytest.raises(ValueError, match="exceeds"):
+            sgld_chain(_sweep_target("gaussian", 1, seed=0), sweep)
 
 
 class TestUniformSubset:
