@@ -356,27 +356,31 @@ def cmd_tune_sgld(args) -> int:
     )
 
     def run_cell(cell):
-        (eps, trial), chain, m = cell
-        row = {"epsilon": sio.fmt_float(eps), "m": m, "trial": trial}
+        (eps, trial), chain = cell
+        rows = [{"epsilon": sio.fmt_float(eps), "m": m, "trial": trial}
+                for m in m_values]
         if isinstance(chain, DivergenceError):
-            row.update(value="", term_evals="", diverged=1,
-                       note=f"step {chain.step}")
-            return row
+            for row in rows:
+                row.update(value="", term_evals="", diverged=1,
+                           note=f"step {chain.step}")
+            return rows
         # Subset draws are paired across the eps axis (derived from the
         # trial and m only) so the argmin comparison is not blurred by
-        # independent subsampling noise per grid point.
-        score_seed = derive_seed(seed, "tune-score", trial, m)
-        result = _score_once(chain, target, spec, m, score_seed, threads=1)
-        row.update(value=sio.fmt_float(result.value),
-                   term_evals=result.term_evals, diverged=0, note="")
-        return row
+        # independent subsampling noise per grid point.  One call scores
+        # the chain at every m.
+        score_seeds = [derive_seed(seed, "tune-score", trial, m) for m in m_values]
+        results = sksd(chain, target.with_fresh_counter(), spec, m_values,
+                       score_seeds, threads=1)
+        for row, result in zip(rows, results):
+            row.update(value=sio.fmt_float(result.value),
+                       term_evals=result.term_evals, diverged=0, note="")
+        return rows
 
-    cells = [
-        (chain_cell, chain, m)
-        for chain_cell, chain in zip(chain_cells, chains)
-        for m in m_values
+    rows = [
+        row
+        for chain_rows in ordered_map(run_cell, zip(chain_cells, chains), threads)
+        for row in chain_rows
     ]
-    rows = ordered_map(run_cell, cells, threads)
 
     summary = []
     argmin = {}
@@ -500,29 +504,34 @@ def cmd_rank_samplers(args) -> int:
             ),
         )
 
-    def run_cell(cell):
-        n, m = cell
-        score_seed = derive_seed(seed, "rank-score", n, m)
-        res_a = _score_once(chains["a"].take(n), target, spec, m, score_seed, 1)
-        res_b = _score_once(chains["b"].take(n), target, spec, m, score_seed, 1)
-        if res_a.value < res_b.value:
-            preferred = "a"
-        elif res_b.value < res_a.value:
-            preferred = "b"
-        else:
-            preferred = "tie"
-        return {
-            "n": n,
-            "m": m,
-            "value_a": sio.fmt_float(res_a.value),
-            "value_b": sio.fmt_float(res_b.value),
-            "term_evals_a": res_a.term_evals,
-            "term_evals_b": res_b.term_evals,
-            "preferred": preferred,
+    def run_cell(n):
+        # One call per sampler scores its first n points at every m.
+        score_seeds = [derive_seed(seed, "rank-score", n, m) for m in m_values]
+        results = {
+            label: sksd(chain.take(n), target.with_fresh_counter(), spec,
+                        m_values, score_seeds, threads=1)
+            for label, chain in chains.items()
         }
+        rows = []
+        for m, res_a, res_b in zip(m_values, results["a"], results["b"]):
+            if res_a.value < res_b.value:
+                preferred = "a"
+            elif res_b.value < res_a.value:
+                preferred = "b"
+            else:
+                preferred = "tie"
+            rows.append({
+                "n": n,
+                "m": m,
+                "value_a": sio.fmt_float(res_a.value),
+                "value_b": sio.fmt_float(res_b.value),
+                "term_evals_a": res_a.term_evals,
+                "term_evals_b": res_b.term_evals,
+                "preferred": preferred,
+            })
+        return rows
 
-    cells = [(n, m) for n in n_grid for m in m_values]
-    rows = ordered_map(run_cell, cells, threads)
+    rows = [row for n_rows in ordered_map(run_cell, n_grid, threads) for row in n_rows]
     out = args.out or "rank.csv"
     sio.write_table_csv(
         out,
@@ -621,12 +630,12 @@ def cmd_ssvgd(args) -> int:
                 f"{stem}.round-{round_no}.csv", SampleBatch(positions), meta=echo
             )
         records.append(record)
-    final_record = {"round": rounds, "term_evals": result.term_evals}
-    if report_ksd:
-        snap = ksd(result.final, target.with_fresh_counter(), kernel,
-                   threads=threads)
-        final_record["ksd"] = snap.value
     if not records or records[-1]["round"] != rounds:
+        final_record = {"round": rounds, "term_evals": result.term_evals}
+        if report_ksd:
+            snap = ksd(result.final, target.with_fresh_counter(), kernel,
+                       threads=threads)
+            final_record["ksd"] = snap.value
         records.append(final_record)
 
     sio.write_samples_csv(out, result.final, meta=echo)

@@ -26,6 +26,13 @@ kernel profile takes one ``pow`` per block pair for the power families
 (see :func:`kernels.radial_profile`).  The largest pairwise term
 magnitude, which scales the negativity floor, is computed in a second pass
 only when some piece is negative.
+
+Subsampling changes only the score matrix, so one pass can score a sample
+at several subset sizes: :func:`coord_stein_sums` takes a stack of score
+matrices and builds each block pair's distances, kernel profile and
+score-free products once for all of them, and :func:`sksd` takes
+sequences of ``m`` and ``seed``.  Each member's result is bit-identical to
+scoring it alone.
 """
 
 from __future__ import annotations
@@ -224,9 +231,10 @@ class _Workspace:
         return [flat[:used].reshape(shape) for flat in self._flat[:count]]
 
 
-def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
-    """Summed pairwise Stein terms of one ordered block pair, per
-    coordinate; off-diagonal pairs are doubled to stand in for their mirror
+def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
+    """Summed pairwise Stein terms of one ordered block pair, per member of
+    the ``(k, n, d)`` score stack ``Bs`` and per coordinate, as a ``(k, d)``
+    array; off-diagonal pairs are doubled to stand in for their mirror
     image.
 
     The coordinate-j term is
@@ -238,27 +246,32 @@ def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
     the squared distances ``S = sum_j D_j^2`` are
     ``|xa|^2 + |xb|^2 - 2 xa xb^T`` from one matrix product, clamped at 0;
     below that they are summed from the formed ``D_j``.  The row sums of
-    ``T_j`` expand into three matrix products, ``P1 @ [1, xb, Bb, xb Bb]``,
-    ``P2 @ [1, xb, xb^2]`` and ``K @ Bb``, combined per row and coordinate,
-    then summed.  The centring keeps both expansions from cancelling the
-    digits of ``D_j`` when the points sit far from the origin; what they
-    still lose grows with the squared distance of the points from the
-    b-block mean over the squared distances of the pairs that carry the
-    weight (with two clusters 50 apart mixed in one block and bandwidths
-    near 1, a block sum's error is up to about 20 times that of summing the
-    formed terms).  No matrix product reduces over more than one block, so
-    the bits do not depend on the BLAS thread count.  Six workspace
-    matrices hold the block matrices, whatever the dimension.
+    ``T_j`` expand into three matrix products, ``P2 @ [xb^2, 1, xb]``,
+    ``P1 @ [1, xb, Bb, xb Bb]`` and ``K @ Bb``, combined per row and
+    coordinate, then summed.  ``S``, the profile and the ``P2`` product do
+    not depend on the scores, so they are built once for the whole stack;
+    each member then takes its own ``P1`` and ``K`` products, of the same
+    shapes as for a stack of one, so every member's bits are those of a
+    call with that member alone.  The centring keeps both expansions from
+    cancelling the digits of ``D_j`` when the points sit far from the
+    origin; what they still lose grows with the squared distance of the
+    points from the b-block mean over the squared distances of the pairs
+    that carry the weight (with two clusters 50 apart mixed in one block
+    and bandwidths near 1, a block sum's error is up to about 20 times that
+    of summing the formed terms).  No matrix product reduces over more than
+    one block, so the bits do not depend on the BLAS thread count.  Six
+    workspace matrices hold the block matrices, whatever the dimension and
+    the stack size.
     """
     a0, a1 = rows_a
     b0, b1 = rows_b
-    Xa, Xb, Ba, Bb = X[a0:a1], X[b0:b1], B[a0:a1], B[b0:b1]
+    Xa, Xb = X[a0:a1], X[b0:b1]
     S, K, P1, P2, W, D = workspace.matrices(6, (a1 - a0, b1 - b0))
     d = X.shape[1]
     c = Xb.mean(axis=0)
     xa = Xa - c
     # Columns [xb^2, 1, xb, Bb, xb Bb]: P2 takes the first 2d + 1 of them,
-    # P1 the last 3d + 1.
+    # P1 the last 3d + 1; each member rewrites the last 2d.
     cols = np.empty((b1 - b0, 4 * d + 1))
     xb = np.subtract(Xb, c, out=cols[:, d + 1 : 2 * d + 1])
     np.multiply(xb, xb, out=cols[:, :d])
@@ -272,24 +285,30 @@ def _block_pair_sums(X, B, spec, rows_a, rows_b, workspace):
         kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=S)
     K, P1, P2 = kernels.radial_profile(spec, S, out=(K, P1, P2), scratch=(W, D))
     cols[:, d] = 1.0
-    cols[:, 2 * d + 1 : 3 * d + 1] = Bb
-    np.multiply(xb, Bb, out=cols[:, 3 * d + 1 :])
     p2_xb2, r2, p2_xb = np.split(P2 @ cols[:, : 2 * d + 1], [d, d + 1], axis=1)
-    r1, p1_xb, p1_b, p1_xbb = np.split(
-        P1 @ cols[:, d:], [1, d + 1, 2 * d + 1], axis=1
-    )
-    del cols, xb  # freed before the row arithmetic to keep a call's peak low
-    kb = K @ Bb
-    # Per row and coordinate, written over the products they come from:
-    # sum_b P1 D_j, sum_b P1 D_j Bb_j and sum_b P2 D_j^2.
-    p1d = np.subtract(xa * r1, p1_xb, out=p1_xb)
-    p1d_b = np.subtract(xa * p1_b, p1_xbb, out=p1_b)
-    p2dd = np.add((xa * r2 - 2.0 * p2_xb) * xa, p2_xb2, out=p2_xb2)
-    rows = Ba * (kb - 2.0 * p1d) + 2.0 * p1d_b - 4.0 * p2dd - 2.0 * r1
-    total = rows.sum(axis=0)
+    # Per row and coordinate: 4 sum_b P2 D_j^2, shared by every member.
+    four_p2dd = 4.0 * ((xa * r2 - 2.0 * p2_xb) * xa + p2_xb2)
+    del p2_xb2, r2, p2_xb  # frees the P2 product to keep a call's peak low
+
+    def member_sums(B):
+        # One member's P1 and K products; its block matrices are freed on
+        # return, before the next member's are made.
+        Ba, Bb = B[a0:a1], B[b0:b1]
+        cols[:, 2 * d + 1 : 3 * d + 1] = Bb
+        np.multiply(xb, Bb, out=cols[:, 3 * d + 1 :])
+        r1, p1_xb, p1_b, p1_xbb = np.split(
+            P1 @ cols[:, d:], [1, d + 1, 2 * d + 1], axis=1
+        )
+        # sum_b P1 D_j and sum_b P1 D_j Bb_j, over the products they come from.
+        p1d = np.subtract(xa * r1, p1_xb, out=p1_xb)
+        p1d_b = np.subtract(xa * p1_b, p1_xbb, out=p1_b)
+        rows = Ba * (K @ Bb - 2.0 * p1d) + 2.0 * p1d_b - four_p2dd - 2.0 * r1
+        return rows.sum(axis=0)
+
+    totals = np.array([member_sums(B) for B in Bs]).reshape(len(Bs), d)
     if a0 != b0:
-        total = 2.0 * total
-    return total
+        totals *= 2.0
+    return totals
 
 
 def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
@@ -323,17 +342,26 @@ def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
 def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     """Per-coordinate squared discrepancy pieces w_j^2, before clamping.
 
+    ``B`` is one ``(n, d)`` score matrix, giving ``(d,)`` pieces, or a
+    ``(k, n, d)`` stack of them, giving ``(k, d)``: one pass over the block
+    pairs builds each pair's kernel part once and serves every member, and
+    each member's pieces are bit-identical to a call with that member alone.
+
     Each w_j^2 is a squared norm, so genuine negatives are bugs: values
-    below ``-1e-8 * scale`` (scale = the largest pairwise term magnitude)
-    raise :class:`NumericalConsistencyError` instead of being silently
-    repaired.  That floor is never positive, so the scale is computed, in a
-    second pass over the block pairs, only when some piece is negative.
+    below ``-1e-8 * scale`` (scale = the largest pairwise term magnitude of
+    that member) raise :class:`NumericalConsistencyError` instead of being
+    silently repaired.  That floor is never positive, so a member's scale
+    is computed, in a second pass over the block pairs, only when one of
+    its pieces is negative.
     """
     X = batch.points
-    Bm = np.asarray(B, dtype=np.float64)
-    if Bm.shape != X.shape:
+    Bs = np.asarray(B, dtype=np.float64)
+    single = Bs.ndim == 2
+    if single:
+        Bs = Bs[None]
+    if Bs.ndim != 3 or Bs.shape[1:] != X.shape:
         raise ValueError(
-            f"score matrix shape {Bm.shape} does not match batch {X.shape}"
+            f"score matrix shape {np.shape(B)} does not match batch {X.shape}"
         )
     workers = resolve_threads(threads)
     blocks = row_blocks(batch.n)
@@ -341,54 +369,80 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     # One workspace per worker thread, freed with this call.
     workspaces = threading.local()
 
-    def over_block_pairs(block_fn):
+    def over_block_pairs(block_fn, scores):
         def run(pair):
             workspace = getattr(workspaces, "it", None)
             if workspace is None:
                 workspace = workspaces.it = _Workspace(min(batch.n, BLOCK_ROWS))
-            return block_fn(X, Bm, spec, pair[0], pair[1], workspace)
+            return block_fn(X, scores, spec, pair[0], pair[1], workspace)
 
         return ordered_map(run, tasks, workers)
 
-    w_sq = tree_reduce_sum(over_block_pairs(_block_pair_sums)) / float(batch.n) ** 2
-    if np.any(w_sq < 0.0):
-        floor = -NEGATIVE_TOLERANCE * max(over_block_pairs(_block_pair_peak))
-        if np.any(w_sq < floor):
-            j = int(np.argmin(w_sq))
-            raise NumericalConsistencyError(
-                f"w_sq[{j}] = {w_sq[j]!r} is below the float-noise floor {floor!r}"
-            )
-    return w_sq
+    w_sq = tree_reduce_sum(over_block_pairs(_block_pair_sums, Bs)) / float(batch.n) ** 2
+    for member, pieces in enumerate(w_sq):
+        if np.any(pieces < 0.0):
+            peak = max(over_block_pairs(_block_pair_peak, Bs[member]))
+            floor = -NEGATIVE_TOLERANCE * peak
+            if np.any(pieces < floor):
+                j = int(np.argmin(pieces))
+                where = "" if single else f"score matrix {member}: "
+                raise NumericalConsistencyError(
+                    f"{where}w_sq[{j}] = {pieces[j]!r} is below the float-noise "
+                    f"floor {floor!r}"
+                )
+    return w_sq[0] if single else w_sq
 
 
-def _finish(batch, target, spec, assignment, seed, threads) -> DiscrepancyResult:
-    B = scaled_scores(batch, target, assignment)
+def _finish(batch, target, spec, assignments, seeds, threads):
+    """One result per assignment (None for the exact path), all scored in
+    one pass over the block pairs."""
+    B = np.stack([scaled_scores(batch, target, a) for a in assignments])
     w_sq = coord_stein_sums(batch, B, spec, threads=threads)
-    clamped = np.maximum(w_sq, 0.0)
-    m = assignment.m if assignment is not None else target.L
-    return DiscrepancyResult(
-        value=float(np.sqrt(clamped.sum())),
-        w_sq=clamped,
-        n=batch.n,
-        m=int(m),
-        L=int(target.L),
-        term_evals=batch.n * int(m),
-        seed=seed,
-    )
+    results = []
+    for pieces, assignment, seed in zip(w_sq, assignments, seeds):
+        clamped = np.maximum(pieces, 0.0)
+        m = assignment.m if assignment is not None else target.L
+        results.append(
+            DiscrepancyResult(
+                value=float(np.sqrt(clamped.sum())),
+                w_sq=clamped,
+                n=batch.n,
+                m=int(m),
+                L=int(target.L),
+                term_evals=batch.n * int(m),
+                seed=seed,
+            )
+        )
+    return results
 
 
-def sksd(batch, target, spec, m, seed, threads=None) -> DiscrepancyResult:
+def sksd(batch, target, spec, m, seed, threads=None):
     """Stochastic kernel Stein discrepancy with one independent size-m
     subset of likelihood terms per sample point.
 
     With ``m == target.L`` the drawn subsets are necessarily the full index
     set and the result is bit-identical to :func:`ksd`.  The per-coordinate
     pieces combine in the l2 norm.
+
+    ``m`` and ``seed`` may also be equal-length sequences.  Each entry then
+    draws its own subsets and score matrix, the kernel part of the pairwise
+    pass is built once for all of them, and a list with one result per
+    entry is returned in order, each bit-identical to the scalar call with
+    that entry's ``m`` and ``seed``.
     """
-    assignment = draw_subsets(batch.n, target.L, m, seed)
-    return _finish(batch, target, spec, assignment, int(seed), threads)
+    stacked = not np.isscalar(m)
+    if stacked == np.isscalar(seed) or (stacked and len(m) != len(seed)):
+        raise ValueError(
+            "m and seed must both be scalars or both be sequences of one length"
+        )
+    ms, seeds = (list(m), [int(s) for s in seed]) if stacked else ([m], [int(seed)])
+    if not ms:
+        raise ValueError("no subset sizes to score")
+    assignments = [draw_subsets(batch.n, target.L, mi, si) for mi, si in zip(ms, seeds)]
+    results = _finish(batch, target, spec, assignments, seeds, threads)
+    return results if stacked else results[0]
 
 
 def ksd(batch, target, spec, threads=None) -> DiscrepancyResult:
     """Exact kernel Stein discrepancy (full scores; the m = L case)."""
-    return _finish(batch, target, spec, None, None, threads)
+    return _finish(batch, target, spec, [None], [None], threads)[0]

@@ -72,18 +72,22 @@ def _data_lines(path):
         raise ConfigError(f"cannot read {path}: {err}") from err
 
 
-def _parse_rows(path, expect_header=None):
+def _parse_rows(path, sample_header=False):
+    """Header and float rows of a CSV, read in one pass; with
+    ``sample_header`` the header must be ``x1..xd`` for its width d."""
     lines = list(_data_lines(path))
     if not lines:
         raise ConfigError(f"{path}: no data rows")
     header_no, header_line = lines[0]
     header = next(csv.reader([header_line]))
     header = [h.strip() for h in header]
-    if expect_header is not None and header != expect_header:
-        raise ConfigError(
-            f"{path}:{header_no}: expected header {','.join(expect_header)}, "
-            f"got {','.join(header)}"
-        )
+    if sample_header:
+        expected = [f"x{j + 1}" for j in range(len(header))]
+        if header != expected:
+            raise ConfigError(
+                f"{path}:{header_no}: expected header {','.join(expected)}, "
+                f"got {','.join(header)}"
+            )
     rows = []
     for number, line in lines[1:]:
         cells = next(csv.reader([line]))
@@ -112,12 +116,7 @@ def _parse_rows(path, expect_header=None):
 
 def read_samples_csv(path) -> SampleBatch:
     """Load a sample CSV with header ``x1..xd``."""
-    lines = list(_data_lines(path))
-    if not lines:
-        raise ConfigError(f"{path}: no data rows")
-    width = len(next(csv.reader([lines[0][1]])))
-    expected = [f"x{j + 1}" for j in range(width)]
-    _, rows = _parse_rows(path, expect_header=expected)
+    _, rows = _parse_rows(path, sample_header=True)
     return SampleBatch(rows)
 
 

@@ -52,6 +52,10 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     _check_subset_size(pool_size, subset_size)
     u = gen.random((count, subset_size))
     pool = np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
+    if subset_size == pool_size:
+        # Every subset is the whole pool; the draws above still advance the
+        # stream as the swaps would.
+        return pool
     rows = np.arange(count)
     for j in range(subset_size):
         r = j + (u[:, j] * (pool_size - j)).astype(np.int64)

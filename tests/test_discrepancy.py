@@ -365,7 +365,7 @@ def _block_pair_results(X, B, spec):
     workspace = _Workspace(blocks[0][1])
     for ia, rows_a in enumerate(blocks):
         for rows_b in blocks[ia:]:
-            total = _block_pair_sums(X, B, spec, rows_a, rows_b, workspace)
+            total = _block_pair_sums(X, B[None], spec, rows_a, rows_b, workspace)[0]
             peak = _block_pair_peak(X, B, spec, rows_a, rows_b, workspace)
             ref_total, ref_peak = dense_block_pair_terms(X, B, spec, rows_a, rows_b)
             count = (rows_a[1] - rows_a[0]) * (rows_b[1] - rows_b[0])
@@ -493,16 +493,116 @@ class TestLazyPeak:
             assert len(calls) == pairs
 
 
-class TestWorkspaceMemory:
-    """One call holds six 256 x 256 workspace matrices per worker and
-    frees them on return; the stated slack of 256 KiB covers the O(256 d)
-    row vectors and the per-pair results."""
+def _line_with_hostile_profile(n, margin):
+    """n distinct points on a line and a profile with K = P2 = 0 and P1 =
+    -a on the diagonal, b off it.  Zero scores give diagonal terms 2a and
+    off-diagonal terms -2b, so w_sq = (2an - 2bn(n - 1)) / n^2 against the
+    peak 2a; a is set so that w_sq is ``1 - margin`` times the floor
+    -1e-8 * 2a (negative but above the floor for margin > 0, below it for
+    margin < 0).  Scores -c x add 2bc D^2 to every off-diagonal term, which
+    makes the piece clearly positive; at c = 1e4 they also raise the peak
+    to about 2e4, far above 2a, so a member checked against another
+    member's peak would get the wrong floor."""
+    b = 1.0
+    a = b * (n - 1) / (1.0 + NEGATIVE_TOLERANCE * (1.0 - margin) * n)
+
+    def hostile_profile(spec, sq, out=None, scratch=None):
+        q = np.asarray(sq, dtype=np.float64)
+        return np.zeros_like(q), np.where(q == 0.0, -a, b), np.zeros_like(q)
+
+    X = np.linspace(0.0, 1.0, n)[:, None]
+    return SampleBatch(X), hostile_profile
+
+
+class TestStackedEngine:
+    """A ``(k, n, d)`` stack of score matrices through one pass of the
+    block engine: every member's pieces are the bits of a call with that
+    member alone, and each member keeps its own negativity floor."""
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
-    def test_peak_allocation_is_six_block_matrices(self, family):
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("n", [1, 255, 257, 600])
+    def test_members_match_single_calls(self, n, d, family):
+        X, B = _engine_sample(n, d)
+        rng = np.random.default_rng(n + d)
+        stack = np.stack([B, -X + rng.standard_normal((n, d)), np.zeros((n, d))])
+        batch, spec = SampleBatch(X), ENGINE_SPECS[family]
+        stacked = coord_stein_sums(batch, stack, spec, threads=2)
+        assert stacked.shape == (3, d)
+        singles = [coord_stein_sums(batch, scores, spec, threads=1) for scores in stack]
+        for member, single in zip(stacked, singles):
+            assert np.array_equal(member, single)
+        assert np.array_equal(coord_stein_sums(batch, stack[:1], spec)[0], singles[0])
+
+    def test_shape_mismatch(self):
+        batch = SampleBatch(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            coord_stein_sums(batch, np.zeros((2, 2, 2)), IMQ)
+        with pytest.raises(ValueError, match="shape"):
+            coord_stein_sums(batch, np.zeros((1, 2, 3, 2)), IMQ)
+
+    def test_stack_raises_exactly_when_a_member_does(self, monkeypatch):
+        batch, profile = _line_with_hostile_profile(600, margin=-0.5)
+        monkeypatch.setattr(kernels_module, "radial_profile", profile)
+        negative, positive = np.zeros((600, 1)), -1e4 * batch.points
+        single_raises = {}
+        for name, scores in (("negative", negative), ("positive", positive)):
+            single_raises[name], _ = _raised(lambda: coord_stein_sums(batch, scores, IMQ))
+        assert single_raises == {"negative": True, "positive": False}
+        members = {"negative": negative, "positive": positive}
+        for names in itertools.product(sorted(members), repeat=3):
+            stack = np.stack([members[name] for name in names])
+            if "negative" in names:
+                first = names.index("negative")
+                with pytest.raises(NumericalConsistencyError,
+                                   match=rf"^score matrix {first}: w_sq\[0\]"):
+                    coord_stein_sums(batch, stack, IMQ, threads=2)
+            else:
+                stacked = coord_stein_sums(batch, stack, IMQ, threads=2)
+                single = coord_stein_sums(batch, positive, IMQ)
+                assert all(np.array_equal(member, single) for member in stacked)
+
+    def test_peak_pass_per_negative_member(self, monkeypatch):
+        # Zero scores leave a piece just below zero but above its floor, so
+        # nothing raises and only those members take the peak pass.
+        batch, profile = _line_with_hostile_profile(600, margin=0.5)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "radial_profile", counted)
+        negative, positive = np.zeros((600, 1)), -1e4 * batch.points
+        pairs = 6  # three row blocks
+        singles = []
+        for scores, peak_pass in ((negative, True), (positive, False)):
+            calls.clear()
+            singles.append(coord_stein_sums(batch, scores, IMQ))
+            assert len(calls) == pairs * (1 + peak_pass)
+        assert singles[0][0] < 0.0 < singles[1][0]
+        for names in ("npnp", "pppp", "nnnp"):
+            stack = np.stack([negative if c == "n" else positive for c in names])
+            calls.clear()
+            stacked = coord_stein_sums(batch, stack, IMQ, threads=2)
+            assert len(calls) == pairs * (1 + names.count("n"))
+            for member, c in zip(stacked, names):
+                assert np.array_equal(member, singles[c == "p"])
+
+
+class TestWorkspaceMemory:
+    """One call holds six 256 x 256 workspace matrices per worker and
+    frees them on return, whatever the number of stacked score matrices;
+    the stated slack of 256 KiB covers the O(256 d) row vectors and the
+    per-pair results."""
+
+    @staticmethod
+    def _assert_six_block_matrices(members, family):
         rng = np.random.default_rng(3)
         X = rng.normal(0.3, 1.0, size=(600, 9))
         B = -X + 0.5 * rng.standard_normal((600, 9))
+        if members is not None:
+            B = np.stack([B * (1.0 + member) for member in range(members)])
         batch = SampleBatch(X)
         spec = ENGINE_SPECS[family]
         coord_stein_sums(batch, B, spec, threads=1)
@@ -515,6 +615,14 @@ class TestWorkspaceMemory:
         block = 256 * 256 * 8
         assert peak <= 6 * block + 256 * 1024
         assert current < block
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    def test_peak_allocation_is_six_block_matrices(self, family):
+        self._assert_six_block_matrices(None, family)
+
+    @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
+    def test_stack_of_three_shares_the_six_block_matrices(self, family):
+        self._assert_six_block_matrices(3, family)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -539,6 +647,9 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
         B = scaled_scores(batch, target, assignment)
         parts.append(coord_stein_sums(batch, B, spec, threads=2))
         parts.append(ssvgd_direction(batch, target, spec, assignment, threads=2).ravel())
+    # One stacked call, on the last and largest instance.
+    stack = np.stack([B, -B, 0.5 * B])
+    parts.append(coord_stein_sums(batch, stack, spec, threads=2).ravel())
     np.save(sys.argv[1], np.concatenate(parts))
     """)
 
@@ -649,3 +760,26 @@ class TestSksdAndKsd:
         assert set(doc) == {"value", "w_sq", "n", "m", "L", "term_evals", "seed"}
         assert doc["n"] == 4 and doc["m"] == 1 and doc["L"] == 2
         assert doc["term_evals"] == 4 and doc["seed"] == 5
+
+    def test_sequence_form_matches_scalar_calls(self):
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 12, seed=4))
+        batch = iid_gaussian(300, 2, 0.0, 1.0, seed=6)
+        ms, seeds = (1, 5, 12, 5), (3, 4, 5, 2**64 - 1)
+        results = sksd(batch, target, IMQ, list(ms), seeds, threads=2)
+        assert isinstance(results, list) and len(results) == len(ms)
+        for result, m, seed in zip(results, ms, seeds):
+            single = sksd(batch, target, IMQ, m, seed)
+            assert result.to_dict() == single.to_dict()
+            assert np.array_equal(result.w_sq, single.w_sq)
+            assert result.seed == seed and result.m == m
+            assert result.term_evals == batch.n * m
+        assert results[2].to_dict() == dict(ksd(batch, target, IMQ).to_dict(), seed=5)
+
+    @pytest.mark.parametrize(
+        "m, seed", [([1, 2], [3]), ([1], 3), (1, [3]), ([], [])]
+    )
+    def test_sequence_form_validation(self, m, seed):
+        target = make_gaussian(0.0, 1.0, 4, dim=1)
+        batch = iid_gaussian(5, 1, 0.0, 1.0, seed=0)
+        with pytest.raises(ValueError):
+            sksd(batch, target, IMQ, m, seed)

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import steinlab
-from steinlab import ConfigError, SampleBatch, cli, io, iid_gaussian, ksd, make_gaussian
+from steinlab import (
+    ConfigError,
+    SampleBatch,
+    cli,
+    derive_seed,
+    iid_gaussian,
+    io,
+    ksd,
+    make_gaussian,
+)
 from steinlab.kernels import KernelSpec
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -52,6 +61,20 @@ class TestSampleCsv:
         path.write_text("x1,x2\n1.0\n")
         with pytest.raises(ConfigError, match="expected 2 columns"):
             io.read_samples_csv(path)
+
+    def test_file_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        io.write_samples_csv(path, SampleBatch(np.eye(3)))
+        reads = []
+        data_lines = io._data_lines
+
+        def counted(source):
+            reads.append(source)
+            return data_lines(source)
+
+        monkeypatch.setattr(io, "_data_lines", counted)
+        assert np.array_equal(io.read_samples_csv(path).points, np.eye(3))
+        assert reads == [path]
 
 
 class TestDatasetCsv:
@@ -287,7 +310,9 @@ class TestCliTune:
 
     def test_one_lockstep_sweep_before_any_scoring(self, tmp_path, monkeypatch):
         # perfbench stamps set-up time and counts SGLD steps on the name
-        # cli.sgld_chain and its second argument's .steps.
+        # cli.sgld_chain and its second argument's .steps.  Each chain is
+        # then scored by one sksd call at every m of m_list, with the seeds
+        # derived from its trial and each m.
         monkeypatch.chdir(tmp_path)
         config = _tune_config(tmp_path, grid="5e-3,1e-2,2e-2", trials=2)
         calls = []
@@ -305,8 +330,14 @@ class TestCliTune:
                          "--threads", "2"]) == 0
         names = [name for name, _ in calls]
         assert names[0] == "sgld_chain" and names.count("sgld_chain") == 1
-        assert names.count("sksd") == 3 * 2 * 2
+        assert names.count("sksd") == 3 * 2
+        assert "ksd" not in names
         assert calls[0][1][1].steps == 3 * 2 * 80
+        for _, args in calls[1:]:
+            m_values, seeds = args[3], args[4]
+            assert list(m_values) == [2, 6]
+            trial = [derive_seed(3, "tune-score", t, 2) for t in range(2)].index(seeds[0])
+            assert list(seeds) == [derive_seed(3, "tune-score", trial, m) for m in (2, 6)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_scores_are_divergences(self, tmp_path, monkeypatch):
@@ -403,6 +434,26 @@ class TestCliRank:
         assert len(body) == 1 + 4
         assert all(line.endswith(",a") for line in body[1:])
 
+    def test_one_scoring_call_per_sampler_and_n(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = _rank_config(tmp_path)
+        calls = []
+
+        def recorder(batch, target, spec, m, seed, threads=None):
+            calls.append((batch.n, list(m), list(seed)))
+            return sksd(batch, target, spec, m, seed, threads=threads)
+
+        sksd = cli.sksd
+        monkeypatch.setattr(cli, "sksd", recorder)
+        assert cli.main(["rank-samplers", "--config", str(config),
+                         "--out", "r.csv", "--threads", "2"]) == 0
+        expected = [
+            (n, [4, 40], [derive_seed(9, "rank-score", n, m) for m in (4, 40)])
+            for n in (300, 600)
+            for _ in "ab"
+        ]
+        assert sorted(calls) == sorted(expected)
+
 
 def _svgd_config(tmp_path, *, rounds, batch, init_lines, extra_lines=()):
     text = textwrap.dedent(
@@ -484,6 +535,32 @@ class TestCliSsvgd:
             final.points,
             io.read_samples_csv(tmp_path / "p.round-6.csv").points,
         )
+
+    @pytest.mark.parametrize("rounds, ksd_calls", [(6, 2), (7, 3)])
+    def test_final_ksd_only_when_appended(self, tmp_path, monkeypatch,
+                                          rounds, ksd_calls):
+        # With checkpoint_every dividing rounds, the last checkpoint is the
+        # final record and no separate final KSD is computed.
+        monkeypatch.chdir(tmp_path)
+        config = _svgd_config(
+            tmp_path, rounds=rounds, batch=5,
+            init_lines=["init_n = 8", "init_mu = 0.5", "init_sigma = 0.5"],
+            extra_lines=["checkpoint_every = 3", "report_ksd = true"],
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ksd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ksd", counted)
+        assert cli.main(["ssvgd", "--config", str(config), "--out", "p.csv"]) == 0
+        records = [json.loads(l) for l in
+                   (tmp_path / "p.diagnostics.jsonl").read_text().splitlines()
+                   if l and not l.startswith("#")]
+        assert [r["round"] for r in records] == sorted({3, 6, rounds})
+        assert all("ksd" in r for r in records)
+        assert len(calls) == ksd_calls
 
 
 def _curve_config(tmp_path, *, seeds=3, mu="0,0"):

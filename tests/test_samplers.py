@@ -265,6 +265,21 @@ class TestUniformSubset:
             assert np.array_equal(got, want)
             assert one.random() == rows.random()
 
+    @pytest.mark.parametrize("count", [1, 3, 50])
+    @pytest.mark.parametrize("pool_size", [1, 7, 100])
+    def test_full_pool_matches_per_row_draws(self, count, pool_size):
+        # Every row is the whole pool, and the stream still advances by
+        # count * pool_size draws, as row-by-row draws on a twin do.
+        for seed in range(5):
+            rows = make_generator(seed)
+            twin = make_generator(seed)
+            got = uniform_subsets(rows, count, pool_size, pool_size)
+            want = np.stack([uniform_subset(twin, pool_size, pool_size)
+                             for _ in range(count)])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(rows.random(8), twin.random(8))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="subset size"):
             uniform_subset(make_generator(0), 5, 6)
