@@ -48,6 +48,41 @@ DEFAULT_EPS_GRID = "1e-4,5e-4,1e-3,5e-3,1e-2,5e-2"
 # ---------------------------------------------------------------------------
 # config helpers
 
+class _Section(dict):
+    """One config section that remembers which keys were looked up in it,
+    by ``key in section`` or ``section[key]``."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.looked_up = set()
+
+    def __contains__(self, key):
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+
+def _load_config(path):
+    return {name: _Section(values) for name, values in sio.load_config(path).items()}
+
+
+def _reject_unread(cfg, command):
+    """Fail on the first key that ``command`` never looked up in a section
+    it reads: a misspelt key, or one that another setting reads, would
+    otherwise be silently ignored.  Sections the command never looks in
+    (another command's, in a shared config) are left alone."""
+    for name, section in cfg.items():
+        for key in section:
+            if section.looked_up and key not in section.looked_up:
+                raise ConfigError(
+                    f"[{name}] {key} is not read by {command} "
+                    "(unknown key, or one this config does not use)"
+                )
+
+
 def _section(cfg, name, required=True):
     if name not in cfg:
         if required:
@@ -263,9 +298,10 @@ def _build_kernel(cfg, echo):
 
 
 def _resolve_seed(args, section, name):
-    if args.seed is not None:
-        return int(args.seed)
-    return _get_int(section, name, "seed", 0)
+    # The config seed is parsed even under --seed, which overrides it, so
+    # that it counts as read.
+    seed = _get_int(section, name, "seed", 0)
+    return seed if args.seed is None else int(args.seed)
 
 
 def _score_once(batch, target, spec, m, seed, threads):
@@ -284,7 +320,7 @@ def _fingerprint(mapping) -> str:
 # commands
 
 def cmd_score(args) -> int:
-    cfg = sio.load_config(args.config)
+    cfg = _load_config(args.config)
     echo = {}
     target = _build_target(cfg, echo)
     spec = _build_kernel(cfg, echo)
@@ -302,6 +338,7 @@ def cmd_score(args) -> int:
     threads = resolve_threads(args.threads)
     echo.update({"score.samples": str(samples_path), "seed": str(seed)})
     echo["score.m"] = "full" if m is None else str(m)
+    _reject_unread(cfg, args.command)
     result = _score_once(batch, target, spec, m, seed, threads)
     out = args.out or "result.json"
     sio.write_json(out, {"config": echo, "result": result.to_dict()})
@@ -309,7 +346,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_tune_sgld(args) -> int:
-    cfg = sio.load_config(args.config)
+    cfg = _load_config(args.config)
     echo = {}
     target = _build_target(cfg, echo)
     spec = _build_kernel(cfg, echo)
@@ -339,6 +376,8 @@ def cmd_tune_sgld(args) -> int:
             "seed": str(seed),
         }
     )
+
+    _reject_unread(cfg, args.command)
 
     chain_cells = [(eps, trial) for eps in eps_grid for trial in range(trials)]
     chains = sgld_chain(
@@ -462,7 +501,7 @@ def _sampler_section(cfg, name, target):
 
 
 def cmd_rank_samplers(args) -> int:
-    cfg = sio.load_config(args.config)
+    cfg = _load_config(args.config)
     echo = {}
     target = _build_target(cfg, echo)
     spec = _build_kernel(cfg, echo)
@@ -489,6 +528,7 @@ def cmd_rank_samplers(args) -> int:
         }
     )
 
+    _reject_unread(cfg, args.command)
     chains = {}
     for label, resolved in samplers.items():
         fingerprint = _fingerprint(resolved)
@@ -543,7 +583,7 @@ def cmd_rank_samplers(args) -> int:
 
 
 def cmd_ssvgd(args) -> int:
-    cfg = sio.load_config(args.config)
+    cfg = _load_config(args.config)
     echo = {}
     target = _build_target(cfg, echo)
     kernel = _build_kernel(cfg, echo)
@@ -613,6 +653,7 @@ def cmd_ssvgd(args) -> int:
         }
     )
 
+    _reject_unread(cfg, args.command)
     run_target = target.with_fresh_counter()
     result = run_ssvgd(init, run_target, config, threads=threads)
 
@@ -644,7 +685,7 @@ def cmd_ssvgd(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    cfg = sio.load_config(args.config)
+    cfg = _load_config(args.config)
     echo = {}
     target = _build_target(cfg, echo)
     spec = _build_kernel(cfg, echo)
@@ -671,6 +712,8 @@ def cmd_curve(args) -> int:
         }
     )
     mu_arr = _per_coordinate(mu, "curve", "mu", target.dim)
+
+    _reject_unread(cfg, args.command)
 
     def run_cell(cell):
         n, rep = cell

@@ -79,7 +79,7 @@ class SampleBatch:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty n x d matrix")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("sample points must be finite")
         object.__setattr__(self, "points", pts)
 
@@ -120,7 +120,7 @@ class SubsetAssignment:
             raise ValueError(f"subset size {subs.shape[1]} not in [1, {self.L}]")
         if subs.min() < 0 or subs.max() >= self.L:
             raise ValueError(f"subset indices must lie in [0, {self.L})")
-        if subs.shape[1] > 1 and not np.all(subs[:, 1:] > subs[:, :-1]):
+        if subs.shape[1] > 1 and not (subs[:, 1:] > subs[:, :-1]).all():
             raise ValueError("subset rows must be strictly ascending")
         object.__setattr__(self, "subsets", subs)
 

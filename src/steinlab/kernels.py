@@ -15,12 +15,13 @@ from it.  Exact squared distances are summed one coordinate at a time
 from per-coordinate difference matrices (:func:`coordinate_differences`,
 :func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed; the SVGD
 direction, the median heuristic and the Stein engine's peak pass take
-them from here, and so do the Stein block sums below three dimensions
-(from three on, those come from one matrix product, see
-:mod:`steinlab.discrepancy`).  All three write into caller-supplied arrays
-when given them (``out=``), which is how the Stein engine reuses one
-workspace across block pairs.  Finite differencing and pointwise kernel
-evaluation appear only in tests, as oracles.
+them from here (an SSVGD round builds one ``n x n`` matrix and hands it to
+both its median heuristic and its direction), and so do the Stein block
+sums below three dimensions (from three on, those come from one matrix
+product, see :mod:`steinlab.discrepancy`).  All three write into
+caller-supplied arrays when given them (``out=``), which is how the Stein
+engine reuses one workspace across block pairs.  Finite differencing and
+pointwise kernel evaluation appear only in tests, as oracles.
 """
 
 from __future__ import annotations
@@ -203,12 +204,15 @@ def _pair_index(n):
     return index
 
 
-def median_heuristic_bandwidth(points) -> float:
+def median_heuristic_bandwidth(points, sq=None) -> float:
     """``median(pairwise distances)^2 / log(n)`` over all point pairs.
 
     The median is taken as ``np.median`` takes it, bit for bit, but from a
     partition of the squared distances, with a square root of only the
-    middle one or two.
+    middle one or two.  ``sq``, when given, is the ``(n, n)`` matrix
+    ``squared_distances(points, points)`` already built by the caller (an
+    SSVGD round shares one with its direction); each of its elements is
+    summed on its own, so the result is the same bits either way.
 
     Returns ``BANDWIDTH_FLOOR`` and emits :class:`DegenerateBandwidthWarning`
     when the median distance is zero (at least half of all pairs coincide),
@@ -220,7 +224,13 @@ def median_heuristic_bandwidth(points) -> float:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
-    sq = squared_distances(pts, pts).ravel()[_pair_index(n)]
+    if sq is None:
+        sq = squared_distances(pts, pts)
+    elif sq.shape != (n, n):
+        raise ValueError(
+            f"squared distances have shape {sq.shape}, expected {(n, n)}"
+        )
+    sq = sq.ravel()[_pair_index(n)]
     half = sq.size // 2
     # The last position is partitioned too, as np.median does, so that a
     # NaN distance, which sorts last, still gives a NaN median.

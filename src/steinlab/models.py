@@ -127,7 +127,7 @@ class DecomposableTarget:
             raise ValueError(f"term indices must lie in [0, {self.L})")
         # Subsets from the rng module arrive sorted; np.sort would release
         # the GIL once per SGLD step, so only unsorted input pays it.
-        if np.any(subs[:, 1:] <= subs[:, :-1]):
+        if (subs[:, 1:] <= subs[:, :-1]).any():
             subs = np.sort(subs, axis=1)
             if np.any(subs[:, 1:] == subs[:, :-1]):
                 raise ValueError("term subset contains duplicate indices")
@@ -140,7 +140,7 @@ class DecomposableTarget:
                 f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
         self.eval_counter.add(subs.size)
-        if not np.all(np.isfinite(sums)):
+        if not np.isfinite(sums).all():
             self._raise_non_finite(subs, X, _first_bad_row(sums))
         return sums
 
@@ -164,7 +164,7 @@ class DecomposableTarget:
     def _subset_scores(self, subs, X, single) -> np.ndarray:
         """``(m/L) * prior score + sum of subset term scores`` per row."""
         prior = np.asarray(self.grad_log_prior(X), dtype=np.float64)
-        if not np.all(np.isfinite(prior)):
+        if not np.isfinite(prior).all():
             row = _first_bad_row(np.broadcast_to(prior, X.shape))
             raise NonFiniteScoreError(
                 f"non-finite prior score at point {row}, x={X[row]!r}",

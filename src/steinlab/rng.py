@@ -44,8 +44,16 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     Fisher-Yates shuffle.  Exactly ``count * subset_size`` uniforms are
     consumed from ``gen`` in row-major order (all draws for subset i precede
     those for subset i+1), so the assignment is a pure function of the
-    stream state no matter how later work is scheduled.  Rows of the
-    returned ``(count, subset_size)`` int64 array are sorted ascending.
+    stream state no matter how later work is scheduled, and one call for
+    ``k * count`` subsets returns, row for row, what k calls for ``count``
+    would.  Rows of the returned ``(count, subset_size)`` int64 array are
+    sorted ascending.
+
+    Each shuffle step is one gather and one scatter on the flat
+    ``count * pool_size`` pool, indexed by the step's swap targets.  The
+    result equals the fancy-indexed swaps of a tiled pool
+    (``tests/helpers.uniform_subsets_oracle``) and leaves ``gen`` in the
+    same state.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -56,10 +64,17 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
         # Every subset is the whole pool; the draws above still advance the
         # stream as the swaps would.
         return pool
-    rows = np.arange(count)
+    flat = pool.reshape(-1)
+    offsets = np.arange(0, count * pool_size, pool_size)
     for j in range(subset_size):
-        r = j + (u[:, j] * (pool_size - j)).astype(np.int64)
-        pool[rows, j], pool[rows, r] = pool[rows, r], pool[rows, j]
+        # Swap target j + floor(u * (pool_size - j)) of every row, as an
+        # index into the flat pool.
+        targets = (u[:, j] * (pool_size - j)).astype(np.int64)
+        targets += offsets
+        targets += j
+        held = pool[:, j].copy()
+        pool[:, j] = flat[targets]
+        flat[targets] = held
     return np.sort(pool[:, :subset_size], axis=1)
 
 

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
 Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
-loop, a ``np.median`` median heuristic, a one-chain SGLD loop and random
-problem builders.
+loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
+one-chain SGLD loop, a one-round-at-a-time SSVGD loop and random problem
+builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -13,6 +14,7 @@ independent assemblies of the quantities the library computes blockwise.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +33,9 @@ from steinlab import (
     DivergenceError,
     NonFiniteScoreError,
     NumericalConsistencyError,
+    SubsetAssignment,
     kernels,
+    svgd,
 )
 from steinlab.discrepancy import NEGATIVE_TOLERANCE
 from steinlab.parallel import row_blocks, tree_reduce_sum
@@ -203,6 +207,25 @@ def median_heuristic_oracle(points):
     return med * med / math.log(n)
 
 
+def uniform_subsets_oracle(gen, count, pool_size, subset_size):
+    """``rng.uniform_subsets`` as a partial Fisher-Yates shuffle of a tiled
+    ``(count, pool_size)`` pool, one fancy-indexed swap per step, with the
+    swap targets computed step by step."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not 1 <= subset_size <= pool_size:
+        raise ValueError(f"subset size {subset_size} not in [1, {pool_size}]")
+    u = gen.random((count, subset_size))
+    pool = np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
+    if subset_size == pool_size:
+        return pool
+    rows = np.arange(count)
+    for j in range(subset_size):
+        r = j + (u[:, j] * (pool_size - j)).astype(np.int64)
+        pool[rows, j], pool[rows, r] = pool[rows, r], pool[rows, j]
+    return np.sort(pool[:, :subset_size], axis=1)
+
+
 def pointwise_scaled_scores(batch, target, assignment=None):
     """Score matrix B built one point at a time: row i is
     ``(L/m) * grad_log_subset(sigma_i, x_i)``, or ``grad_log_full(x_i)``
@@ -246,6 +269,52 @@ def sgld_chain_oracle(target, config):
             raise DivergenceError(f"chain diverged at step {t}", step=t)
         out[t] = x
     return SampleBatch(out)
+
+
+def run_ssvgd_oracle(init, target, config, threads=None):
+    """``svgd.run_ssvgd`` one round at a time: every round draws its own
+    subsets (``uniform_subsets_oracle``, also when ``batch == L``) and the
+    median heuristic and the direction each build their own squared
+    distances.  The reference for the chunked draws and the shared
+    per-round distance matrix."""
+    if config.batch > target.L:
+        raise ValueError(f"batch size {config.batch} exceeds the {target.L} terms")
+    X = init.points.copy()
+    n = X.shape[0]
+    gen = make_generator(config.seed)
+    policy = config.resolved_bandwidth_policy()
+    acc = np.zeros_like(X)
+    evals_per_round = n * config.batch
+    checkpoints = []
+    for r in range(config.rounds):
+        if policy == svgd.MEDIAN_PER_ROUND:
+            spec = replace(
+                config.kernel, bandwidth=kernels.median_heuristic_bandwidth(X)
+            )
+        else:
+            spec = config.kernel
+        subsets = uniform_subsets_oracle(gen, n, target.L, config.batch)
+        if config.batch == target.L:
+            assignment = None
+        else:
+            assignment = SubsetAssignment(subsets, L=target.L, seed=None)
+        direction = svgd.ssvgd_direction(
+            SampleBatch(X), target, spec, assignment, threads=threads
+        )
+        if config.schedule == svgd.ADAGRAD:
+            acc = acc + direction * direction
+            X = X + (config.step / (config.fudge + np.sqrt(acc))) * direction
+        else:
+            X = X + config.step * direction
+        if not np.all(np.isfinite(X)):
+            raise DivergenceError(f"particles diverged at round {r}", step=r)
+        if config.checkpoint_every and (r + 1) % config.checkpoint_every == 0:
+            checkpoints.append((r + 1, X.copy(), (r + 1) * evals_per_round))
+    return svgd.SsvgdResult(
+        final=SampleBatch(X),
+        checkpoints=tuple(checkpoints),
+        term_evals=config.rounds * evals_per_round,
+    )
 
 
 def fd_kernel_grad_x(spec, x, y, step=FD_STEP):

@@ -1,12 +1,17 @@
-"""Byte-for-byte outputs of ``tune-sgld`` and ``rank-samplers``.
+"""Byte-for-byte outputs of ``tune-sgld``, ``rank-samplers`` and ``ssvgd``.
 
-The files in ``goldens/`` were written by the engine that scored every
-(chain, m) cell with its own ``sksd`` call, before one call scored a sample
-at every m.  The inputs are ``configs/tune_gmm.ini``,
-``configs/rank_logreg.ini`` and the tune-gmm inputs that ``perfbench``
-writes for seed 7001 and for its reference check (copied here as
-``perfbench_tune_*.ini``).  Every output must stay identical to the byte at
-any worker count, with BLAS pinned to one thread and at its default.  The
+The ``tune-sgld`` and ``rank-samplers`` files in ``goldens/`` were written by
+the engine that scored every (chain, m) cell with its own ``sksd`` call,
+before one call scored a sample at every m; their inputs are
+``configs/tune_gmm.ini``, ``configs/rank_logreg.ini`` and the tune-gmm inputs
+that ``perfbench`` writes for seed 7001 and for its reference check (copied
+here as ``perfbench_tune_*.ini``).  The ``ssvgd`` files (final particles,
+trajectory snapshots and ``diagnostics.jsonl``) were written by the loop that
+drew each round's subsets with its own call and built each round's squared
+distances twice; their inputs are ``configs/ssvgd_gaussian.ini`` and the
+ssvgd-n50 input that ``perfbench`` writes for seed 7001 (copied here as
+``perfbench_ssvgd_seed7001.ini``).  Every output must stay identical to the
+byte at any worker count, with BLAS pinned to one thread and at its default.  The
 goldens hold float64 bits from numpy with OpenBLAS on x86-64; a BLAS that
 rounds its matrix products differently would need goldens of its own.
 """
@@ -30,6 +35,8 @@ CASES = {
     "perfbench_tune_seed7001": ("tune-sgld", GOLDENS / "perfbench_tune_seed7001.ini"),
     "perfbench_tune_reference": ("tune-sgld", GOLDENS / "perfbench_tune_reference.ini"),
     "rank_logreg": ("rank-samplers", CONFIGS / "rank_logreg.ini"),
+    "ssvgd_gaussian": ("ssvgd", CONFIGS / "ssvgd_gaussian.ini"),
+    "perfbench_ssvgd_seed7001": ("ssvgd", GOLDENS / "perfbench_ssvgd_seed7001.ini"),
 }
 
 
@@ -41,7 +48,8 @@ def _arguments(name, workdir, threads):
 
 def _assert_matches_goldens(name, workdir):
     written = sorted(p.name for p in workdir.iterdir())
-    assert written == sorted(p.name for p in GOLDENS.glob(f"{name}.*csv"))
+    expected = [*GOLDENS.glob(f"{name}.*csv"), *GOLDENS.glob(f"{name}.*jsonl")]
+    assert written == sorted(p.name for p in expected)
     for file_name in written:
         assert (workdir / file_name).read_bytes() == (GOLDENS / file_name).read_bytes(), file_name
 

@@ -716,6 +716,92 @@ class TestConfigValidation:
             f"[tune] eps_grid entry {entry} is not positive", "t.csv",
         )
 
+    @pytest.mark.parametrize("section, key", [
+        ("svgd", "rpunds_typo"), ("target", "sigma_sqq"), ("kernel", "bandwith"),
+    ])
+    def test_unknown_svgd_keys(self, tmp_path, monkeypatch, capsys, section, key):
+        monkeypatch.chdir(tmp_path)
+        text = _svgd_config(tmp_path, rounds=1, batch=5,
+                            init_lines=["init_n = 4"]).read_text()
+        bad = _write(tmp_path / "bad.ini",
+                     text.replace(f"[{section}]\n", f"[{section}]\n{key} = 9\n", 1))
+        self._assert_config_error(
+            capsys, ["ssvgd", "--config", str(bad)],
+            f"[{section}] {key} is not read by ssvgd", "p.csv",
+        )
+
+    def test_unknown_score_key(self, mode_fixture, capsys):
+        tmp_path, config = mode_fixture
+        bad = _write(tmp_path / "bad.ini", config.read_text() + "m_typo = 2\n")
+        self._assert_config_error(
+            capsys, ["score", "--config", str(bad)],
+            "[score] m_typo is not read by score", "bad.json",
+        )
+
+    def test_unknown_tune_rank_and_curve_keys(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cases = (
+            ("tune-sgld", _tune_config(tmp_path), "tune", "trails"),
+            ("rank-samplers", _rank_config(tmp_path), "sampler_b", "stepp"),
+            ("curve", _curve_config(tmp_path), "curve", "n_gird"),
+        )
+        for command, config, section, key in cases:
+            bad = _write(tmp_path / "bad.ini", config.read_text().replace(
+                f"[{section}]\n", f"[{section}]\n{key} = 3\n", 1))
+            self._assert_config_error(
+                capsys, [command, "--config", str(bad)],
+                f"[{section}] {key} is not read by {command}", "out.csv",
+            )
+
+    def test_key_unused_by_this_config_fails(self, tmp_path, monkeypatch, capsys):
+        # With init = <csv> the init_n key is never read.
+        monkeypatch.chdir(tmp_path)
+        io.write_samples_csv(tmp_path / "init.csv", SampleBatch(np.zeros((3, 1))))
+        config = _svgd_config(tmp_path, rounds=1, batch=5,
+                              init_lines=["init = init.csv", "init_n = 4"])
+        self._assert_config_error(
+            capsys, ["ssvgd", "--config", str(config)],
+            "[svgd] init_n is not read by ssvgd", "p.csv",
+        )
+
+    def test_seed_overridden_on_the_command_line_is_read(self, mode_fixture):
+        tmp_path, config = mode_fixture
+        assert cli.main(["score", "--config", str(config), "--seed", "3",
+                         "--out", "s.json"]) == 0
+        assert json.loads((tmp_path / "s.json").read_text())["config"]["seed"] == "3"
+
+
+class _ConfigAccepted(Exception):
+    pass
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("curve", CONFIGS / "curve_gaussian.ini"),
+    ("rank-samplers", CONFIGS / "rank_logreg.ini"),
+    ("score", CONFIGS / "score_gaussian.ini"),
+    ("ssvgd", CONFIGS / "ssvgd_gaussian.ini"),
+    ("tune-sgld", CONFIGS / "tune_gmm.ini"),
+    ("ssvgd", GOLDENS / "perfbench_ssvgd_seed7001.ini"),
+    ("tune-sgld", GOLDENS / "perfbench_tune_seed7001.ini"),
+    ("tune-sgld", GOLDENS / "perfbench_tune_reference.ini"),
+], ids=lambda value: getattr(value, "stem", value))
+def test_shipped_configs_have_no_unread_keys(tmp_path, monkeypatch, command, config):
+    # Stop each command right after its key check passes.
+    check = cli._reject_unread
+
+    def check_then_stop(cfg, name):
+        check(cfg, name)
+        raise _ConfigAccepted
+
+    monkeypatch.setattr(cli, "_reject_unread", check_then_stop)
+    monkeypatch.chdir(tmp_path)
+    io.write_samples_csv(tmp_path / "samples.csv", SampleBatch(np.zeros((3, 2))))
+    with pytest.raises(_ConfigAccepted):
+        cli.main([command, "--config", str(config), "--out", "out"])
 
 def _with_src_on_path(env):
     """``env`` with the tested package's source directory first on

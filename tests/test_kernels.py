@@ -215,6 +215,23 @@ class TestMedianHeuristic:
                 pts
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 257, 600])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_given_squared_distances_give_same_bits(self, n, d):
+        pts = np.random.default_rng(7 * n + d).standard_normal((n, d))
+        sq = kernels.squared_distances(pts, pts)
+        kept = sq.copy()
+        assert kernels.median_heuristic_bandwidth(pts, sq=sq) == (
+            kernels.median_heuristic_bandwidth(pts)
+        )
+        assert np.array_equal(sq, kept)
+
+    def test_squared_distances_of_wrong_shape_raise(self):
+        pts = np.zeros((4, 2))
+        for shape in ((4, 3), (3, 4), (16,), (4, 4, 1)):
+            with pytest.raises(ValueError, match="shape"):
+                kernels.median_heuristic_bandwidth(pts, sq=np.ones(shape))
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
     def test_degenerate_floor_equals_oracle(self, n):
         # Over half of the pairs coincide: all points at 0, or (from n = 5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import sgld_chain_oracle
+from helpers import sgld_chain_oracle, uniform_subsets_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -280,7 +280,43 @@ class TestUniformSubset:
             assert np.array_equal(got, want)
             assert np.array_equal(rows.random(8), twin.random(8))
 
+    @pytest.mark.parametrize(
+        "count, pool_size, subset_size",
+        [(1, 1, 1), (1, 2, 1), (1, 7, 6), (1, 7, 7), (1, 1000, 37), (2, 2, 1),
+         (3, 7, 6), (5, 1, 1), (8, 9, 8), (8, 9, 9), (50, 20, 1), (50, 20, 5),
+         (50, 20, 19), (50, 20, 20), (100, 30, 1), (1000, 100, 10),
+         (1600, 20, 5), (257, 3, 2)],
+    )
+    def test_matches_step_by_step_oracle(self, count, pool_size, subset_size):
+        # Same subsets, and the next draw from the stream is the same too.
+        for seed in range(20):
+            gen = make_generator(seed)
+            twin = make_generator(seed)
+            got = uniform_subsets(gen, count, pool_size, subset_size)
+            want = uniform_subsets_oracle(twin, count, pool_size, subset_size)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == (count, subset_size)
+            assert np.array_equal(got, want)
+            assert np.array_equal(gen.random(3), twin.random(3))
+
+    @pytest.mark.parametrize("pool_size, subset_size", [(20, 5), (7, 7), (9, 1)])
+    def test_one_draw_equals_consecutive_draws(self, pool_size, subset_size):
+        # k * count subsets in one call are, row for row, k calls of count.
+        for seed in range(10):
+            gen = make_generator(seed)
+            twin = make_generator(seed)
+            got = uniform_subsets(gen, 6 * 50, pool_size, subset_size)
+            want = np.concatenate([
+                uniform_subsets(twin, 50, pool_size, subset_size) for _ in range(6)
+            ])
+            assert np.array_equal(got, want)
+            assert gen.random() == twin.random()
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="count"):
+            uniform_subsets(make_generator(0), 0, 5, 2)
+        with pytest.raises(ValueError, match="subset size"):
+            uniform_subsets(make_generator(0), 3, 5, 6)
         with pytest.raises(ValueError, match="subset size"):
             uniform_subset(make_generator(0), 5, 6)
         with pytest.raises(ValueError, match="subset size"):

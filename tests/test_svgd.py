@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import run_ssvgd_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -11,8 +12,10 @@ from steinlab import (
     SubsetAssignment,
     SvgdConfig,
     draw_subsets,
+    gen_logreg_data,
     iid_gaussian,
     make_gaussian,
+    make_logreg,
     run_ssvgd,
     sksd,
     ssvgd_direction,
@@ -108,6 +111,136 @@ class TestDirection:
         batch = SampleBatch(np.array([[0.0], [0.1]]))
         with pytest.raises(DivergenceError, match="particle"):
             ssvgd_direction(batch, huge, IMQ, None)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 257, 600])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("spec", [IMQ, RBF], ids=["imq", "rbf"])
+    def test_shared_squared_distances_give_same_bits(self, n, d, spec):
+        target = make_gaussian(0.0, 1.0, 6, dim=d)
+        batch = iid_gaussian(n, d, 0.3, 1.0, seed=n + d)
+        assignment = draw_subsets(n, 6, 2, seed=5)
+        sq = kernels.squared_distances(batch.points, batch.points)
+        for threads in (1, 2):
+            assert np.array_equal(
+                ssvgd_direction(batch, target, spec, assignment, threads, sq=sq),
+                ssvgd_direction(batch, target, spec, assignment, threads),
+            )
+
+    def test_squared_distances_of_wrong_shape_raise(self):
+        target = make_gaussian(0.0, 1.0, 6)
+        batch = iid_gaussian(5, 1, 0.0, 1.0, seed=1)
+        for shape in ((5, 4), (4, 5), (25,), (5, 5, 1)):
+            with pytest.raises(ValueError, match="shape"):
+                ssvgd_direction(batch, target, IMQ, None, sq=np.zeros(shape))
+
+
+def _logreg_target(L, d, seed):
+    # Term scores differ from term to term, so a wrong subset changes the
+    # bits of a round (the Gaussian target's do not).
+    X, y = gen_logreg_data(L, d, np.linspace(-1.0, 1.0, d), seed)
+    return make_logreg(X, y)
+
+
+def _assert_same_run(got, want):
+    assert np.array_equal(got.final.points, want.final.points)
+    assert got.term_evals == want.term_evals
+    assert len(got.checkpoints) == len(want.checkpoints)
+    for (r_got, x_got, e_got), (r_want, x_want, e_want) in zip(
+        got.checkpoints, want.checkpoints
+    ):
+        assert (r_got, e_got) == (r_want, e_want)
+        assert np.array_equal(x_got, x_want)
+
+
+class TestChunkedRounds:
+    """``run_ssvgd`` draws the subsets of several rounds at once and shares
+    one squared-distance matrix per round; every result must equal, bit for
+    bit, the one-round-at-a-time loop ``helpers.run_ssvgd_oracle``."""
+
+    @pytest.mark.parametrize("policy", ["fixed", MEDIAN_PER_ROUND])
+    @pytest.mark.parametrize("full_batch", [False, True], ids=["subset", "full"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [2, 50, 257, 600])
+    def test_matches_one_round_oracle(self, n, d, full_batch, policy):
+        # A large L at n = 2 keeps its chunks short; the rounds run one
+        # full chunk and three rounds into the next.
+        L = 2048 if n == 2 else 20
+        chunk_rounds = max(1, svgd.SUBSET_POOL_ENTRIES // (n * L))
+        rounds = chunk_rounds + 3
+        target = _logreg_target(L, d, seed=n + d)
+        init = iid_gaussian(n, d, 0.2, 0.5, seed=n)
+        spec = RBF if policy == MEDIAN_PER_ROUND else IMQ
+        config = SvgdConfig(rounds=rounds, batch=L if full_batch else 3,
+                            kernel=spec, step=0.05, bandwidth_policy=policy,
+                            seed=n * d, checkpoint_every=2)
+        want = run_ssvgd_oracle(init, target, config)
+        for threads in (1, 2):
+            _assert_same_run(run_ssvgd(init, target, config, threads=threads), want)
+
+    @pytest.mark.parametrize("pool_rounds", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rounds", [1, 6, 7, 8, 21])
+    def test_chunk_boundaries(self, monkeypatch, pool_rounds, rounds):
+        # Chunks of pool_rounds rounds: round counts on, just before and
+        # just after a boundary, and shorter than one chunk.
+        n, L = 9, 11
+        monkeypatch.setattr(svgd, "SUBSET_POOL_ENTRIES", pool_rounds * n * L)
+        target = _logreg_target(L, 2, seed=3)
+        init = iid_gaussian(n, 2, 0.0, 1.0, seed=4)
+        config = SvgdConfig(rounds=rounds, batch=4, kernel=RBF,
+                            bandwidth_policy=MEDIAN_PER_ROUND, seed=5,
+                            checkpoint_every=1)
+        _assert_same_run(run_ssvgd(init, target, config),
+                         run_ssvgd_oracle(init, target, config))
+
+    def test_draws_per_chunk(self, monkeypatch):
+        calls = []
+        draw = svgd.uniform_subsets
+
+        def counting_draw(gen, count, pool_size, subset_size):
+            calls.append(count)
+            return draw(gen, count, pool_size, subset_size)
+
+        monkeypatch.setattr(svgd, "uniform_subsets", counting_draw)
+        n, L = 50, 20
+        target = make_gaussian(0.0, 1.0, L)
+        init = iid_gaussian(n, 1, 0.0, 1.0, seed=1)
+        run_ssvgd(init, target, SvgdConfig(rounds=70, batch=5, kernel=RBF, seed=2))
+        # 2**15 // (50 * 20) = 32 rounds per draw, each draw at most 256 KiB.
+        assert calls == [32 * n, 32 * n, 6 * n]
+        assert max(calls) * L * 8 <= 256 * 1024
+        calls.clear()
+        run_ssvgd(init, target, SvgdConfig(rounds=70, batch=L, kernel=RBF, seed=2))
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_divergence_raises_the_oracles_error(self, monkeypatch, threads):
+        # Every term pushes up by 1 and the particles start together, so
+        # they stay together and run off to infinity in steps of about
+        # step * L; with chunks of 2 rounds the run diverges in a later
+        # chunk.
+        n, L = 3, 4
+        monkeypatch.setattr(svgd, "SUBSET_POOL_ENTRIES", 2 * n * L)
+        push = DecomposableTarget(
+            dim=1,
+            L=L,
+            grad_log_prior=lambda x: np.zeros(1),
+            grad_log_term=lambda l, x: np.ones(1),
+            terms_sum=lambda subsets, X: np.full(X.shape, float(subsets.shape[1])),
+        )
+        init = SampleBatch(np.zeros((n, 1)))
+        # At bandwidth 4 the imq profile at distance 0 is P1 = -1/8, so
+        # P1^T X is exact and stays finite until X itself overflows.
+        wide = KernelSpec("imq", beta=-0.5, bandwidth=4.0)
+        config = SvgdConfig(rounds=60, batch=2, kernel=wide, step=1e306,
+                            schedule=CONSTANT, bandwidth_policy="fixed", seed=0)
+        with pytest.raises(DivergenceError) as want:
+            run_ssvgd_oracle(init, push, config, threads=threads)
+        with pytest.raises(DivergenceError) as got:
+            run_ssvgd(init, push, config, threads=threads)
+        assert got.value.step == want.value.step
+        assert str(got.value) == str(want.value)
+        assert "round" in str(got.value) and got.value.step > 2
 
 
 class TestRunSsvgd:
