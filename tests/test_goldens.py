@@ -37,25 +37,35 @@ CASES = {
     "rank_logreg": ("rank-samplers", CONFIGS / "rank_logreg.ini"),
     "ssvgd_gaussian": ("ssvgd", CONFIGS / "ssvgd_gaussian.ini"),
     "perfbench_ssvgd_seed7001": ("ssvgd", GOLDENS / "perfbench_ssvgd_seed7001.ini"),
+    "score_full": ("score", GOLDENS / "score_full.ini"),
+    "score_m": ("score", GOLDENS / "score_m.ini"),
+    "curve_small": ("curve", GOLDENS / "curve_small.ini"),
+    "gmm_data": ("tune-sgld", GOLDENS / "gmm_data.ini"),
+    "logreg_data": ("rank-samplers", GOLDENS / "logreg_data.ini"),
+    "logreg_generated": ("curve", GOLDENS / "logreg_generated.ini"),
+    "ssvgd_init": ("ssvgd", GOLDENS / "ssvgd_init.ini"),
+    "ssvgd_rbf_default": ("ssvgd", GOLDENS / "ssvgd_rbf_default.ini"),
 }
 
 
 def _arguments(name, workdir, threads):
     command, config = CASES[name]
-    return [command, "--config", str(config), "--out", str(workdir / f"{name}.csv"),
-            "--threads", str(threads)]
+    out = workdir / f"{name}.{'json' if command == 'score' else 'csv'}"
+    return [command, "--config", str(config), "--out", str(out), "--threads", str(threads)]
 
 
 def _assert_matches_goldens(name, workdir):
     written = sorted(p.name for p in workdir.iterdir())
-    expected = [*GOLDENS.glob(f"{name}.*csv"), *GOLDENS.glob(f"{name}.*jsonl")]
+    expected = [p for suffix in ("csv", "json", "jsonl")
+                for p in GOLDENS.glob(f"{name}.*{suffix}")]
     assert written == sorted(p.name for p in expected)
     for file_name in written:
         assert (workdir / file_name).read_bytes() == (GOLDENS / file_name).read_bytes(), file_name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_goldens_in_process(tmp_path, name):
+def test_outputs_match_goldens_in_process(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(GOLDENS)
     assert cli.main(_arguments(name, tmp_path, threads=1)) == 0
     _assert_matches_goldens(name, tmp_path)
 
@@ -70,7 +80,7 @@ def test_outputs_match_goldens_with_blas_setting(tmp_path, name, blas):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "steinlab.cli", *_arguments(name, tmp_path, threads=2)],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=env, cwd=GOLDENS, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     _assert_matches_goldens(name, tmp_path)
