@@ -8,391 +8,366 @@ Subcommands:
 * ``ssvgd``          particle descent; writes final particles + diagnostics
 * ``curve``          discrepancy versus sample size for an i.i.d. reference
 
-Every command reads one INI config (sections ``[target]`` and ``[kernel]``
-plus a command section), accepts ``--seed`` / ``--out`` / ``--threads``
-overrides, echoes the fully resolved configuration into its outputs, and
-writes atomically.  Grid cells use seeds derived from the run seed and the
-cell coordinates, so cells are independent of execution order and of each
-other; outputs contain no timestamps and are byte-reproducible.
+Every command reads one INI config (``[target]``, ``[kernel]`` and its own
+sections), accepts ``--seed`` / ``--out`` / ``--threads`` overrides, echoes
+the fully resolved configuration into its outputs, and writes atomically.
+Grid cells use seeds derived from the run seed and the cell coordinates, so
+cells are independent of execution order and of each other; outputs contain
+no timestamps and are byte-reproducible.
+
+Each section is a table of ``(key, type, default[, echo name])`` rows.
+:meth:`_Config.read`, the one routine that reads them, parses, checks and
+echoes every field in table order and rejects any key the table does not
+list, all before any compute; a failure is a ``ConfigError`` naming
+``[section] key``.  ``[target]`` has a table per ``kind`` (and per presence
+of ``data``), ``[svgd]`` one for ``init`` and one for ``init_n``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
 
-import numpy as np
-
 from . import io as sio
 from .discrepancy import SampleBatch, ksd, sksd
 from .errors import ConfigError, DivergenceError, SteinlabError
-from .kernels import KernelSpec
-from .models import (
-    gen_gmm_data,
-    gen_logreg_data,
-    make_gaussian,
-    make_gmm_posterior,
-    make_logreg,
-)
+from .kernels import FAMILIES, KernelSpec
+from .models import (gen_gmm_data, gen_logreg_data, make_gaussian, make_gmm_posterior,
+                     make_logreg)
 from .parallel import ordered_map, resolve_threads
 from .rng import derive_seed, make_generator
 from .samplers import SgldConfig, SgldSweep, iid_gaussian, sgld_chain
-from .svgd import SvgdConfig, run_ssvgd
-
-DEFAULT_EPS_GRID = "1e-4,5e-4,1e-3,5e-3,1e-2,5e-2"
-
+from .svgd import (BANDWIDTH_POLICIES, SCHEDULES, SvgdConfig, default_bandwidth_policy,
+                   run_ssvgd)
 
 # ---------------------------------------------------------------------------
-# config helpers
+# field types: parse(text, where, context) -> value.  ``where`` is
+# "[section] key"; ``context`` holds the command's L, dim and kernel and the
+# values of the fields before this one in its table.
 
-class _Section(dict):
-    """One config section that remembers which keys were looked up in it,
-    by ``key in section`` or ``section[key]``."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.looked_up = set()
-
-    def __contains__(self, key):
-        self.looked_up.add(key)
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.looked_up.add(key)
-        return super().__getitem__(key)
-
-
-def _load_config(path):
-    return {name: _Section(values) for name, values in sio.load_config(path).items()}
+def _integer(minimum=None, maximum=None):
+    """An integer of at least ``minimum``, and at most ``context[maximum]``."""
+    def parse(text, where, context):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{where} = {text!r} is not an integer") from None
+        if maximum is not None and not minimum <= value <= context[maximum]:
+            raise ConfigError(f"{where} = {value} is not in [{minimum}, {maximum}="
+                              f"{context[maximum]}]")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where} = {value} is less than {minimum}")
+        return value
+    return parse
 
 
-def _reject_unread(cfg, command):
-    """Fail on the first key that ``command`` never looked up in a section
-    it reads: a misspelt key, or one that another setting reads, would
-    otherwise be silently ignored.  Sections the command never looks in
-    (another command's, in a shared config) are left alone."""
-    for name, section in cfg.items():
-        for key in section:
-            if section.looked_up and key not in section.looked_up:
-                raise ConfigError(
-                    f"[{name}] {key} is not read by {command} "
-                    "(unknown key, or one this config does not use)"
-                )
+def _float(label, positive=False):
+    """A finite float; messages join key and value with ``label``."""
+    def parse(text, where, context):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{where}{label} {text!r} is not a number") from None
+        if positive and not value > 0.0:
+            raise ConfigError(f"{where}{label} {value!r} is not positive")
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}{label} {value!r} is not finite")
+        return value
+    return parse
 
 
-def _section(cfg, name, required=True):
-    if name not in cfg:
-        if required:
-            raise ConfigError(f"config is missing the [{name}] section")
-        return {}
-    return cfg[name]
+def _list(item, check):
+    """Comma-separated ``item`` values, then ``check(values, where, context)``."""
+    def parse(text, where, context):
+        values = [item(tok, where, context) for tok in text.split(",") if tok.strip()]
+        return check(values, where, context)
+    return parse
 
 
-def _get(section, name, key, default=None, required=False):
-    if key in section:
-        return section[key]
-    if required:
-        raise ConfigError(f"[{name}] is missing the {key!r} key")
-    return default
+def _choice(options, fold=True):
+    """A word of ``options``, or the value a dict of them maps it to."""
+    def parse(text, where, context):
+        word = text.lower() if fold else text
+        if word not in options:
+            raise ConfigError(f"{where} = {text!r} is not one of {', '.join(options)}")
+        return options[word] if isinstance(options, dict) else word
+    return parse
 
 
-def _get_float(section, name, key, default=None, required=False):
-    raw = _get(section, name, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{name}] {key} = {raw!r} is not a number") from None
+def _text(text, where, context):
+    return text
 
 
-def _get_int(section, name, key, default=None, required=False, minimum=None):
-    raw = _get(section, name, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{name}] {key} = {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{name}] {key} = {value} is less than {minimum}")
-    return value
+def _length(key, one):
+    """A list of ``context[key]`` values or, with ``one``, of one value for all."""
+    def check(values, where, context):
+        if len(values) != context[key] and not (one and len(values) == 1):
+            raise ConfigError(f"{where} has {len(values)} values; expected "
+                              f"{'1 or ' * one}{key} = {context[key]}")
+        return values
+    return check
 
 
-def _get_bool(section, name, key, default=False):
-    raw = _get(section, name, key)
-    if raw is None:
-        return default
-    val = str(raw).strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{name}] {key} = {raw!r} is not a boolean")
+def _distinct(values, where, context):
+    """A non-empty grid; a repeat would be the same cell, seed included, twice."""
+    if not values:
+        raise ConfigError(f"{where} is empty")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{where} lists {value!r} twice")
+    return values
 
 
-def _float_list(section, name, key, default=None, required=False):
-    raw = _get(section, name, key, default=default, required=required)
-    if raw is None:
-        return None
-    try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"[{name}] {key} = {raw!r} is not a number list") from None
-
-
-def _per_coordinate(values, name, key, dim):
-    """One value for every coordinate, or exactly ``dim`` values, as a
-    length-``dim`` array."""
-    if len(values) not in (1, dim):
-        raise ConfigError(
-            f"[{name}] {key} has {len(values)} values; expected 1 or dim = {dim}"
-        )
-    return np.broadcast_to(np.asarray(values, dtype=float), (dim,))
-
-
-def _int_list(section, name, key, default=None, required=False):
-    raw = _get(section, name, key, default=default, required=required)
-    if raw is None:
-        return None
-    try:
-        return [int(tok.strip()) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"[{name}] {key} = {raw!r} is not an integer list") from None
-
-
-def _int_or_full(raw, name, key, L):
+def _int_or_full(text, where, context):
     """A subset size in [1, L], or None for the token 'full' (any case)."""
-    tok = str(raw).strip()
-    if tok.lower() == "full":
+    if text.strip().lower() == "full":
         return None
     try:
-        m = int(tok)
+        int(text)
     except ValueError:
-        raise ConfigError(
-            f"[{name}] {key} = {raw!r} is not an integer or 'full'"
-        ) from None
-    if not 1 <= m <= L:
-        raise ConfigError(f"[{name}] {key} = {m} is not in [1, L={L}]")
-    return m
+        raise ConfigError(f"{where} = {text!r} is not an integer or 'full'") from None
+    return _SUBSET_SIZE(text, where, context)
 
 
-def _minibatch(section, name, key, L):
-    """An SGLD minibatch size in [1, L]; 1 when the key is absent."""
-    batch = _get_int(section, name, key, 1)
-    if not 1 <= batch <= L:
-        raise ConfigError(f"[{name}] {key} = {batch} is not in [1, L={L}]")
-    return batch
+def _size(text, where, context):
+    """A subset size, 'full' meaning L."""
+    return _int_or_full(text, where, context) or context["L"]
 
 
-def _m_list(section, name, key, L, default="full"):
-    """Subset sizes; the token 'full' means m = L (the exact path)."""
-    raw = _get(section, name, key, default=default)
-    out = []
-    for tok in str(raw).split(","):
-        if tok.strip():
-            m = _int_or_full(tok.strip(), name, key, L)
-            out.append(L if m is None else m)
-    if not out:
-        raise ConfigError(f"[{name}] {key} is empty")
-    return out
+def _show(value) -> str:
+    """Echo text of a parsed value; None is the subset size 'full'."""
+    if value is None or isinstance(value, bool):
+        return "full" if value is None else str(value).lower()
+    if isinstance(value, list):
+        return ",".join(map(_show, value))
+    return sio.fmt_float(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
-# target / kernel builders
+# field tables: (key, type, default[, echo name]) rows.  The default is
+# config text, a function of the context that returns it, _REQUIRED, or None
+# (left out: neither passed on nor echoed).  The echo name defaults to
+# "<section>.<key>".
 
-def _build_target(cfg, echo):
-    sec = _section(cfg, "target")
-    kind = str(_get(sec, "target", "kind", required=True)).strip().lower()
-    echo["target.kind"] = kind
-    if kind == "gaussian":
-        dim = _get_int(sec, "target", "dim", 1)
-        mu = _float_list(sec, "target", "mu", default="0")
-        sigma_sq = _float_list(sec, "target", "sigma_sq", default="1")
-        L = _get_int(sec, "target", "l", 1)
-        echo.update(
-            {
-                "target.dim": str(dim),
-                "target.mu": ",".join(sio.fmt_float(v) for v in mu),
-                "target.sigma_sq": ",".join(sio.fmt_float(v) for v in sigma_sq),
-                "target.L": str(L),
-            }
-        )
-        return make_gaussian(
-            _per_coordinate(mu, "target", "mu", dim),
-            _per_coordinate(sigma_sq, "target", "sigma_sq", dim),
-            L,
-            dim=dim,
-        )
-    if kind == "gmm_posterior":
-        data_path = _get(sec, "target", "data")
-        sigma1_sq = _get_float(sec, "target", "sigma1_sq", 10.0)
-        sigma2_sq = _get_float(sec, "target", "sigma2_sq", 1.0)
-        sigma_x_sq = _get_float(sec, "target", "sigma_x_sq", 2.0)
-        if data_path is not None:
-            obs = sio.read_observations_csv(data_path)
-            echo["target.data"] = str(data_path)
-        else:
-            L = _get_int(sec, "target", "l", 100)
-            theta1 = _get_float(sec, "target", "theta1", 0.0)
-            theta2 = _get_float(sec, "target", "theta2", 1.0)
-            data_seed = _get_int(sec, "target", "data_seed", 0)
-            obs = gen_gmm_data(theta1, theta2, sigma_x_sq, L, data_seed)
-            echo.update(
-                {
-                    "target.L": str(L),
-                    "target.theta1": sio.fmt_float(theta1),
-                    "target.theta2": sio.fmt_float(theta2),
-                    "target.data_seed": str(data_seed),
-                }
-            )
-        echo.update(
-            {
-                "target.sigma1_sq": sio.fmt_float(sigma1_sq),
-                "target.sigma2_sq": sio.fmt_float(sigma2_sq),
-                "target.sigma_x_sq": sio.fmt_float(sigma_x_sq),
-            }
-        )
-        return make_gmm_posterior(
-            obs, sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, sigma_x_sq=sigma_x_sq
-        )
-    if kind == "logreg":
-        data_path = _get(sec, "target", "data")
-        if data_path is not None:
-            X, y = sio.read_labeled_csv(data_path)
-            echo["target.data"] = str(data_path)
-        else:
-            n = _get_int(sec, "target", "n", required=True)
-            d = _get_int(sec, "target", "d", required=True)
-            data_seed = _get_int(sec, "target", "data_seed", 0)
-            w_true = _float_list(sec, "target", "w_true")
-            if w_true is None:
-                w_gen = make_generator(derive_seed(data_seed, "logreg-w-true"))
-                w_true = list(w_gen.standard_normal(d))
-            X, y = gen_logreg_data(n, d, w_true, data_seed)
-            echo.update(
-                {
-                    "target.n": str(n),
-                    "target.d": str(d),
-                    "target.data_seed": str(data_seed),
-                    "target.w_true": ",".join(sio.fmt_float(v) for v in w_true),
-                }
-            )
-        return make_logreg(X, y)
-    raise ConfigError(f"[target] kind = {kind!r} is not one of gaussian, "
-                      "gmm_posterior, logreg")
+_REQUIRED = object()
+_FLOAT, _POSITIVE, _COUNT = _float(" ="), _float(" =", positive=True), _integer(1)
+_SUBSET_SIZE = _integer(1, "L")  # also the SGLD minibatch size, which has no 'full'
+_per_coordinate = _length("dim", one=True)
+_COORDS = _list(_float(" entry"), _per_coordinate)
+_FLAG = _choice({"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False})
+_SIZES = _list(_size, _distinct)
+_SEED = ("seed", _integer(), "0", "seed")
+_KIND = ("kind", _choice(("gaussian", "gmm_posterior", "logreg")), _REQUIRED)
+_DATA = ("data", _text, _REQUIRED)
+_GMM_VARIANCES = (
+    ("sigma1_sq", _POSITIVE, "10.0"),
+    ("sigma2_sq", _POSITIVE, "1.0"),
+    ("sigma_x_sq", _POSITIVE, "2.0"),
+)
 
 
-def _build_kernel(cfg, echo):
-    sec = _section(cfg, "kernel")
-    try:
-        spec = KernelSpec.from_config(sec)
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"[kernel] {err}") from err
-    for key, value in spec.to_config().items():
-        echo[f"kernel.{key}"] = value
-    return spec
+def _gmm(observations, v):
+    return make_gmm_posterior(observations, sigma1_sq=v["sigma1_sq"],
+                              sigma2_sq=v["sigma2_sq"], sigma_x_sq=v["sigma_x_sq"])
 
 
-def _resolve_seed(args, section, name):
-    # The config seed is parsed even under --seed, which overrides it, so
-    # that it counts as read.
-    seed = _get_int(section, name, "seed", 0)
-    return seed if args.seed is None else int(args.seed)
+def _seeded_w_true(context):
+    gen = make_generator(derive_seed(context["data_seed"], "logreg-w-true"))
+    return ",".join(map(sio.fmt_float, gen.standard_normal(context["d"])))
+
+
+# (kind, reads a data file) -> (table, target from the values)
+_TARGETS = {
+    ("gaussian", False): ((
+        _KIND,
+        ("dim", _COUNT, "1"),
+        ("mu", _COORDS, "0"),
+        ("sigma_sq", _list(_float(" entry", positive=True), _per_coordinate), "1"),
+        ("l", _COUNT, "1", "target.L"),
+    ), lambda v: make_gaussian(v["mu"], v["sigma_sq"], v["l"], dim=v["dim"])),
+    ("gmm_posterior", True): ((_KIND, _DATA, *_GMM_VARIANCES),
+                              lambda v: _gmm(sio.read_observations_csv(v["data"]), v)),
+    ("gmm_posterior", False): ((
+        _KIND,
+        ("l", _COUNT, "100", "target.L"),
+        ("theta1", _FLOAT, "0.0"),
+        ("theta2", _FLOAT, "1.0"),
+        ("data_seed", _integer(), "0"),
+        *_GMM_VARIANCES,
+    ), lambda v: _gmm(gen_gmm_data(v["theta1"], v["theta2"], v["sigma_x_sq"], v["l"],
+                                   v["data_seed"]), v)),
+    ("logreg", True): ((_KIND, _DATA),
+                       lambda v: make_logreg(*sio.read_labeled_csv(v["data"]))),
+    ("logreg", False): ((
+        _KIND,
+        ("n", _COUNT, _REQUIRED),
+        ("d", _COUNT, _REQUIRED),
+        ("data_seed", _integer(), "0"),
+        ("w_true", _list(_float(" entry"), _length("d", one=False)), _seeded_w_true),
+    ), lambda v: make_logreg(*gen_logreg_data(v["n"], v["d"], v["w_true"],
+                                              v["data_seed"]))),
+}
+
+# Left-out parameters keep the KernelSpec defaults; the echo is read from the
+# built spec.
+_KERNEL = (
+    ("family", _choice(FAMILIES), _REQUIRED),
+    ("beta", _FLOAT, None),
+    ("alpha", _FLOAT, None),
+    ("bandwidth", _FLOAT, None),
+)
+
+_SCORE = (("samples", _text, _REQUIRED), _SEED, ("m", _int_or_full, "full"))
+
+_TUNE = (
+    ("eps_grid", _list(_float(" entry", positive=True), _distinct),
+     "1e-4,5e-4,1e-3,5e-3,1e-2,5e-2"),
+    ("trials", _COUNT, "10"),
+    ("chain_steps", _COUNT, "1000"),
+    ("sgld_batch", _SUBSET_SIZE, "1"),
+    ("init", _COORDS, "0"),
+    ("m_list", _SIZES, "full"),
+    _SEED,
+)
+
+# [sampler_a] and [sampler_b]; a chain's seed hashes their echo strings.
+_SAMPLER = (("step", _POSITIVE, _REQUIRED), ("batch", _SUBSET_SIZE, "1"),
+            ("init", _COORDS, "0"))
+
+_RANK = (("n_grid", _list(_COUNT, _distinct), _REQUIRED), ("m_list", _SIZES, "full"), _SEED)
+
+_SVGD_RUN = (
+    ("rounds", _integer(0), _REQUIRED),
+    ("batch", _size, "full"),
+    ("step", _POSITIVE, "0.05"),
+    ("schedule", _choice(SCHEDULES), "adagrad"),
+    ("fudge", _POSITIVE, "1e-6"),
+    ("bandwidth_policy", _choice(BANDWIDTH_POLICIES, fold=False),
+     lambda context: default_bandwidth_policy(context["kernel"])),
+    ("checkpoint_every", _integer(0), "0"),
+    ("report_ksd", _FLAG, "false"),
+    ("save_trajectory", _FLAG, "false"),
+    _SEED,
+)
+
+# reads an init CSV -> table; otherwise it draws init_n Gaussian particles
+_SVGD = {
+    True: (("init", _text, _REQUIRED), *_SVGD_RUN),
+    False: (
+        ("init_n", _COUNT, _REQUIRED),
+        ("init_mu", _COORDS, "0"),
+        ("init_sigma", _POSITIVE, "1.0"),
+        *_SVGD_RUN,
+    ),
+}
+
+_CURVE = (
+    ("n_grid", _list(_COUNT, _distinct), _REQUIRED),
+    ("m", _int_or_full, "full"),
+    ("seeds", _COUNT, "20"),
+    ("mu", _COORDS, "0"),
+    ("sigma", _POSITIVE, "1.0"),
+    _SEED,
+)
+
+
+class _Config:
+    """One command's INI config, target, kernel and worker count, and the echo
+    of what it has read.  ``--seed`` replaces the seed of its own section."""
+
+    def __init__(self, args, section):
+        self.sections = sio.load_config(args.config)
+        if args.seed is not None and section in self.sections:
+            self.sections[section]["seed"] = str(args.seed)
+        self.command, self.echo = args.command, {}
+        self.context = {}  # [target] and [kernel] are read without one
+        self.target = self._target()
+        self.kernel = self._kernel()
+        self.context = {"L": self.target.L, "dim": self.target.dim, "kernel": self.kernel}
+        self.threads = resolve_threads(args.threads)
+
+    def read(self, name, table, echo=True):
+        """Parse, check and (with ``echo``) echo every field of ``table`` from
+        ``[name]``.  Returns the context (the target's L and dim, the kernel)
+        plus the value of every field that is given or has a default."""
+        if name not in self.sections:
+            raise ConfigError(f"config is missing the [{name}] section")
+        section, values = self.sections[name], dict(self.context)
+        for key, parse, default, *echo_name in table:
+            text = section.get(key, default)
+            text = text(values) if callable(text) else text
+            if text is _REQUIRED:
+                raise ConfigError(f"[{name}] is missing the {key!r} key")
+            if text is not None:
+                values[key] = parse(text, f"[{name}] {key}", values)
+                if echo:
+                    echo_key = echo_name[0] if echo_name else f"{name}.{key}"
+                    self.echo[echo_key] = _show(values[key])
+        unknown = [key for key in section if key not in {row[0] for row in table}]
+        if unknown:
+            raise ConfigError(f"[{name}] {unknown[0]} is not read by {self.command} "
+                              "(unknown key, or one this config does not use)")
+        return values
+
+    def _target(self):
+        section = self.sections.get("target", {})
+        kind = section.get("kind", "").lower()
+        # A missing or unknown kind gets a table of the kind row alone, which fails.
+        table, build = _TARGETS.get((kind, kind != "gaussian" and "data" in section),
+                                    ((_KIND,), None))
+        return build(self.read("target", table))
+
+    def _kernel(self):
+        try:
+            spec = KernelSpec(**self.read("kernel", _KERNEL, echo=False))
+        except ValueError as err:
+            raise ConfigError(f"[kernel] {err}") from None
+        for key, value in dataclasses.asdict(spec).items():
+            self.echo[f"kernel.{key}"] = _show(value)
+        return spec
 
 
 def _score_once(batch, target, spec, m, seed, threads):
-    """One discrepancy cell on a private counter; m == L uses the exact path."""
+    """One discrepancy cell on a private counter; m = None takes the exact path."""
     cell_target = target.with_fresh_counter()
     if m is None:
         return ksd(batch, cell_target, spec, threads=threads)
     return sksd(batch, cell_target, spec, m, seed, threads=threads)
 
 
-def _fingerprint(mapping) -> str:
-    return json.dumps(mapping, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_score(args) -> int:
-    cfg = _load_config(args.config)
-    echo = {}
-    target = _build_target(cfg, echo)
-    spec = _build_kernel(cfg, echo)
-    sec = _section(cfg, "score")
-    samples_path = _get(sec, "score", "samples", required=True)
-    batch = sio.read_samples_csv(samples_path)
-    if batch.dim != target.dim:
-        raise ConfigError(
-            f"samples have dimension {batch.dim}, target expects {target.dim}"
-        )
-    m = _int_or_full(
-        _get(sec, "score", "m", default="full"), "score", "m", target.L
-    )
-    seed = _resolve_seed(args, sec, "score")
-    threads = resolve_threads(args.threads)
-    echo.update({"score.samples": str(samples_path), "seed": str(seed)})
-    echo["score.m"] = "full" if m is None else str(m)
-    _reject_unread(cfg, args.command)
-    result = _score_once(batch, target, spec, m, seed, threads)
-    out = args.out or "result.json"
-    sio.write_json(out, {"config": echo, "result": result.to_dict()})
+    cfg = _Config(args, "score")
+    opts = cfg.read("score", _SCORE)
+    batch = sio.read_samples_csv(opts["samples"])
+    if batch.dim != cfg.target.dim:
+        raise ConfigError(f"[score] samples = {opts['samples']!r} has dimension {batch.dim}, "
+                          f"target expects {cfg.target.dim}")
+    result = _score_once(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"], cfg.threads)
+    sio.write_json(args.out or "result.json", {"config": cfg.echo, "result": result.to_dict()})
     return 0
 
 
 def cmd_tune_sgld(args) -> int:
-    cfg = _load_config(args.config)
-    echo = {}
-    target = _build_target(cfg, echo)
-    spec = _build_kernel(cfg, echo)
-    sec = _section(cfg, "tune")
-    eps_grid = _float_list(sec, "tune", "eps_grid", default=DEFAULT_EPS_GRID)
-    trials = _get_int(sec, "tune", "trials", 10, minimum=1)
-    chain_steps = _get_int(sec, "tune", "chain_steps", 1000, minimum=1)
-    sgld_batch = _minibatch(sec, "tune", "sgld_batch", target.L)
-    init = _float_list(sec, "tune", "init", default="0")
-    chain_init = _per_coordinate(init, "tune", "init", target.dim)
-    m_values = _m_list(sec, "tune", "m_list", target.L)
-    seed = _resolve_seed(args, sec, "tune")
-    threads = resolve_threads(args.threads)
-    if not eps_grid:
-        raise ConfigError("[tune] eps_grid is empty")
-    bad = [eps for eps in eps_grid if not eps > 0.0]
-    if bad:
-        raise ConfigError(f"[tune] eps_grid entry {bad[0]!r} is not positive")
-    echo.update(
-        {
-            "tune.eps_grid": ",".join(sio.fmt_float(e) for e in eps_grid),
-            "tune.trials": str(trials),
-            "tune.chain_steps": str(chain_steps),
-            "tune.sgld_batch": str(sgld_batch),
-            "tune.init": ",".join(sio.fmt_float(v) for v in init),
-            "tune.m_list": ",".join(str(m) for m in m_values),
-            "seed": str(seed),
-        }
-    )
+    cfg = _Config(args, "tune")
+    target, spec, opts = cfg.target, cfg.kernel, cfg.read("tune", _TUNE)
+    eps_grid, m_values, seed = opts["eps_grid"], opts["m_list"], opts["seed"]
 
-    _reject_unread(cfg, args.command)
-
-    chain_cells = [(eps, trial) for eps in eps_grid for trial in range(trials)]
-    chains = sgld_chain(
-        target.with_fresh_counter(),
-        SgldSweep(
-            SgldConfig(
-                step=eps,
-                batch=sgld_batch,
-                steps=chain_steps,
-                init=chain_init,
-                seed=derive_seed(seed, "tune-chain", sio.fmt_float(eps), trial),
-            )
-            for eps, trial in chain_cells
-        ),
-    )
+    chain_cells = [(eps, trial) for eps in eps_grid for trial in range(opts["trials"])]
+    chains = sgld_chain(target.with_fresh_counter(), SgldSweep(
+        SgldConfig(step=eps, batch=opts["sgld_batch"], steps=opts["chain_steps"],
+                   init=opts["init"],
+                   seed=derive_seed(seed, "tune-chain", sio.fmt_float(eps), trial))
+        for eps, trial in chain_cells
+    ))
 
     def run_cell(cell):
         (eps, trial), chain = cell
@@ -400,8 +375,7 @@ def cmd_tune_sgld(args) -> int:
                 for m in m_values]
         if isinstance(chain, DivergenceError):
             for row in rows:
-                row.update(value="", term_evals="", diverged=1,
-                           note=f"step {chain.step}")
+                row.update(value="", term_evals="", diverged=1, note=f"step {chain.step}")
             return rows
         # Subset draws are paired across the eps axis (derived from the
         # trial and m only) so the argmin comparison is not blurred by
@@ -415,134 +389,58 @@ def cmd_tune_sgld(args) -> int:
                        term_evals=result.term_evals, diverged=0, note="")
         return rows
 
-    rows = [
-        row
-        for chain_rows in ordered_map(run_cell, zip(chain_cells, chains), threads)
-        for row in chain_rows
-    ]
+    cells = ordered_map(run_cell, zip(chain_cells, chains), cfg.threads)
+    rows = [row for chain_rows in cells for row in chain_rows]
 
-    summary = []
-    argmin = {}
+    summary, summary_meta = [], dict(cfg.echo)
     for m in m_values:
         per_eps = []
         for eps in eps_grid:
-            values = [
-                float(r["value"])
-                for r in rows
-                if r["m"] == m and r["epsilon"] == sio.fmt_float(eps) and not r["diverged"]
-            ]
+            values = [float(r["value"]) for r in rows if r["m"] == m
+                      and r["epsilon"] == sio.fmt_float(eps) and not r["diverged"]]
             if values:
-                mean = statistics.fmean(values)
-                median = statistics.median(values)
-                stderr = (
-                    statistics.stdev(values) / len(values) ** 0.5
-                    if len(values) > 1
-                    else 0.0
-                )
-                per_eps.append((mean, eps, median, stderr, len(values)))
+                stderr = (statistics.stdev(values) / len(values) ** 0.5
+                          if len(values) > 1 else 0.0)
+                per_eps.append((statistics.fmean(values), eps, statistics.median(values),
+                                stderr, len(values)))
         if not per_eps:
             raise DivergenceError(f"every trial diverged for m={m}")
-        best = min(per_eps, key=lambda entry: (entry[0], entry[1]))
-        argmin[m] = best[1]
-        for mean, eps, median, stderr, used in per_eps:
-            summary.append(
-                {
-                    "m": m,
-                    "epsilon": sio.fmt_float(eps),
-                    "mean_value": sio.fmt_float(mean),
-                    "median_value": sio.fmt_float(median),
-                    "stderr": sio.fmt_float(stderr),
-                    "trials_used": used,
-                    "is_argmin": int(eps == best[1]),
-                }
-            )
+        best = min(per_eps, key=lambda entry: (entry[0], entry[1]))[1]
+        summary_meta[f"argmin_epsilon.m={m}"] = sio.fmt_float(best)
+        summary.extend(
+            {"m": m, "epsilon": sio.fmt_float(eps), "mean_value": sio.fmt_float(mean),
+             "median_value": sio.fmt_float(median), "stderr": sio.fmt_float(stderr),
+             "trials_used": used, "is_argmin": int(eps == best)}
+            for mean, eps, median, stderr, used in per_eps
+        )
 
     out = args.out or "tune.csv"
-    sio.write_table_csv(
-        out,
-        ["epsilon", "m", "trial", "value", "term_evals", "diverged", "note"],
-        rows,
-        meta=echo,
-    )
+    sio.write_table_csv(out, ["epsilon", "m", "trial", "value", "term_evals", "diverged",
+                              "note"], rows, meta=cfg.echo)
     stem, ext = os.path.splitext(out)
-    summary_meta = dict(echo)
-    for m in m_values:
-        summary_meta[f"argmin_epsilon.m={m}"] = sio.fmt_float(argmin[m])
     sio.write_table_csv(
         stem + ".summary" + (ext or ".csv"),
-        [
-            "m",
-            "epsilon",
-            "mean_value",
-            "median_value",
-            "stderr",
-            "trials_used",
-            "is_argmin",
-        ],
-        summary,
-        meta=summary_meta,
+        ["m", "epsilon", "mean_value", "median_value", "stderr", "trials_used", "is_argmin"],
+        summary, meta=summary_meta,
     )
     return 0
 
 
-def _sampler_section(cfg, name, target):
-    sec = _section(cfg, name)
-    step = _get_float(sec, name, "step", required=True)
-    if not step > 0.0:
-        raise ConfigError(f"[{name}] step = {step!r} is not positive")
-    batch = _minibatch(sec, name, "batch", target.L)
-    init = _float_list(sec, name, "init", default="0")
-    _per_coordinate(init, name, "init", target.dim)
-    return {
-        "step": sio.fmt_float(step),
-        "batch": str(batch),
-        "init": ",".join(sio.fmt_float(v) for v in init),
-    }
-
-
 def cmd_rank_samplers(args) -> int:
-    cfg = _load_config(args.config)
-    echo = {}
-    target = _build_target(cfg, echo)
-    spec = _build_kernel(cfg, echo)
-    sec = _section(cfg, "rank")
-    n_grid = _int_list(sec, "rank", "n_grid", required=True)
-    if not n_grid or min(n_grid) < 1:
-        raise ConfigError("[rank] n_grid must be positive sample sizes")
-    m_values = _m_list(sec, "rank", "m_list", target.L)
-    seed = _resolve_seed(args, sec, "rank")
-    threads = resolve_threads(args.threads)
-    steps = max(n_grid)
-    samplers = {
-        "a": _sampler_section(cfg, "sampler_a", target),
-        "b": _sampler_section(cfg, "sampler_b", target),
-    }
-    for label, resolved in samplers.items():
-        for key, value in resolved.items():
-            echo[f"sampler_{label}.{key}"] = value
-    echo.update(
-        {
-            "rank.n_grid": ",".join(str(n) for n in n_grid),
-            "rank.m_list": ",".join(str(m) for m in m_values),
-            "seed": str(seed),
-        }
-    )
+    cfg = _Config(args, "rank")
+    target, spec = cfg.target, cfg.kernel
+    samplers = {label: cfg.read(f"sampler_{label}", _SAMPLER) for label in "ab"}
+    opts = cfg.read("rank", _RANK)
+    n_grid, m_values, seed = opts["n_grid"], opts["m_list"], opts["seed"]
 
-    _reject_unread(cfg, args.command)
     chains = {}
-    for label, resolved in samplers.items():
-        fingerprint = _fingerprint(resolved)
-        chain_seed = derive_seed(seed, "rank-chain", fingerprint)
-        chains[label] = sgld_chain(
-            target.with_fresh_counter(),
-            SgldConfig(
-                step=float(resolved["step"]),
-                batch=int(resolved["batch"]),
-                steps=steps,
-                init=np.asarray([float(v) for v in resolved["init"].split(",")]),
-                seed=chain_seed,
-            ),
-        )
+    for label, sampler in samplers.items():
+        echoed = {key: cfg.echo[f"sampler_{label}.{key}"] for key, *_ in _SAMPLER}
+        chains[label] = sgld_chain(target.with_fresh_counter(), SgldConfig(
+            step=sampler["step"], batch=sampler["batch"], steps=max(n_grid),
+            init=sampler["init"],
+            seed=derive_seed(seed, "rank-chain", json.dumps(echoed, sort_keys=True)),
+        ))
 
     def run_cell(n):
         # One call per sampler scores its first n points at every m.
@@ -571,169 +469,74 @@ def cmd_rank_samplers(args) -> int:
             })
         return rows
 
-    rows = [row for n_rows in ordered_map(run_cell, n_grid, threads) for row in n_rows]
-    out = args.out or "rank.csv"
+    rows = [row for n_rows in ordered_map(run_cell, n_grid, cfg.threads) for row in n_rows]
     sio.write_table_csv(
-        out,
+        args.out or "rank.csv",
         ["n", "m", "value_a", "value_b", "term_evals_a", "term_evals_b", "preferred"],
-        rows,
-        meta=echo,
+        rows, meta=cfg.echo,
     )
     return 0
 
 
 def cmd_ssvgd(args) -> int:
-    cfg = _load_config(args.config)
-    echo = {}
-    target = _build_target(cfg, echo)
-    kernel = _build_kernel(cfg, echo)
-    sec = _section(cfg, "svgd")
-    rounds = _get_int(sec, "svgd", "rounds", required=True)
-    batch = _int_or_full(
-        _get(sec, "svgd", "batch", default="full"), "svgd", "batch", target.L
-    )
-    if batch is None:
-        batch = target.L
-    step = _get_float(sec, "svgd", "step", 0.05)
-    schedule = str(_get(sec, "svgd", "schedule", "adagrad")).strip().lower()
-    fudge = _get_float(sec, "svgd", "fudge", 1e-6)
-    policy = _get(sec, "svgd", "bandwidth_policy")
-    checkpoint_every = _get_int(sec, "svgd", "checkpoint_every", 0)
-    report_ksd = _get_bool(sec, "svgd", "report_ksd", False)
-    save_trajectory = _get_bool(sec, "svgd", "save_trajectory", False)
-    seed = _resolve_seed(args, sec, "svgd")
-    threads = resolve_threads(args.threads)
-
-    init_path = _get(sec, "svgd", "init")
-    if init_path is not None:
-        init = sio.read_samples_csv(init_path)
-        echo["svgd.init"] = str(init_path)
+    cfg = _Config(args, "svgd")
+    target, kernel, threads = cfg.target, cfg.kernel, cfg.threads
+    opts = cfg.read("svgd", _SVGD["init" in cfg.sections.get("svgd", {})])
+    if "init" in opts:
+        init = sio.read_samples_csv(opts["init"])
+        if init.dim != target.dim:
+            raise ConfigError(f"[svgd] init = {opts['init']!r} has dimension {init.dim}, "
+                              f"target expects {target.dim}")
     else:
-        init_n = _get_int(sec, "svgd", "init_n", required=True)
-        init_mu = _float_list(sec, "svgd", "init_mu", default="0")
-        init_sigma = _get_float(sec, "svgd", "init_sigma", 1.0)
-        init_seed = derive_seed(seed, "ssvgd-init")
-        mu = _per_coordinate(init_mu, "svgd", "init_mu", target.dim)
-        init = iid_gaussian(init_n, target.dim, mu, init_sigma, init_seed)
-        echo.update(
-            {
-                "svgd.init_n": str(init_n),
-                "svgd.init_mu": ",".join(sio.fmt_float(v) for v in init_mu),
-                "svgd.init_sigma": sio.fmt_float(init_sigma),
-            }
-        )
-    if init.dim != target.dim:
-        raise ConfigError(
-            f"init particles have dimension {init.dim}, target expects {target.dim}"
-        )
-
-    config = SvgdConfig(
-        rounds=rounds,
-        batch=batch,
-        kernel=kernel,
-        step=step,
-        schedule=schedule,
-        fudge=fudge,
-        bandwidth_policy=policy,
-        seed=seed,
-        checkpoint_every=checkpoint_every,
-    )
-    echo.update(
-        {
-            "svgd.rounds": str(rounds),
-            "svgd.batch": str(batch),
-            "svgd.step": sio.fmt_float(step),
-            "svgd.schedule": schedule,
-            "svgd.fudge": sio.fmt_float(fudge),
-            "svgd.bandwidth_policy": config.resolved_bandwidth_policy(),
-            "svgd.checkpoint_every": str(checkpoint_every),
-            "svgd.report_ksd": str(report_ksd).lower(),
-            "svgd.save_trajectory": str(save_trajectory).lower(),
-            "seed": str(seed),
-        }
-    )
-
-    _reject_unread(cfg, args.command)
-    run_target = target.with_fresh_counter()
-    result = run_ssvgd(init, run_target, config, threads=threads)
+        init = iid_gaussian(opts["init_n"], target.dim, opts["init_mu"],
+                            opts["init_sigma"], derive_seed(opts["seed"], "ssvgd-init"))
+    config = SvgdConfig(kernel=kernel, **{
+        key: opts[key] for key in ("rounds", "batch", "step", "schedule", "fudge",
+                                   "bandwidth_policy", "seed", "checkpoint_every")
+    })
+    result = run_ssvgd(init, target.with_fresh_counter(), config, threads=threads)
 
     out = args.out or "particles.csv"
     stem, _ = os.path.splitext(out)
+
+    def record(round_no, evals, batch):
+        entry = {"round": round_no, "term_evals": evals}
+        if opts["report_ksd"]:
+            entry["ksd"] = ksd(batch, target.with_fresh_counter(), kernel,
+                               threads=threads).value
+        return entry
+
     records = []
     for round_no, positions, evals in result.checkpoints:
-        record = {"round": round_no, "term_evals": evals}
-        if report_ksd:
-            snap = ksd(SampleBatch(positions), target.with_fresh_counter(),
-                       kernel, threads=threads)
-            record["ksd"] = snap.value
-        if save_trajectory:
-            sio.write_samples_csv(
-                f"{stem}.round-{round_no}.csv", SampleBatch(positions), meta=echo
-            )
-        records.append(record)
-    if not records or records[-1]["round"] != rounds:
-        final_record = {"round": rounds, "term_evals": result.term_evals}
-        if report_ksd:
-            snap = ksd(result.final, target.with_fresh_counter(), kernel,
-                       threads=threads)
-            final_record["ksd"] = snap.value
-        records.append(final_record)
+        records.append(record(round_no, evals, SampleBatch(positions)))
+        if opts["save_trajectory"]:
+            sio.write_samples_csv(f"{stem}.round-{round_no}.csv", SampleBatch(positions),
+                                  meta=cfg.echo)
+    if not records or records[-1]["round"] != config.rounds:
+        records.append(record(config.rounds, result.term_evals, result.final))
 
-    sio.write_samples_csv(out, result.final, meta=echo)
-    sio.write_jsonl(stem + ".diagnostics.jsonl", records, meta=echo)
+    sio.write_samples_csv(out, result.final, meta=cfg.echo)
+    sio.write_jsonl(stem + ".diagnostics.jsonl", records, meta=cfg.echo)
     return 0
 
 
 def cmd_curve(args) -> int:
-    cfg = _load_config(args.config)
-    echo = {}
-    target = _build_target(cfg, echo)
-    spec = _build_kernel(cfg, echo)
-    sec = _section(cfg, "curve")
-    n_grid = _int_list(sec, "curve", "n_grid", required=True)
-    if not n_grid or min(n_grid) < 1:
-        raise ConfigError("[curve] n_grid must be positive sample sizes")
-    m = _int_or_full(
-        _get(sec, "curve", "m", default="full"), "curve", "m", target.L
-    )
-    reps = _get_int(sec, "curve", "seeds", 20, minimum=1)
-    mu = _float_list(sec, "curve", "mu", default="0")
-    sigma = _get_float(sec, "curve", "sigma", 1.0)
-    seed = _resolve_seed(args, sec, "curve")
-    threads = resolve_threads(args.threads)
-    echo.update(
-        {
-            "curve.n_grid": ",".join(str(n) for n in n_grid),
-            "curve.m": "full" if m is None else str(m),
-            "curve.seeds": str(reps),
-            "curve.mu": ",".join(sio.fmt_float(v) for v in mu),
-            "curve.sigma": sio.fmt_float(sigma),
-            "seed": str(seed),
-        }
-    )
-    mu_arr = _per_coordinate(mu, "curve", "mu", target.dim)
-
-    _reject_unread(cfg, args.command)
+    cfg = _Config(args, "curve")
+    target, spec, opts = cfg.target, cfg.kernel, cfg.read("curve", _CURVE)
 
     def run_cell(cell):
         n, rep = cell
-        sample = iid_gaussian(
-            n, target.dim, mu_arr, sigma, derive_seed(seed, "curve-sample", rep, n)
-        )
-        result = _score_once(
-            sample, target, spec, m, derive_seed(seed, "curve-score", rep, n), 1
-        )
-        return {
-            "n": n,
-            "rep": rep,
-            "value": sio.fmt_float(result.value),
-            "term_evals": result.term_evals,
-        }
+        sample = iid_gaussian(n, target.dim, opts["mu"], opts["sigma"],
+                              derive_seed(opts["seed"], "curve-sample", rep, n))
+        result = _score_once(sample, target, spec, opts["m"],
+                             derive_seed(opts["seed"], "curve-score", rep, n), 1)
+        return {"n": n, "rep": rep, "value": sio.fmt_float(result.value),
+                "term_evals": result.term_evals}
 
-    cells = [(n, rep) for n in n_grid for rep in range(reps)]
-    rows = ordered_map(run_cell, cells, threads)
-    out = args.out or "curve.csv"
-    sio.write_table_csv(out, ["n", "rep", "value", "term_evals"], rows, meta=echo)
+    cells = [(n, rep) for n in opts["n_grid"] for rep in range(opts["seeds"])]
+    rows = ordered_map(run_cell, cells, cfg.threads)
+    sio.write_table_csv(args.out or "curve.csv", ["n", "rep", "value", "term_evals"], rows,
+                        meta=cfg.echo)
     return 0
 
 

@@ -72,26 +72,6 @@ class KernelSpec:
             if not self.alpha > 0.0:
                 raise ValueError("log_inverse offset alpha must be positive")
 
-    def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "beta": repr(float(self.beta)),
-            "alpha": repr(float(self.alpha)),
-            "bandwidth": repr(float(self.bandwidth)),
-        }
-
-    @classmethod
-    def from_config(cls, mapping) -> "KernelSpec":
-        try:
-            family = str(mapping["family"]).strip().lower()
-        except KeyError:
-            raise ValueError("kernel config is missing the 'family' key") from None
-        kwargs = {}
-        for key in ("beta", "alpha", "bandwidth"):
-            if key in mapping:
-                kwargs[key] = float(mapping[key])
-        return cls(family=family, **kwargs)
-
 
 def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
     """Kernel value and derivatives in the squared distance, elementwise.

@@ -82,6 +82,8 @@ class SvgdConfig:
             raise ValueError("batch must be at least 1")
         if not self.step > 0:
             raise ValueError("step must be positive")
+        if not self.fudge > 0:
+            raise ValueError("fudge must be positive")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.bandwidth_policy is not None and (
@@ -94,7 +96,13 @@ class SvgdConfig:
     def resolved_bandwidth_policy(self) -> str:
         if self.bandwidth_policy is not None:
             return self.bandwidth_policy
-        return MEDIAN_PER_ROUND if self.kernel.family == kernels.RBF else FIXED
+        return default_bandwidth_policy(self.kernel)
+
+
+def default_bandwidth_policy(kernel) -> str:
+    """The policy of a None ``bandwidth_policy``: ``median_per_round`` for
+    the rbf kernel, ``fixed`` otherwise."""
+    return MEDIAN_PER_ROUND if kernel.family == kernels.RBF else FIXED
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -601,6 +602,56 @@ class TestCliCurve:
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
 
 
+def _svgd_init_n(tmp_path):
+    return _svgd_config(tmp_path, rounds=1, batch=5, init_lines=["init_n = 4"])
+
+
+def _score_d2_config(tmp_path):
+    io.write_samples_csv(tmp_path / "samples.csv", SampleBatch(np.zeros((3, 2))))
+    return _write(
+        tmp_path / "score.ini",
+        """\
+        [target]
+        kind = gaussian
+        dim = 2
+        L = 4
+
+        [kernel]
+        family = imq
+
+        [score]
+        samples = samples.csv
+        """,
+    )
+
+
+def _svgd_init_csv(tmp_path):
+    io.write_samples_csv(tmp_path / "init.csv", SampleBatch(np.zeros((3, 1))))
+    return _svgd_config(tmp_path, rounds=1, batch=5, init_lines=["init = init.csv"])
+
+
+def _gmm_config(tmp_path):
+    return _write(
+        tmp_path / "gmm.ini",
+        """\
+        [target]
+        kind = gmm_posterior
+        l = 20
+        sigma1_sq = 10
+        sigma_x_sq = 2
+        data_seed = 1
+
+        [kernel]
+        family = imq
+
+        [curve]
+        n_grid = 10
+        m = 2
+        seeds = 1
+        """,
+    )
+
+
 class TestConfigValidation:
     """Bad values fail with exit 2 and a message naming section and key,
     before any output is written."""
@@ -770,6 +821,124 @@ class TestConfigValidation:
                          "--out", "s.json"]) == 0
         assert json.loads((tmp_path / "s.json").read_text())["config"]["seed"] == "3"
 
+    @pytest.mark.parametrize("make, command, old, new, message", [
+        (_tune_config, "tune-sgld", "eps_grid = 5e-3", "eps_grid = 1e-3,1e-3",
+         "[tune] eps_grid lists 0.001 twice"),
+        (_tune_config, "tune-sgld", "m_list = 2,full", "m_list = 2,2",
+         "[tune] m_list lists 2 twice"),
+        (_tune_config, "tune-sgld", "m_list = 2,full", "m_list = 6,full",
+         "[tune] m_list lists 6 twice"),
+        (_rank_config, "rank-samplers", "m_list = 4,full", "m_list = 40,full",
+         "[rank] m_list lists 40 twice"),
+        (_rank_config, "rank-samplers", "n_grid = 300,600", "n_grid = 300,300",
+         "[rank] n_grid lists 300 twice"),
+        (_curve_config, "curve", "n_grid = 50", "n_grid = 50,50",
+         "[curve] n_grid lists 50 twice"),
+    ], ids=["tune-eps", "tune-m", "tune-m-full", "rank-m-full", "rank-n", "curve-n"])
+    def test_grid_entries_must_be_distinct(self, tmp_path, monkeypatch, capsys,
+                                           make, command, old, new, message):
+        # A repeated entry is the same cell, derived seeds included, counted
+        # twice: tune-sgld used to report each duplicate with twice the trials.
+        self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,
+                                   old, new, message)
+
+    @pytest.mark.parametrize("make, command, old, new, message", [
+        (_svgd_init_n, "ssvgd", "schedule = adagrad", "schedule = foo",
+         "[svgd] schedule = 'foo' is not one of constant, adagrad"),
+        (_svgd_init_n, "ssvgd", "bandwidth_policy = median_per_round",
+         "bandwidth_policy = Median_per_round",
+         "[svgd] bandwidth_policy = 'Median_per_round' is not one of fixed, median_per_round"),
+        (_svgd_init_n, "ssvgd", "rounds = 1", "rounds = -1",
+         "[svgd] rounds = -1 is less than 0"),
+        (_svgd_init_n, "ssvgd", "step = 0.05", "step = 0",
+         "[svgd] step = 0.0 is not positive"),
+        (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 4\ncheckpoint_every = -1",
+         "[svgd] checkpoint_every = -1 is less than 0"),
+        (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 0",
+         "[svgd] init_n = 0 is less than 1"),
+        (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 4\ninit_sigma = 0",
+         "[svgd] init_sigma = 0.0 is not positive"),
+        (_curve_config, "curve", "L = 4", "L = 0", "[target] l = 0 is less than 1"),
+        (_curve_config, "curve", "sigma_sq = 1", "sigma_sq = 0",
+         "[target] sigma_sq entry 0.0 is not positive"),
+        (_curve_config, "curve", "dim = 2", "dim = 0", "[target] dim = 0 is less than 1"),
+        (_gmm_config, "curve", "sigma1_sq = 10", "sigma1_sq = 0",
+         "[target] sigma1_sq = 0.0 is not positive"),
+        (_gmm_config, "curve", "sigma_x_sq = 2", "sigma_x_sq = -1",
+         "[target] sigma_x_sq = -1.0 is not positive"),
+        (_rank_config, "rank-samplers", "n = 40", "n = 0", "[target] n = 0 is less than 1"),
+        (_rank_config, "rank-samplers", "d = 2", "d = 0", "[target] d = 0 is less than 1"),
+        (_curve_config, "curve", "sigma = 1.0", "sigma = -1",
+         "[curve] sigma = -1.0 is not positive"),
+    ], ids=["schedule", "bandwidth_policy", "rounds", "svgd-step", "checkpoint_every",
+            "init_n", "init_sigma", "L", "sigma_sq", "dim", "gmm-sigma1_sq",
+            "gmm-sigma_x_sq", "logreg-n", "logreg-d", "curve-sigma"])
+    def test_ranges_name_section_and_key(self, tmp_path, monkeypatch, capsys,
+                                         make, command, old, new, message):
+        self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,
+                                   old, new, message)
+
+    @pytest.mark.parametrize("make, command, old, new, message", [
+        (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 4\nfudge = -1",
+         "[svgd] fudge = -1.0 is not positive"),
+        (_curve_config, "curve", "sigma_sq = 1", "sigma_sq = inf",
+         "[target] sigma_sq entry inf is not finite"),
+        (_svgd_init_n, "ssvgd", "bandwidth = 1.0", "bandwidth = inf",
+         "[kernel] bandwidth = inf is not finite"),
+        (_curve_config, "curve", "mu = 0\n", "mu = nan\n",
+         "[target] mu entry nan is not finite"),
+        (_curve_config, "curve", "mu = 0,0", "mu = 0,inf",
+         "[curve] mu entry inf is not finite"),
+        (_tune_config, "tune-sgld", "eps_grid = 5e-3", "eps_grid = 5e-3,inf",
+         "[tune] eps_grid entry inf is not finite"),
+    ], ids=["fudge", "sigma_sq-inf", "bandwidth-inf", "mu-nan", "curve-mu-inf", "eps-inf"])
+    def test_values_once_accepted_silently(self, tmp_path, monkeypatch, capsys,
+                                           make, command, old, new, message):
+        self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,
+                                   old, new, message)
+
+    @pytest.mark.parametrize("make, command, old, new, message", [
+        (_rank_config, "rank-samplers", "w_true = 0.3,-0.2", "w_true = 0.3,-0.2,0.1",
+         "[target] w_true has 3 values; expected d = 2"),
+        (_curve_config, "curve", "beta = -0.5", "beta = abc",
+         "[kernel] beta = 'abc' is not a number"),
+        (_curve_config, "curve", "family = imq\n", "", "[kernel] is missing the 'family' key"),
+        (_curve_config, "curve", "family = imq", "family = triangle",
+         "[kernel] family = 'triangle' is not one of imq, log_inverse, rbf"),
+        (_score_d2_config, "score", "dim = 2", "dim = 3",
+         "[score] samples = 'samples.csv' has dimension 2, target expects 3"),
+        (_svgd_init_csv, "ssvgd", "dim = 1", "dim = 2",
+         "[svgd] init = 'init.csv' has dimension 1, target expects 2"),
+    ], ids=["w_true-length", "beta-not-a-number", "family-missing", "family-unknown",
+            "samples-dimension", "init-dimension"])
+    def test_messages_name_the_key(self, tmp_path, monkeypatch, capsys,
+                                   make, command, old, new, message):
+        self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,
+                                   old, new, message)
+
+    def _assert_edit_rejected(self, tmp_path, monkeypatch, capsys, make, command,
+                              old, new, message):
+        monkeypatch.chdir(tmp_path)
+        text = make(tmp_path).read_text()
+        assert old in text
+        bad = _write(tmp_path / "bad.ini", text.replace(old, new, 1))
+        self._assert_config_error(capsys, [command, "--config", str(bad)], message,
+                                  "out.csv")
+
+    def test_seeded_w_true_is_echoed(self, tmp_path, monkeypatch):
+        # Without w_true the weights are drawn from data_seed, and the echo
+        # holds the drawn values so the run can be regenerated from it.
+        monkeypatch.chdir(tmp_path)
+        text = _rank_config(tmp_path).read_text()
+        drawn = _write(tmp_path / "drawn.ini", text.replace("w_true = 0.3,-0.2\n", ""))
+        assert cli.main(["rank-samplers", "--config", str(drawn), "--out", "d.csv"]) == 0
+        echoed = dict(line[2:].split(" = ") for line in
+                      (tmp_path / "d.csv").read_text().splitlines() if line.startswith("#"))
+        pinned = _write(tmp_path / "pinned.ini", text.replace(
+            "w_true = 0.3,-0.2", f"w_true = {echoed['target.w_true']}"))
+        assert cli.main(["rank-samplers", "--config", str(pinned), "--out", "p.csv"]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
 
 class _ConfigAccepted(Exception):
     pass
@@ -777,31 +946,61 @@ class _ConfigAccepted(Exception):
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+COMMAND_SECTIONS = {"score": "score", "tune": "tune-sgld", "rank": "rank-samplers",
+                    "svgd": "ssvgd", "curve": "curve"}
 
 
-@pytest.mark.parametrize("command, config", [
-    ("curve", CONFIGS / "curve_gaussian.ini"),
-    ("rank-samplers", CONFIGS / "rank_logreg.ini"),
-    ("score", CONFIGS / "score_gaussian.ini"),
-    ("ssvgd", CONFIGS / "ssvgd_gaussian.ini"),
-    ("tune-sgld", CONFIGS / "tune_gmm.ini"),
-    ("ssvgd", GOLDENS / "perfbench_ssvgd_seed7001.ini"),
-    ("tune-sgld", GOLDENS / "perfbench_tune_seed7001.ini"),
-    ("tune-sgld", GOLDENS / "perfbench_tune_reference.ini"),
-], ids=lambda value: getattr(value, "stem", value))
-def test_shipped_configs_have_no_unread_keys(tmp_path, monkeypatch, command, config):
-    # Stop each command right after its key check passes.
-    check = cli._reject_unread
+def _command_for(config):
+    """The command whose own section the config holds."""
+    sections = io.load_config(config)
+    return next(cmd for name, cmd in COMMAND_SECTIONS.items() if name in sections)
 
-    def check_then_stop(cfg, name):
-        check(cfg, name)
+
+def _assert_config_accepted(config, monkeypatch):
+    """Run the command of ``config`` up to its first compute call, which
+    comes after every section has been read and checked."""
+    def stop(*args, **kwargs):
         raise _ConfigAccepted
 
-    monkeypatch.setattr(cli, "_reject_unread", check_then_stop)
+    for name in ("sksd", "ksd", "sgld_chain", "iid_gaussian", "run_ssvgd"):
+        monkeypatch.setattr(cli, name, stop)
+    with pytest.raises(_ConfigAccepted):
+        cli.main([_command_for(config), "--config", str(config), "--out", "out"])
+
+
+SHIPPED_CONFIGS = [
+    *sorted(CONFIGS.glob("*.ini")),
+    *(GOLDENS / f"perfbench_{name}.ini"
+      for name in ("ssvgd_seed7001", "tune_reference", "tune_seed7001")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config", [(_command_for(path), path) for path in SHIPPED_CONFIGS],
+    ids=lambda value: getattr(value, "stem", value),
+)
+def test_shipped_configs_have_no_unread_keys(tmp_path, monkeypatch, command, config):
     monkeypatch.chdir(tmp_path)
     io.write_samples_csv(tmp_path / "samples.csv", SampleBatch(np.zeros((3, 2))))
-    with pytest.raises(_ConfigAccepted):
-        cli.main([command, "--config", str(config), "--out", "out"])
+    _assert_config_accepted(config, monkeypatch)
+
+
+@pytest.mark.parametrize("workload", ["score-d8", "tune-gmm", "ssvgd-n50"])
+def test_perfbench_inputs_are_accepted(tmp_path, monkeypatch, workload):
+    # A config the field tables reject would fail every benchmark run.  The
+    # module is only read: no bytecode is written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    monkeypatch.chdir(tmp_path)
+    configs = [inputs.write_inputs(workload, 7001, tmp_path / "seed"),
+               inputs.write_reference_inputs(workload, tmp_path / "reference")]
+    assert configs[0] is not None
+    for config in filter(None, configs):
+        _assert_config_accepted(config, monkeypatch)
+
 
 def _with_src_on_path(env):
     """``env`` with the tested package's source directory first on

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from helpers import (
     random_kernel_spec,
 )
 from steinlab import DegenerateBandwidthWarning, KernelSpec
-from steinlab import kernels
+from steinlab import cli, kernels
 
 ALL_SPECS = [
     KernelSpec("imq", beta=-0.5),
@@ -269,9 +270,17 @@ class TestSpecValidation:
             KernelSpec(**kwargs)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_config_round_trip(self, spec):
-        assert KernelSpec.from_config(spec.to_config()) == spec
-
-    def test_from_config_requires_family(self):
-        with pytest.raises(ValueError, match="family"):
-            KernelSpec.from_config({"beta": "-0.5"})
+    def test_config_round_trip(self, spec, tmp_path):
+        # The CLI's [kernel] echo of a spec, read back as a [kernel] section,
+        # builds the same spec and echoes the same text.
+        echo = {"kernel.family": spec.family, **{
+            f"kernel.{key}": repr(float(getattr(spec, key)))
+            for key in ("beta", "alpha", "bandwidth")
+        }}
+        config = tmp_path / "kernel.ini"
+        config.write_text("[target]\nkind = gaussian\n[kernel]\n" + "".join(
+            f"{key.split('.')[1]} = {value}\n" for key, value in echo.items()))
+        args = SimpleNamespace(config=config, seed=None, command="score", threads=1)
+        cfg = cli._Config(args, "score")
+        assert cfg.kernel == spec
+        assert {k: v for k, v in cfg.echo.items() if k.startswith("kernel.")} == echo

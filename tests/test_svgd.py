@@ -378,3 +378,10 @@ class TestRunSsvgd:
             == MEDIAN_PER_ROUND
         assert SvgdConfig(rounds=1, batch=1, kernel=IMQ).resolved_bandwidth_policy() \
             == "fixed"
+
+    @pytest.mark.parametrize("fudge", [0.0, -1.0, float("nan")])
+    def test_fudge_must_be_positive(self, fudge):
+        # The AdaGrad step is step / (fudge + sqrt(acc)): a fudge <= 0 makes
+        # it negative or infinite.
+        with pytest.raises(ValueError, match="fudge"):
+            SvgdConfig(rounds=1, batch=1, kernel=IMQ, fudge=fudge)
