@@ -22,7 +22,6 @@ from .errors import (
 from .kernels import KernelSpec, median_heuristic_bandwidth
 from .models import (
     DecomposableTarget,
-    EvalCounter,
     gen_gmm_data,
     gen_logreg_data,
     make_gaussian,
@@ -39,7 +38,6 @@ __all__ = [
     "DegenerateBandwidthWarning",
     "DiscrepancyResult",
     "DivergenceError",
-    "EvalCounter",
     "KernelSpec",
     "NonFiniteScoreError",
     "NumericalConsistencyError",

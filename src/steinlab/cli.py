@@ -189,18 +189,18 @@ _TARGETS = {
         ("dim", _COUNT, "1"),
         ("mu", _COORDS, "0"),
         ("sigma_sq", _list(_float(" entry", positive=True), _per_coordinate), "1"),
-        ("l", _COUNT, "1", "target.L"),
-    ), lambda v: make_gaussian(v["mu"], v["sigma_sq"], v["l"], dim=v["dim"])),
+        ("L", _COUNT, "1"),
+    ), lambda v: make_gaussian(v["mu"], v["sigma_sq"], v["L"], dim=v["dim"])),
     ("gmm_posterior", True): ((_KIND, _DATA, *_GMM_VARIANCES),
                               lambda v: _gmm(sio.read_observations_csv(v["data"]), v)),
     ("gmm_posterior", False): ((
         _KIND,
-        ("l", _COUNT, "100", "target.L"),
+        ("L", _COUNT, "100"),
         ("theta1", _FLOAT, "0.0"),
         ("theta2", _FLOAT, "1.0"),
         ("data_seed", _integer(), "0"),
         *_GMM_VARIANCES,
-    ), lambda v: _gmm(gen_gmm_data(v["theta1"], v["theta2"], v["sigma_x_sq"], v["l"],
+    ), lambda v: _gmm(gen_gmm_data(v["theta1"], v["theta2"], v["sigma_x_sq"], v["L"],
                                    v["data_seed"]), v)),
     ("logreg", True): ((_KIND, _DATA),
                        lambda v: make_logreg(*sio.read_labeled_csv(v["data"]))),
@@ -300,7 +300,7 @@ class _Config:
             raise ConfigError(f"config is missing the [{name}] section")
         section, values = self.sections[name], dict(self.context)
         for key, parse, default, *echo_name in table:
-            text = section.get(key, default)
+            text = section.get(key.lower(), default)  # configparser lowercases keys
             text = text(values) if callable(text) else text
             if text is _REQUIRED:
                 raise ConfigError(f"[{name}] is missing the {key!r} key")
@@ -309,7 +309,7 @@ class _Config:
                 if echo:
                     echo_key = echo_name[0] if echo_name else f"{name}.{key}"
                     self.echo[echo_key] = _show(values[key])
-        unknown = [key for key in section if key not in {row[0] for row in table}]
+        unknown = [key for key in section if key not in {row[0].lower() for row in table}]
         if unknown:
             raise ConfigError(f"[{name}] {unknown[0]} is not read by {self.command} "
                               "(unknown key, or one this config does not use)")
@@ -333,14 +333,6 @@ class _Config:
         return spec
 
 
-def _score_once(batch, target, spec, m, seed, threads):
-    """One discrepancy cell on a private counter; m = None takes the exact path."""
-    cell_target = target.with_fresh_counter()
-    if m is None:
-        return ksd(batch, cell_target, spec, threads=threads)
-    return sksd(batch, cell_target, spec, m, seed, threads=threads)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -351,7 +343,11 @@ def cmd_score(args) -> int:
     if batch.dim != cfg.target.dim:
         raise ConfigError(f"[score] samples = {opts['samples']!r} has dimension {batch.dim}, "
                           f"target expects {cfg.target.dim}")
-    result = _score_once(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"], cfg.threads)
+    if opts["m"] is None:
+        result = ksd(batch, cfg.target, cfg.kernel, threads=cfg.threads)
+    else:
+        result = sksd(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"],
+                      threads=cfg.threads)
     sio.write_json(args.out or "result.json", {"config": cfg.echo, "result": result.to_dict()})
     return 0
 
@@ -362,7 +358,7 @@ def cmd_tune_sgld(args) -> int:
     eps_grid, m_values, seed = opts["eps_grid"], opts["m_list"], opts["seed"]
 
     chain_cells = [(eps, trial) for eps in eps_grid for trial in range(opts["trials"])]
-    chains = sgld_chain(target.with_fresh_counter(), SgldSweep(
+    chains = sgld_chain(target, SgldSweep(
         SgldConfig(step=eps, batch=opts["sgld_batch"], steps=opts["chain_steps"],
                    init=opts["init"],
                    seed=derive_seed(seed, "tune-chain", sio.fmt_float(eps), trial))
@@ -382,8 +378,7 @@ def cmd_tune_sgld(args) -> int:
         # independent subsampling noise per grid point.  One call scores
         # the chain at every m.
         score_seeds = [derive_seed(seed, "tune-score", trial, m) for m in m_values]
-        results = sksd(chain, target.with_fresh_counter(), spec, m_values,
-                       score_seeds, threads=1)
+        results = sksd(chain, target, spec, m_values, score_seeds, threads=1)
         for row, result in zip(rows, results):
             row.update(value=sio.fmt_float(result.value),
                        term_evals=result.term_evals, diverged=0, note="")
@@ -436,7 +431,7 @@ def cmd_rank_samplers(args) -> int:
     chains = {}
     for label, sampler in samplers.items():
         echoed = {key: cfg.echo[f"sampler_{label}.{key}"] for key, *_ in _SAMPLER}
-        chains[label] = sgld_chain(target.with_fresh_counter(), SgldConfig(
+        chains[label] = sgld_chain(target, SgldConfig(
             step=sampler["step"], batch=sampler["batch"], steps=max(n_grid),
             init=sampler["init"],
             seed=derive_seed(seed, "rank-chain", json.dumps(echoed, sort_keys=True)),
@@ -446,8 +441,7 @@ def cmd_rank_samplers(args) -> int:
         # One call per sampler scores its first n points at every m.
         score_seeds = [derive_seed(seed, "rank-score", n, m) for m in m_values]
         results = {
-            label: sksd(chain.take(n), target.with_fresh_counter(), spec,
-                        m_values, score_seeds, threads=1)
+            label: sksd(chain.take(n), target, spec, m_values, score_seeds, threads=1)
             for label, chain in chains.items()
         }
         rows = []
@@ -494,7 +488,7 @@ def cmd_ssvgd(args) -> int:
         key: opts[key] for key in ("rounds", "batch", "step", "schedule", "fudge",
                                    "bandwidth_policy", "seed", "checkpoint_every")
     })
-    result = run_ssvgd(init, target.with_fresh_counter(), config, threads=threads)
+    result = run_ssvgd(init, target, config, threads=threads)
 
     out = args.out or "particles.csv"
     stem, _ = os.path.splitext(out)
@@ -502,8 +496,7 @@ def cmd_ssvgd(args) -> int:
     def record(round_no, evals, batch):
         entry = {"round": round_no, "term_evals": evals}
         if opts["report_ksd"]:
-            entry["ksd"] = ksd(batch, target.with_fresh_counter(), kernel,
-                               threads=threads).value
+            entry["ksd"] = ksd(batch, target, kernel, threads=threads).value
         return entry
 
     records = []
@@ -528,8 +521,11 @@ def cmd_curve(args) -> int:
         n, rep = cell
         sample = iid_gaussian(n, target.dim, opts["mu"], opts["sigma"],
                               derive_seed(opts["seed"], "curve-sample", rep, n))
-        result = _score_once(sample, target, spec, opts["m"],
-                             derive_seed(opts["seed"], "curve-score", rep, n), 1)
+        if opts["m"] is None:
+            result = ksd(sample, target, spec, threads=1)
+        else:
+            result = sksd(sample, target, spec, opts["m"],
+                          derive_seed(opts["seed"], "curve-score", rep, n), threads=1)
         return {"n": n, "rep": rep, "value": sio.fmt_float(result.value),
                 "term_evals": result.term_evals}
 

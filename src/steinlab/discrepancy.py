@@ -140,8 +140,8 @@ class DiscrepancyResult:
     ``value = sqrt(sum_j max(w_sq_j, 0))``; ``w_sq`` is stored after
     clamping.  ``term_evals`` counts likelihood-term gradient evaluations
     consumed: ``n * m`` on the subsampled path and ``n * L`` on the exact
-    path, taken from those shapes rather than from the target's shared
-    counter, so concurrent calls on one target each report their own.
+    path, taken from those shapes, so concurrent calls on one target each
+    report their own.
     ``seed`` is None for the exact path.
     """
 

@@ -61,16 +61,19 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValueError(f"family = {self.family!r} is not one of "
+                             f"{', '.join(FAMILIES)}")
         if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+            raise ValueError(f"bandwidth = {self.bandwidth!r} is not positive")
         if self.family == IMQ and not -1.0 < self.beta < 0.0:
-            raise ValueError("imq exponent beta must lie in (-1, 0)")
+            raise ValueError(f"beta = {self.beta!r} is not in (-1, 0) for family imq")
         if self.family == LOG_INVERSE:
             if not self.beta < 0.0:
-                raise ValueError("log_inverse exponent beta must be negative")
+                raise ValueError(f"beta = {self.beta!r} is not negative "
+                                 "for family log_inverse")
             if not self.alpha > 0.0:
-                raise ValueError("log_inverse offset alpha must be positive")
+                raise ValueError(f"alpha = {self.alpha!r} is not positive "
+                                 "for family log_inverse")
 
 
 def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):

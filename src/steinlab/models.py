@@ -1,8 +1,7 @@
 """Decomposable targets: log-densities p(x) = prior(x) * prod_l term_l(x).
 
 A target exposes the full score, per-term scores, and subset scores (with
-the prior share weighted by ``|subset| / L``), plus a thread-safe counter of
-how many likelihood-term gradients have been consumed.  Scores are computed
+the prior share weighted by ``|subset| / L``).  Scores are computed
 on stacked rows: each factory supplies one batched ``terms_sum(subsets, X)``
 that gathers the ``(rows, m)`` term subsets into an ``(rows, m, d)`` stack
 and reduces it over the term axis, so scoring a block of points is one
@@ -15,35 +14,13 @@ prior.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFiniteScoreError
 from .rng import make_generator
-
-
-class EvalCounter:
-    """Monotone, thread-safe count of likelihood-term gradient evaluations."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def add(self, k):
-        with self._lock:
-            self._value += int(k)
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def __repr__(self):
-        return f"EvalCounter({self._value})"
 
 
 def sigmoid(z):
@@ -78,9 +55,8 @@ class DecomposableTarget:
 
     The score methods accept one subset and one point, or an ``(n, m)`` index
     matrix with an ``(n, d)`` point matrix, returning ``(n, d)``; a one-point
-    call is the one-row case of the same computation.  All model state is
-    immutable after construction; only ``eval_counter`` mutates, behind a
-    lock.
+    call is the one-row case of the same computation.  A target is
+    immutable after construction.
     """
 
     dim: int
@@ -91,11 +67,6 @@ class DecomposableTarget:
     log_prior: Optional[Callable] = None
     log_term: Optional[Callable] = None
     name: str = "target"
-    eval_counter: EvalCounter = field(default_factory=EvalCounter, compare=False)
-
-    def with_fresh_counter(self) -> "DecomposableTarget":
-        """Copy sharing all model state but counting evaluations separately."""
-        return replace(self, eval_counter=EvalCounter())
 
     def _points(self, x):
         """``(X, single)``: the call's points as an (rows, d) matrix, and
@@ -139,7 +110,6 @@ class DecomposableTarget:
             raise ValueError(
                 f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
-        self.eval_counter.add(subs.size)
         if not np.isfinite(sums).all():
             self._raise_non_finite(subs, X, _first_bad_row(sums))
         return sums

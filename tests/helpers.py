@@ -1,8 +1,8 @@
 """Shared test oracles: finite differences, pointwise kernel calls, dense
 Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
 loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
-one-chain SGLD loop, a one-round-at-a-time SSVGD loop and random problem
-builders.
+one-chain SGLD loop, a one-round-at-a-time SSVGD loop, a tally of the term
+gradients a target evaluates and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -13,6 +13,7 @@ independent assemblies of the quantities the library computes blockwise.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -241,6 +242,29 @@ def pointwise_scaled_scores(batch, target, assignment=None):
         else:
             B[i] = scale * target.grad_log_subset(assignment.subsets[i], X[i])
     return B
+
+
+class TermTally:
+    """Thread-safe count of the likelihood-term gradients a target evaluates.
+
+    ``tally.target`` is a copy of ``target`` whose ``terms_sum`` adds the
+    size of every ``(rows, m)`` subset matrix it is called with to
+    ``tally.value``.  Every score path reaches the terms through
+    ``terms_sum``, so the tally is the oracle for the ``term_evals`` that
+    results report from their shapes.
+    """
+
+    def __init__(self, target):
+        self.value = 0
+        self._lock = threading.Lock()
+        terms_sum = target.terms_sum
+
+        def counted(subsets, X):
+            with self._lock:
+                self.value += subsets.size
+            return terms_sum(subsets, X)
+
+        self.target = replace(target, terms_sum=counted)
 
 
 def sgld_chain_oracle(target, config):

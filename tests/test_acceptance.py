@@ -92,9 +92,9 @@ class TestCriterion02Degeneracy:
                 families=("imq", "log_inverse", "rbf"),
                 max_n=30,
             )
-            sub = sksd(batch, target.with_fresh_counter(), spec, m=target.L,
+            sub = sksd(batch, target, spec, m=target.L,
                        seed=int(rng.integers(2**32)))
-            exact = ksd(batch, target.with_fresh_counter(), spec)
+            exact = ksd(batch, target, spec)
             ok = ok and sub.value == exact.value
             ok = ok and np.array_equal(sub.w_sq, exact.w_sq)
             ok = ok and sub.term_evals == exact.term_evals == batch.n * target.L
@@ -223,11 +223,11 @@ class TestCriterion07SamplerRanking:
                 cfg = SgldConfig(step=eps, batch=10, steps=2000,
                                  init=np.zeros(5),
                                  seed=derive_seed(seed, "c7-chain", label))
-                chains[label] = sgld_chain(target.with_fresh_counter(), cfg)
+                chains[label] = sgld_chain(target, cfg)
             score_seed = derive_seed(seed, "c7-score")
-            sub = {k: sksd(chains[k], target.with_fresh_counter(), spec, 5,
+            sub = {k: sksd(chains[k], target, spec, 5,
                            score_seed) for k in chains}
-            exact = {k: ksd(chains[k], target.with_fresh_counter(), spec)
+            exact = {k: ksd(chains[k], target, spec)
                      for k in chains}
             sub_pref = min(sub, key=lambda k: sub[k].value)
             exact_pref = min(exact, key=lambda k: exact[k].value)
@@ -254,7 +254,7 @@ class TestCriterion08SsvgdConvergence:
             config = SvgdConfig(rounds=500, batch=5, kernel=rbf, step=0.05,
                                 schedule="adagrad",
                                 bandwidth_policy="median_per_round", seed=seed)
-            pts = run_ssvgd(init, target.with_fresh_counter(), config).final.points
+            pts = run_ssvgd(init, target, config).final.points
             mean, var = float(pts.mean()), float(pts.var())
             stats.append((round(mean, 3), round(var, 3)))
             passes += abs(mean) < 0.1 and abs(var - 1.0) < 0.2
@@ -264,11 +264,11 @@ class TestCriterion08SsvgdConvergence:
         init = iid_gaussian(50, 1, 0.5, 0.5, seed=derive_seed(99, "c8-init"))
         base = dict(rounds=120, kernel=rbf, step=0.05, schedule="adagrad",
                     bandwidth_policy="median_per_round", seed=3)
-        full = run_ssvgd(init, target.with_fresh_counter(),
+        full = run_ssvgd(init, target,
                          SvgdConfig(batch=20, **base))
-        sub = run_ssvgd(init, target.with_fresh_counter(),
+        sub = run_ssvgd(init, target,
                         SvgdConfig(batch=5, **base))
-        reference = direct_svgd(init.points, target.with_fresh_counter(), rbf,
+        reference = direct_svgd(init.points, target, rbf,
                                 0.05, 120, median_per_round=True)
         identical = (np.array_equal(full.final.points, reference)
                      and np.array_equal(sub.final.points, reference))
@@ -313,19 +313,19 @@ class TestCriterion10Determinism:
                 families=("imq", "log_inverse", "rbf"),
             )
             seed = int(rng.integers(2**32))
-            r1 = sksd(batch, target.with_fresh_counter(), spec, m, seed, threads=1)
-            r8 = sksd(batch, target.with_fresh_counter(), spec, m, seed, threads=8)
+            r1 = sksd(batch, target, spec, m, seed, threads=1)
+            r8 = sksd(batch, target, spec, m, seed, threads=8)
             ok = ok and r1.value == r8.value and np.array_equal(r1.w_sq, r8.w_sq)
-            e1 = ksd(batch, target.with_fresh_counter(), spec, threads=1)
-            e8 = ksd(batch, target.with_fresh_counter(), spec, threads=8)
+            e1 = ksd(batch, target, spec, threads=1)
+            e8 = ksd(batch, target, spec, threads=8)
             ok = ok and e1.value == e8.value
         # a particle run crossing block boundaries (criterion 8 core)
         target = make_gaussian(0.0, 1.0, 8, dim=2)
         init = iid_gaussian(300, 2, 0.5, 0.5, seed=5)
         config = SvgdConfig(rounds=10, batch=2, kernel=IMQ,
                             bandwidth_policy="fixed", seed=9)
-        a = run_ssvgd(init, target.with_fresh_counter(), config, threads=1)
-        b = run_ssvgd(init, target.with_fresh_counter(), config, threads=8)
+        a = run_ssvgd(init, target, config, threads=1)
+        b = run_ssvgd(init, target, config, threads=8)
         ok = ok and np.array_equal(a.final.points, b.final.points)
         # a full command-level run (criterion 6 core)
         monkeypatch.chdir(tmp_path)

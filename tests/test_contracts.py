@@ -1,0 +1,39 @@
+"""Names that code outside the package relies on.
+
+The README's library example must run against the current API, and every
+function that ``perfbench/tracer.py`` wraps must still exist: a deleted or
+renamed one would drop its layer from the benchmark's per-layer report.
+"""
+
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    cheap, exact, ratio = map(float, capsys.readouterr().out.split())
+    assert cheap > 0.0 and exact > 0.0 and ratio == 1 / 100
+
+
+def test_traced_functions_exist(monkeypatch):
+    # The module is only read: no bytecode is written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(module, attribute) for module, attribute, _ in tracer.LAYER_FUNCTIONS]
+    names += list(tracer.COMPUTE_ENTRY_POINTS)
+    assert names
+    for module, attribute in names:
+        owner = importlib.import_module(f"steinlab.{module}")
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"steinlab.{module}.{attribute}"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    TermTally,
     dense_block_pair_terms,
     eager_coord_stein_sums,
     kernel_cross_deriv_diag,
@@ -154,12 +155,18 @@ class TestScaledScores:
         np.testing.assert_allclose(avg, exact, rtol=1e-12, atol=1e-14)
 
     def test_counter_accounting(self):
-        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 7, seed=1))
+        # scaled_scores evaluates n * m term gradients, n * L without an
+        # assignment; sksd and ksd on the same shapes report as many.
+        tally = TermTally(make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 7, seed=1)))
         batch = iid_gaussian(11, 2, 0.0, 1.0, seed=3)
-        scaled_scores(batch, target, draw_subsets(11, 7, 3, seed=9))
-        assert target.eval_counter.value == 11 * 3
-        scaled_scores(batch, target, None)
-        assert target.eval_counter.value == 11 * 3 + 11 * 7
+        scaled_scores(batch, tally.target, draw_subsets(11, 7, 3, seed=9))
+        assert tally.value == 11 * 3
+        scaled_scores(batch, tally.target, None)
+        evaluated = tally.value
+        assert evaluated == 11 * 3 + 11 * 7
+        reported = (sksd(batch, tally.target, IMQ, m=3, seed=9).term_evals
+                    + ksd(batch, tally.target, IMQ).term_evals)
+        assert tally.value - evaluated == reported == evaluated
 
     def test_mismatched_assignment(self):
         target = make_gaussian(0.0, 1.0, 4, dim=1)
@@ -193,7 +200,7 @@ class TestBatchedScores:
         else:
             size = target.L if m == "L" else m
             assignment = draw_subsets(n, target.L, size, seed=7)
-        want = pointwise_scaled_scores(batch, target.with_fresh_counter(), assignment)
+        want = pointwise_scaled_scores(batch, target, assignment)
         got = scaled_scores(batch, target, assignment)
         assert np.array_equal(got, want)
 
@@ -711,14 +718,14 @@ class TestSksdAndKsd:
 
     def test_concurrent_calls_report_their_own_cost(self):
         # Two threads score on one shared target; each result counts only
-        # its own evaluations, and the shared counter sees all of them.
-        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 40, seed=6))
+        # its own evaluations, and the shared tally sees all of them.
+        tally = TermTally(make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 40, seed=6)))
         jobs = [(iid_gaussian(n, 2, 0.0, 1.0, seed=n), m)
                 for n, m in ((30, 3), (20, 40))] * 10
 
         def score(job):
             batch, m = job
-            return sksd(batch, target, IMQ, m=m, seed=1).term_evals
+            return sksd(batch, tally.target, IMQ, m=m, seed=1).term_evals
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -728,7 +735,7 @@ class TestSksdAndKsd:
         finally:
             sys.setswitchinterval(interval)
         assert evals == [30 * 3, 20 * 40] * 10
-        assert target.eval_counter.value == sum(evals)
+        assert tally.value == sum(evals)
 
     def test_single_point_value_example(self):
         target = make_gaussian(0.0, 1.0, 1, dim=2)
@@ -748,8 +755,8 @@ class TestSksdAndKsd:
     def test_seeded_determinism(self):
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 5, seed=8))
         batch = iid_gaussian(30, 2, 0.0, 1.0, seed=14)
-        a = sksd(batch, target.with_fresh_counter(), IMQ, m=2, seed=77)
-        b = sksd(batch, target.with_fresh_counter(), IMQ, m=2, seed=77)
+        a = sksd(batch, target, IMQ, m=2, seed=77)
+        b = sksd(batch, target, IMQ, m=2, seed=77)
         assert a.value == b.value
         assert np.array_equal(a.w_sq, b.w_sq)
 

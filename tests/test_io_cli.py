@@ -858,7 +858,7 @@ class TestConfigValidation:
          "[svgd] init_n = 0 is less than 1"),
         (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 4\ninit_sigma = 0",
          "[svgd] init_sigma = 0.0 is not positive"),
-        (_curve_config, "curve", "L = 4", "L = 0", "[target] l = 0 is less than 1"),
+        (_curve_config, "curve", "L = 4", "L = 0", "[target] L = 0 is less than 1"),
         (_curve_config, "curve", "sigma_sq = 1", "sigma_sq = 0",
          "[target] sigma_sq entry 0.0 is not positive"),
         (_curve_config, "curve", "dim = 2", "dim = 0", "[target] dim = 0 is less than 1"),
@@ -870,9 +870,20 @@ class TestConfigValidation:
         (_rank_config, "rank-samplers", "d = 2", "d = 0", "[target] d = 0 is less than 1"),
         (_curve_config, "curve", "sigma = 1.0", "sigma = -1",
          "[curve] sigma = -1.0 is not positive"),
+        (_curve_config, "curve", "beta = -0.5", "beta = -2",
+         "[kernel] beta = -2.0 is not in (-1, 0) for family imq"),
+        (_curve_config, "curve", "family = imq\nbeta = -0.5",
+         "family = log_inverse\nbeta = 0.5",
+         "[kernel] beta = 0.5 is not negative for family log_inverse"),
+        (_curve_config, "curve", "family = imq\nbeta = -0.5",
+         "family = log_inverse\nbeta = -0.5\nalpha = 0",
+         "[kernel] alpha = 0.0 is not positive for family log_inverse"),
+        (_svgd_init_n, "ssvgd", "bandwidth = 1.0", "bandwidth = 0",
+         "[kernel] bandwidth = 0.0 is not positive"),
     ], ids=["schedule", "bandwidth_policy", "rounds", "svgd-step", "checkpoint_every",
             "init_n", "init_sigma", "L", "sigma_sq", "dim", "gmm-sigma1_sq",
-            "gmm-sigma_x_sq", "logreg-n", "logreg-d", "curve-sigma"])
+            "gmm-sigma_x_sq", "logreg-n", "logreg-d", "curve-sigma", "imq-beta",
+            "log_inverse-beta", "log_inverse-alpha", "bandwidth"])
     def test_ranges_name_section_and_key(self, tmp_path, monkeypatch, capsys,
                                          make, command, old, new, message):
         self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,

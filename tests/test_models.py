@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import assert_rel_close, fd_gradient, log_density
+from helpers import TermTally, assert_rel_close, fd_gradient, log_density
 from steinlab import (
     DecomposableTarget,
     NonFiniteScoreError,
@@ -234,32 +234,18 @@ class TestSubsetScores:
         assert err.value.term_index == 3
 
 
-class TestEvalCounter:
+class TestTermEvaluations:
     def test_subset_accounting(self):
-        target = _gmm_target(L=6, seed=5)
+        tally = TermTally(_gmm_target(L=6, seed=5))
         x = np.zeros(2)
         for _ in range(7):
-            target.grad_log_subset([0, 2, 4], x)
-        assert target.eval_counter.value == 7 * 3
+            tally.target.grad_log_subset([0, 2, 4], x)
+        assert tally.value == 7 * 3
 
-    def test_full_accounting_and_fresh_counter(self):
-        target = _gmm_target(L=6, seed=5)
-        target.grad_log_full(np.zeros(2))
-        assert target.eval_counter.value == 6
-        clone = target.with_fresh_counter()
-        assert clone.eval_counter.value == 0
-        clone.grad_log_full(np.zeros(2))
-        assert clone.eval_counter.value == 6
-        assert target.eval_counter.value == 6
-
-    def test_concurrent_increments(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        target = make_gaussian(0.0, 1.0, 8, dim=1)
-        x = np.zeros(1)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda _: target.grad_log_subset([0, 1], x), range(200)))
-        assert target.eval_counter.value == 400
+    def test_full_accounting(self):
+        tally = TermTally(_gmm_target(L=6, seed=5))
+        tally.target.grad_log_full(np.zeros(2))
+        assert tally.value == 6
 
 
 class TestGenerators:

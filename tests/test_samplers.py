@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import sgld_chain_oracle, uniform_subsets_oracle
+from helpers import TermTally, sgld_chain_oracle, uniform_subsets_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -42,8 +42,8 @@ class TestSgldChain:
     def test_seeded_determinism(self):
         cfg = SgldConfig(step=1e-2, batch=3, steps=200, init=0.0, seed=12)
         target = _std_normal_target()
-        a = sgld_chain(target.with_fresh_counter(), cfg)
-        b = sgld_chain(target.with_fresh_counter(), cfg)
+        a = sgld_chain(target, cfg)
+        b = sgld_chain(target, cfg)
         assert np.array_equal(a.points, b.points)
 
     def test_shape_and_finiteness(self):
@@ -55,9 +55,9 @@ class TestSgldChain:
         assert np.all(np.isfinite(chain.points))
 
     def test_eval_accounting(self):
-        target = _std_normal_target(L=7)
-        sgld_chain(target, SgldConfig(step=1e-3, batch=4, steps=50, init=0.0, seed=2))
-        assert target.eval_counter.value == 50 * 4
+        tally = TermTally(_std_normal_target(L=7))
+        sgld_chain(tally.target, SgldConfig(step=1e-3, batch=4, steps=50, init=0.0, seed=2))
+        assert tally.value == 50 * 4
 
     def test_tiny_step_keeps_iterates_near_start(self):
         # drift <= 10 * eps / 2 plus noise of magnitude about sqrt(10 * eps)
@@ -129,7 +129,7 @@ def _sweep_target(kind, d, seed):
 
 def _oracle_outcome(target, config):
     try:
-        return sgld_chain_oracle(target.with_fresh_counter(), config)
+        return sgld_chain_oracle(target, config)
     except DivergenceError as err:
         return err
 
@@ -231,15 +231,15 @@ class TestSgldSweep:
             SgldSweep([])
 
     def test_eval_count_and_total_steps(self):
-        target = _sweep_target("logreg", 2, seed=1)
+        tally = TermTally(_sweep_target("logreg", 2, seed=1))
         sweep = SgldSweep(
             SgldConfig(step=1e-2, batch=3, steps=25, init=0.0, seed=i)
             for i in range(4)
         )
         assert sweep.steps == 4 * 25
-        results = sgld_chain(target, sweep)
+        results = sgld_chain(tally.target, sweep)
         assert all(isinstance(r, SampleBatch) for r in results)
-        assert target.eval_counter.value == 4 * 25 * 3
+        assert tally.value == 4 * 25 * 3
 
     def test_batch_larger_than_terms(self):
         sweep = SgldSweep(

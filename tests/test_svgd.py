@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import run_ssvgd_oracle
+from helpers import TermTally, run_ssvgd_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -268,11 +268,11 @@ class TestRunSsvgd:
         init = iid_gaussian(25, 1, 0.5, 0.5, seed=3)
         base = dict(rounds=30, kernel=RBF, step=0.05, schedule=ADAGRAD,
                     bandwidth_policy=MEDIAN_PER_ROUND, seed=17)
-        sub = run_ssvgd(init, target.with_fresh_counter(),
+        sub = run_ssvgd(init, target,
                         SvgdConfig(batch=5, **base))
-        full = run_ssvgd(init, target.with_fresh_counter(),
+        full = run_ssvgd(init, target,
                          SvgdConfig(batch=20, **base))
-        reference = direct_svgd(init.points, target.with_fresh_counter(), RBF,
+        reference = direct_svgd(init.points, target, RBF,
                                 0.05, 30, median_per_round=True)
         assert np.array_equal(sub.final.points, full.final.points)
         assert np.array_equal(sub.final.points, reference)
@@ -284,18 +284,18 @@ class TestRunSsvgd:
         config = SvgdConfig(rounds=25, batch=3, kernel=IMQ, step=0.05,
                             schedule=ADAGRAD, bandwidth_policy="fixed", seed=13)
         result = run_ssvgd(init, target, config)
-        reference = direct_svgd(init.points, target.with_fresh_counter(), IMQ,
+        reference = direct_svgd(init.points, target, IMQ,
                                 0.05, 25)
         np.testing.assert_allclose(result.final.points, reference, rtol=1e-12)
 
     def test_per_round_cost(self):
-        target = make_gaussian(0.0, 1.0, 9)
+        tally = TermTally(make_gaussian(0.0, 1.0, 9))
         init = iid_gaussian(14, 1, 0.0, 1.0, seed=5)
         config = SvgdConfig(rounds=6, batch=4, kernel=IMQ,
                             bandwidth_policy="fixed", seed=1)
-        result = run_ssvgd(init, target, config)
+        result = run_ssvgd(init, tally.target, config)
         assert result.term_evals == 6 * 14 * 4
-        assert target.eval_counter.value == result.term_evals
+        assert tally.value == result.term_evals
 
     def test_checkpoint_cadence(self):
         target = make_gaussian(0.0, 1.0, 4)
@@ -340,8 +340,8 @@ class TestRunSsvgd:
         init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
         config = SvgdConfig(rounds=15, batch=2, kernel=IMQ,
                             bandwidth_policy="fixed", seed=21)
-        a = run_ssvgd(init, target.with_fresh_counter(), config, threads=1)
-        b = run_ssvgd(init, target.with_fresh_counter(), config, threads=8)
+        a = run_ssvgd(init, target, config, threads=1)
+        b = run_ssvgd(init, target, config, threads=8)
         assert np.array_equal(a.final.points, b.final.points)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
