@@ -73,8 +73,9 @@ def _data_lines(path):
 
 
 def _parse_rows(path, sample_header=False):
-    """Header and float rows of a CSV, read in one pass; with
-    ``sample_header`` the header must be ``x1..xd`` for its width d."""
+    """File line numbers and float rows of a CSV's data rows, read in one
+    pass; with ``sample_header`` the header must be ``x1..xd`` for its
+    width d."""
     lines = list(_data_lines(path))
     if not lines:
         raise ConfigError(f"{path}: no data rows")
@@ -88,7 +89,7 @@ def _parse_rows(path, sample_header=False):
                 f"{path}:{header_no}: expected header {','.join(expected)}, "
                 f"got {','.join(header)}"
             )
-    rows = []
+    numbers, rows = [], []
     for number, line in lines[1:]:
         cells = next(csv.reader([line]))
         if len(cells) != len(header):
@@ -108,10 +109,11 @@ def _parse_rows(path, sample_header=False):
                     f"{path}:{number}: column {col}: {cell!r} is not finite"
                 )
             parsed.append(value)
+        numbers.append(number)
         rows.append(parsed)
     if not rows:
         raise ConfigError(f"{path}: header but no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    return numbers, np.asarray(rows, dtype=np.float64)
 
 
 def read_samples_csv(path) -> SampleBatch:
@@ -122,7 +124,7 @@ def read_samples_csv(path) -> SampleBatch:
 
 def read_observations_csv(path) -> np.ndarray:
     """Load a one-column observation CSV (header row, one row per value)."""
-    header, rows = _parse_rows(path)
+    _, rows = _parse_rows(path)
     if rows.shape[1] != 1:
         raise ConfigError(
             f"{path}: expected a single observation column, got {rows.shape[1]}"
@@ -132,15 +134,17 @@ def read_observations_csv(path) -> np.ndarray:
 
 def read_labeled_csv(path):
     """Load a dataset CSV whose final column is a 0/1 label."""
-    header, rows = _parse_rows(path)
+    numbers, rows = _parse_rows(path)
     if rows.shape[1] < 2:
         raise ConfigError(f"{path}: need at least one feature column plus a label")
     X = rows[:, :-1]
     y = rows[:, -1]
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        bad = int(np.where(~np.isin(y, (0.0, 1.0)))[0][0])
+    bad = ~np.isin(y, (0.0, 1.0))
+    if bad.any():
+        row = int(np.argmax(bad))
         raise ConfigError(
-            f"{path}: label in data row {bad + 1} is not 0 or 1"
+            f"{path}:{numbers[row]}: column {rows.shape[1]}: "
+            f"label {float(y[row])!r} is not 0 or 1"
         )
     return X, y
 
@@ -169,7 +173,10 @@ def write_jsonl(path, records, meta=None):
 
 def load_config(path) -> dict:
     """Parse an INI config into ``{section: {key: value}}`` (string values)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Without interpolation a '%' in a value is read as itself.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=os.fspath(path))

@@ -1,21 +1,22 @@
 """Decomposable targets: log-densities p(x) = prior(x) * prod_l term_l(x).
 
-A target exposes the full score, per-term scores, and subset scores (with
-the prior share weighted by ``|subset| / L``).  Scores are computed
-on stacked rows: each factory supplies one batched ``terms_sum(subsets, X)``
-that gathers the ``(rows, m)`` term subsets into an ``(rows, m, d)`` stack
-and reduces it over the term axis, so scoring a block of points is one
-gather-and-reduce rather than one Python call per point.  Factories cover an
-equal-factor Gaussian, the bimodal Gaussian-mixture location posterior used
-for sampler step-size tuning, and Bayesian logistic regression with a flat
-prior.
+A target is given by two functions, its prior score and the sum of its term
+scores over a subset; from them it exposes the full score, term-score sums,
+and subset scores (with the prior share weighted by ``|subset| / L``).
+Scores are computed on stacked rows: each factory supplies one batched
+``terms_sum(subsets, X)`` that gathers the ``(rows, m)`` term subsets into
+an ``(rows, m, d)`` stack and reduces it over the term axis, so scoring a
+block of points is one gather-and-reduce rather than one Python call per
+point.  Factories cover an equal-factor Gaussian, the bimodal
+Gaussian-mixture location posterior used for sampler step-size tuning, and
+Bayesian logistic regression with a flat prior.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,14 +27,12 @@ from .rng import make_generator
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=np.float64)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,9 @@ class DecomposableTarget:
     score contributions of the terms ``subsets[i]`` at ``X[i]``, reduced with
     ``np.add.reduce`` over the term axis.  ``grad_log_prior`` maps stacked
     rows (or one point) to prior scores row by row; a constant ``(d,)``
-    result broadcasts.  ``grad_log_term(l, x)`` is the score contribution of
-    term ``l`` (0-based) at one point; the scoring paths call it only to name
-    the term behind a non-finite score.  ``log_prior`` / ``log_term``
-    evaluate the (unnormalized) log-density and are consumed only by tests
-    and diagnostics, never by the scoring paths.
+    result broadcasts.  These two are all the scoring paths need; a
+    non-finite term sum is traced to its term by calling ``terms_sum`` on
+    one-term subsets of the faulty row.
 
     The score methods accept one subset and one point, or an ``(n, m)`` index
     matrix with an ``(n, d)`` point matrix, returning ``(n, d)``; a one-point
@@ -62,11 +59,7 @@ class DecomposableTarget:
     dim: int
     L: int
     grad_log_prior: Callable
-    grad_log_term: Callable
     terms_sum: Callable
-    log_prior: Optional[Callable] = None
-    log_term: Optional[Callable] = None
-    name: str = "target"
 
     def _points(self, x):
         """``(X, single)``: the call's points as an (rows, d) matrix, and
@@ -117,7 +110,8 @@ class DecomposableTarget:
     def _raise_non_finite(self, subs, X, row):
         x = X[row]
         for l in subs[row]:
-            g = np.asarray(self.grad_log_term(int(l), x), dtype=np.float64)
+            g = np.asarray(self.terms_sum(np.array([[l]]), X[row:row + 1]),
+                           dtype=np.float64)
             if not np.all(np.isfinite(g)):
                 raise NonFiniteScoreError(
                     f"non-finite score from likelihood term {int(l)} at point "
@@ -200,13 +194,7 @@ def make_gaussian(mu, sigma_sq, L, dim=None) -> DecomposableTarget:
         dim=d,
         L=L,
         grad_log_prior=lambda x: np.zeros(d),
-        grad_log_term=lambda l, x: (1.0 / L) * full_score(x),
         terms_sum=lambda subsets, X: (subsets.shape[1] / L) * full_score(X),
-        log_prior=lambda x: 0.0,
-        log_term=lambda l, x: (
-            -0.5 * float(np.sum((np.asarray(x, float) - mu) ** 2 / sigma_sq)) / L
-        ),
-        name="gaussian",
     )
 
 
@@ -248,30 +236,13 @@ def make_gmm_posterior(
         g2 = (wb * r2) / den
         return np.stack([g1, g2], axis=-1)
 
-    def _log_term(l, th):
-        th = np.asarray(th, dtype=np.float64)
-        r1 = y[l] - th[0]
-        r2 = y[l] - th[0] - th[1]
-        la = -(r1 * r1) / (2.0 * sx)
-        lb = -(r2 * r2) / (2.0 * sx)
-        return float(
-            np.logaddexp(la, lb) + math.log(0.5) - 0.5 * math.log(2.0 * math.pi * sx)
-        )
-
     return DecomposableTarget(
         dim=2,
         L=int(y.size),
         grad_log_prior=lambda th: -np.asarray(th, dtype=np.float64) / prior_var,
-        grad_log_term=lambda l, th: _score_terms(
-            y[l : l + 1], np.asarray(th, dtype=np.float64)
-        )[0],
         terms_sum=lambda subsets, TH: np.add.reduce(
             _score_terms(y[subsets], TH), axis=1
         ),
-        log_prior=lambda th: -0.5
-        * float(np.sum(np.asarray(th, float) ** 2 / prior_var)),
-        log_term=_log_term,
-        name="gmm_posterior",
     )
 
 
@@ -299,21 +270,11 @@ def make_logreg(X, y) -> DecomposableTarget:
         z = np.add.reduce(Xs * w[..., None, :], axis=-1)
         return (y[idx] - sigmoid(z))[..., None] * Xs
 
-    def _log_term(l, w):
-        z = float(np.add.reduce(X[l] * np.asarray(w, float)))
-        return y[l] * z - float(np.logaddexp(0.0, z))
-
     return DecomposableTarget(
         dim=d,
         L=int(y.size),
         grad_log_prior=lambda w: np.zeros(d),
-        grad_log_term=lambda l, w: _score_terms(
-            np.array([l]), np.asarray(w, dtype=np.float64)
-        )[0],
         terms_sum=lambda subsets, W: np.add.reduce(_score_terms(subsets, W), axis=1),
-        log_prior=lambda w: 0.0,
-        log_term=_log_term,
-        name="logreg",
     )
 
 

@@ -17,7 +17,14 @@ BLOCK_ROWS = 256
 def resolve_threads(threads=None) -> int:
     if threads is None:
         raw = os.environ.get(ENV_THREADS, "").strip()
-        threads = int(raw) if raw else 1
+        if not raw:
+            return 1
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_THREADS} = {raw!r} is not an integer") from None
+        if threads < 1:
+            raise ValueError(f"{ENV_THREADS} = {raw!r} is less than 1")
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"thread count must be positive, got {threads}")

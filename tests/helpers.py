@@ -2,7 +2,8 @@
 Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
 loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
 one-chain SGLD loop, a one-round-at-a-time SSVGD loop, a tally of the term
-gradients a target evaluates and random problem builders.
+gradients a target evaluates, log densities of the three model families
+written from their formulas, and random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -381,13 +382,37 @@ def fd_gradient(f, x, step=FD_STEP):
     return out
 
 
-def log_density(target):
-    """Test-only log density: log prior plus the sum of all term log densities."""
-    def f(x):
-        total = target.log_prior(x)
-        for l in range(target.L):
-            total += target.log_term(l, x)
-        return total
+def gaussian_log_density(mu, sigma_sq):
+    """Unnormalized log density of N(mu, diag(sigma_sq))."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
+    return lambda x: -0.5 * float(np.sum((x - mu) ** 2 / sigma_sq))
+
+
+def gmm_log_density(observations, sigma1_sq=10.0, sigma2_sq=1.0, sigma_x_sq=2.0):
+    """Unnormalized log posterior of the mixture locations (th1, th2):
+    th1 ~ N(0, sigma1_sq), th2 ~ N(0, sigma2_sq), each observation from
+    0.5 N(th1, sigma_x_sq) + 0.5 N(th1 + th2, sigma_x_sq)."""
+    y = np.asarray(observations, dtype=np.float64)
+
+    def f(th):
+        prior = -0.5 * (th[0] ** 2 / sigma1_sq + th[1] ** 2 / sigma2_sq)
+        la = -((y - th[0]) ** 2) / (2.0 * sigma_x_sq)
+        lb = -((y - th[0] - th[1]) ** 2) / (2.0 * sigma_x_sq)
+        return prior + float(np.sum(np.logaddexp(la, lb)))
+
+    return f
+
+
+def logreg_log_density(X, y):
+    """Log likelihood of logistic regression (flat prior) at weights w:
+    sum over rows of y z - log(1 + exp(z)), z = x . w."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def f(w):
+        z = X @ w
+        return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
     return f
 

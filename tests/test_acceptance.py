@@ -18,9 +18,11 @@ from helpers import (
     fd_gradient,
     fd_kernel_cross,
     fd_kernel_grad_x,
+    gaussian_log_density,
+    gmm_log_density,
     kernel_cross_deriv_diag,
     kernel_grad_x,
-    log_density,
+    logreg_log_density,
     random_instance,
     random_kernel_spec,
     stein_gram,
@@ -115,14 +117,17 @@ class TestCriterion03Derivatives:
                              fd_kernel_grad_x(spec, x, y))
             assert_rel_close(kernel_cross_deriv_diag(spec, x, y),
                              fd_kernel_cross(spec, x, y))
-        # 100 random evaluation points per model score
-        targets = [
-            make_gaussian([0.3, -0.8], [1.5, 0.5], 5),
-            make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 9, seed=4)),
-            make_logreg(*gen_logreg_data(11, 4, [0.4, -0.3, 0.2, 0.1], seed=6)),
+        # 100 random evaluation points per model score, against log
+        # densities written in tests/helpers.py from the model formulas
+        obs = gen_gmm_data(0.0, 1.0, 2.0, 9, seed=4)
+        X, y = gen_logreg_data(11, 4, [0.4, -0.3, 0.2, 0.1], seed=6)
+        models = [
+            (make_gaussian([0.3, -0.8], [1.5, 0.5], 5),
+             gaussian_log_density([0.3, -0.8], [1.5, 0.5])),
+            (make_gmm_posterior(obs), gmm_log_density(obs)),
+            (make_logreg(X, y), logreg_log_density(X, y)),
         ]
-        for target in targets:
-            f = log_density(target)
+        for target, f in models:
             for _ in range(100):
                 x = rng.standard_normal(target.dim)
                 assert_rel_close(target.grad_log_full(x), fd_gradient(f, x))

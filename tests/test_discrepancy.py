@@ -209,9 +209,6 @@ class TestBatchedScores:
     def test_non_finite_row_names_point_and_term(self, exact):
         # Term 3 blows up at points beyond x = 5; points 300 and 400 are
         # there, in the second row block, and the first of them is reported.
-        def term(l, x):
-            return np.where((l == 3) & (x > 5.0), np.inf, -x)
-
         def terms_sum(subsets, X):
             hit = np.any(subsets == 3, axis=1)[:, None] & (X > 5.0)
             return np.where(hit, np.inf, -subsets.shape[1] * X)
@@ -220,7 +217,6 @@ class TestBatchedScores:
             dim=1,
             L=5,
             grad_log_prior=lambda x: np.zeros(1),
-            grad_log_term=term,
             terms_sum=terms_sum,
         )
         points = np.zeros((450, 1))

@@ -108,6 +108,15 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError, match="not 0 or 1"):
             io.read_labeled_csv(path)
 
+    def test_bad_label_names_file_line_and_column(self, tmp_path):
+        # The bad label is data row 2 but file line 5, after a comment and
+        # a blank line.
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2,label\n0.1,0.2,1\n# note\n\n0.3,0.4,0.5\n")
+        with pytest.raises(ConfigError) as err:
+            io.read_labeled_csv(path)
+        assert str(err.value) == f"{path}:5: column 3: label 0.5 is not 0 or 1"
+
 
 class TestConfigFiles:
     def test_sections_and_inline_comments(self, tmp_path):
@@ -124,6 +133,13 @@ class TestConfigFiles:
         bad.write_text("key_without_section = 1\n")
         with pytest.raises(ConfigError, match="parse error"):
             io.load_config(bad)
+
+    def test_percent_reads_literally(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[score]\nseed = 3\nsamples = a%b.csv\nout = %(seed)s.json\n")
+        cfg = io.load_config(path)
+        assert cfg["score"]["samples"] == "a%b.csv"
+        assert cfg["score"]["out"] == "%(seed)s.json"
 
 
 def _write(path, text):
@@ -234,6 +250,15 @@ class TestCliScore:
         assert cli.main(["score", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "samples.csv:2: column 2" in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_percent_value_is_not_substituted(self, mode_fixture, capsys):
+        tmp_path, config = mode_fixture
+        bad = _write(tmp_path / "bad.ini",
+                     config.read_text().replace("seed = 7", "seed = %(x)s"))
+        assert cli.main(["score", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "[score] seed = '%(x)s' is not an integer" in err
         assert not (tmp_path / "result.json").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steinlab import cli
 from steinlab.parallel import (
     ENV_THREADS,
     ordered_map,
@@ -26,6 +27,30 @@ class TestResolveThreads:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "STEINLAB_THREADS = 'abc' is not an integer"),
+        ("2.5", "STEINLAB_THREADS = '2.5' is not an integer"),
+        ("0", "STEINLAB_THREADS = '0' is less than 1"),
+        ("-3", "STEINLAB_THREADS = '-3' is less than 1"),
+    ])
+    def test_bad_env_value_names_the_variable(self, monkeypatch, raw, message):
+        monkeypatch.setenv(ENV_THREADS, raw)
+        with pytest.raises(ValueError) as err:
+            resolve_threads(None)
+        assert str(err.value) == message
+
+    def test_bad_env_value_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "score.ini"
+        config.write_text("[target]\nkind = gaussian\ndim = 1\nmu = 0\n"
+                          "sigma_sq = 1\nL = 2\n[kernel]\nfamily = imq\n"
+                          "[score]\nsamples = samples.csv\n")
+        monkeypatch.setenv(ENV_THREADS, "abc")
+        assert cli.main(["score", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "steinlab: STEINLAB_THREADS = 'abc' is not an integer\n"
+        )
 
 
 class TestBlocksAndReduction:

@@ -88,7 +88,6 @@ class TestSgldChain:
             dim=1,
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
-            grad_log_term=lambda l, x: np.full(1, 100.0),
             terms_sum=lambda subsets, X: np.full(X.shape, 100.0),
         )
         with pytest.raises(DivergenceError) as err:
@@ -210,6 +209,34 @@ class TestSgldSweep:
             sgld_chain(target, configs[0])
         assert err.value.step == 0
         assert isinstance(err.value.__cause__, NonFiniteScoreError)
+
+    def test_non_finite_term_is_named(self):
+        # Every term pushes x up by 1; term 3 turns infinite past x = 5.  The
+        # fast chain crosses 5 and leaves when its minibatch holds term 3;
+        # the slow chain stays below 5.
+        def terms_sum(subsets, X):
+            hit = np.any(subsets == 3, axis=1)[:, None] & (X > 5.0)
+            return np.where(hit, np.inf, float(subsets.shape[1]))
+
+        target = DecomposableTarget(
+            dim=1,
+            L=5,
+            grad_log_prior=lambda x: np.zeros(1),
+            terms_sum=terms_sum,
+        )
+        configs = [
+            SgldConfig(step=step, batch=2, steps=40, init=0.0, seed=i)
+            for i, step in enumerate([1e-4, 1.0])
+        ]
+        results = sgld_chain(target, SgldSweep(configs))
+        _assert_matches_oracle(target, configs, results)
+        assert isinstance(results[0], SampleBatch)
+        diverged = results[1]
+        assert isinstance(diverged, DivergenceError) and diverged.step > 0
+        cause = diverged.__cause__
+        assert isinstance(cause, NonFiniteScoreError)
+        assert cause.term_index == 3 and cause.point_index == 1
+        assert "likelihood term 3 at point 1" in str(diverged)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_row_diverges(self):

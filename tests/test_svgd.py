@@ -105,7 +105,6 @@ class TestDirection:
             dim=1,
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
-            grad_log_term=lambda l, x: np.full(1, 1e308),
             terms_sum=lambda subsets, X: np.full(X.shape, 1e308),
         )
         batch = SampleBatch(np.array([[0.0], [0.1]]))
@@ -225,7 +224,6 @@ class TestChunkedRounds:
             dim=1,
             L=L,
             grad_log_prior=lambda x: np.zeros(1),
-            grad_log_term=lambda l, x: np.ones(1),
             terms_sum=lambda subsets, X: np.full(X.shape, float(subsets.shape[1])),
         )
         init = SampleBatch(np.zeros((n, 1)))
@@ -351,7 +349,6 @@ class TestRunSsvgd:
             dim=1,
             L=1,
             grad_log_prior=lambda x: np.zeros(1),
-            grad_log_term=lambda l, x: np.full(1, 100.0),
             terms_sum=lambda subsets, X: np.full(X.shape, 100.0),
         )
         init = SampleBatch(np.array([[1.0], [2.0]]))
