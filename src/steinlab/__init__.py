@@ -4,7 +4,6 @@ particle improvement via (stochastic) Stein variational gradient descent."""
 from .discrepancy import (
     DiscrepancyResult,
     SampleBatch,
-    SubsetAssignment,
     coord_stein_sums,
     draw_subsets,
     ksd,
@@ -46,7 +45,6 @@ __all__ = [
     "SgldSweep",
     "SsvgdResult",
     "SteinlabError",
-    "SubsetAssignment",
     "SvgdConfig",
     "coord_stein_sums",
     "derive_seed",

@@ -539,6 +539,17 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+def _thread_count(text):
+    """``--threads``: a positive integer; argparse names the option on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="steinlab",
@@ -559,7 +570,7 @@ def _build_parser():
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         cmd.add_argument("--out", default=None, help="output path")
-        cmd.add_argument("--threads", type=int, default=None,
+        cmd.add_argument("--threads", type=_thread_count, default=None,
                          help="worker threads (default STEINLAB_THREADS or 1)")
         cmd.set_defaults(handler=handler)
     return parser

@@ -99,41 +99,6 @@ class SampleBatch:
 
 
 @dataclass(frozen=True)
-class SubsetAssignment:
-    """One size-m subset of the L term indices per sample point.
-
-    ``subsets`` is an (n, m) int64 array whose rows are sorted ascending.
-    ``seed``, when not None, is the seed from which :func:`draw_subsets`
-    regenerates the assignment exactly; it is None for an assignment drawn
-    from the middle of a longer stream, such as an SSVGD round.
-    """
-
-    subsets: np.ndarray
-    L: int
-    seed: Optional[int]
-
-    def __post_init__(self):
-        subs = np.asarray(self.subsets, dtype=np.int64)
-        if subs.ndim != 2 or subs.shape[0] < 1:
-            raise ValueError("subsets must be a nonempty n x m index matrix")
-        if not 1 <= subs.shape[1] <= self.L:
-            raise ValueError(f"subset size {subs.shape[1]} not in [1, {self.L}]")
-        if subs.min() < 0 or subs.max() >= self.L:
-            raise ValueError(f"subset indices must lie in [0, {self.L})")
-        if subs.shape[1] > 1 and not (subs[:, 1:] > subs[:, :-1]).all():
-            raise ValueError("subset rows must be strictly ascending")
-        object.__setattr__(self, "subsets", subs)
-
-    @property
-    def n(self) -> int:
-        return self.subsets.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.subsets.shape[1]
-
-
-@dataclass(frozen=True)
 class DiscrepancyResult:
     """Discrepancy value with its per-coordinate pieces and evaluation cost.
 
@@ -165,50 +130,45 @@ class DiscrepancyResult:
         }
 
 
-def draw_subsets(n, L, m, seed) -> SubsetAssignment:
-    """n independent uniform size-m subsets of the L term indices.
+def draw_subsets(n, L, m, seed) -> np.ndarray:
+    """n independent uniform size-m subsets of the L term indices, as an
+    ``(n, m)`` int64 matrix whose rows are sorted ascending.
 
     Deterministic given the seed: subsets come point by point from a single
     Philox stream (partial Fisher-Yates per point, point i's draws before
-    point i+1's), so the assignment does not depend on how later computation
-    is parallelized.
+    point i+1's), so the subsets do not depend on how later computation is
+    parallelized.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 1 <= m <= L:
-        raise ValueError(f"subset size m={m} not in [1, L={L}]")
-    gen = make_generator(seed)
-    return SubsetAssignment(uniform_subsets(gen, n, L, m), L=int(L), seed=int(seed))
+    return uniform_subsets(make_generator(seed), n, L, m)
 
 
-def scaled_scores(batch, target, assignment=None) -> np.ndarray:
+def scaled_scores(batch, target, subsets=None) -> np.ndarray:
     """Score matrix B.
 
-    Row i is ``(L/m) * grad_log_subset(sigma_i, x_i)`` under an assignment,
-    or the exact ``grad_log_full(x_i)`` when ``assignment`` is None.  The
-    target scores one fixed row block of points per call.  Consumes
-    ``n * m`` (respectively ``n * L``) term-gradient evaluations.
+    Row i is ``(L/m) * grad_log_subset(subsets[i], x_i)`` for an ``(n, m)``
+    index matrix ``subsets``, or the exact ``grad_log_full(x_i)`` when it is
+    None.  The target checks the indices and scores one fixed row block of
+    points per call.  Consumes ``n * m`` (respectively ``n * L``)
+    term-gradient evaluations.
     """
     X = batch.points
-    if assignment is not None:
-        if assignment.L != target.L:
+    if subsets is not None:
+        # The target sees one row block at a time, so only this check
+        # notices rows beyond the batch.
+        shape = np.shape(subsets)
+        if len(shape) != 2 or shape[0] != batch.n:
             raise ValueError(
-                f"assignment is over {assignment.L} terms, target has {target.L}"
+                f"subsets have shape {shape}, expected one row for each of "
+                f"{batch.n} points"
             )
-        if assignment.n != batch.n:
-            raise ValueError(
-                f"assignment covers {assignment.n} points, batch has {batch.n}"
-            )
-        scale = target.L / assignment.m
     B = np.empty_like(X)
     for i0, i1 in row_blocks(batch.n):
         try:
-            if assignment is None:
+            if subsets is None:
                 B[i0:i1] = target.grad_log_full(X[i0:i1])
             else:
-                B[i0:i1] = scale * target.grad_log_subset(
-                    assignment.subsets[i0:i1], X[i0:i1]
-                )
+                rows = target.grad_log_subset(subsets[i0:i1], X[i0:i1])
+                B[i0:i1] = (target.L / shape[1]) * rows
         except NonFiniteScoreError as err:
             err.point_index += i0
             raise
@@ -393,15 +353,15 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     return w_sq[0] if single else w_sq
 
 
-def _finish(batch, target, spec, assignments, seeds, threads):
-    """One result per assignment (None for the exact path), all scored in
-    one pass over the block pairs."""
-    B = np.stack([scaled_scores(batch, target, a) for a in assignments])
+def _finish(batch, target, spec, subset_mats, seeds, threads):
+    """One result per subset matrix (None for the exact path), all scored
+    in one pass over the block pairs."""
+    B = np.stack([scaled_scores(batch, target, subs) for subs in subset_mats])
     w_sq = coord_stein_sums(batch, B, spec, threads=threads)
     results = []
-    for pieces, assignment, seed in zip(w_sq, assignments, seeds):
+    for pieces, subs, seed in zip(w_sq, subset_mats, seeds):
         clamped = np.maximum(pieces, 0.0)
-        m = assignment.m if assignment is not None else target.L
+        m = target.L if subs is None else subs.shape[1]
         results.append(
             DiscrepancyResult(
                 value=float(np.sqrt(clamped.sum())),
@@ -438,8 +398,8 @@ def sksd(batch, target, spec, m, seed, threads=None):
     ms, seeds = (list(m), [int(s) for s in seed]) if stacked else ([m], [int(seed)])
     if not ms:
         raise ValueError("no subset sizes to score")
-    assignments = [draw_subsets(batch.n, target.L, mi, si) for mi, si in zip(ms, seeds)]
-    results = _finish(batch, target, spec, assignments, seeds, threads)
+    subset_mats = [draw_subsets(batch.n, target.L, mi, si) for mi, si in zip(ms, seeds)]
+    results = _finish(batch, target, spec, subset_mats, seeds, threads)
     return results if stacked else results[0]
 
 

@@ -184,4 +184,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from err
+    if parser.defaults():
+        # configparser would copy these keys into every section.
+        raise ConfigError(
+            f"{path}: [DEFAULT] gives {', '.join(parser.defaults())} to every "
+            f"section; set each key in its own section"
+        )
     return {section: dict(parser[section]) for section in parser.sections()}

@@ -6,19 +6,19 @@ Each round moves every particle along
 
 computed from the round-start positions, where B_j is the full score of
 source particle j or its (L/m)-scaled subset score under a fresh per-round
-assignment of one independent size-m subset per particle.  Directions are
-assembled in fixed row blocks and concatenated in order, so a run is
-bit-identical for any worker count.  Each block computes its own n x 256
-kernel and profile columns and sums their products with the sources over
-256-row source blocks, so results are also bit-identical for any BLAS
-thread count.
+``(n, m)`` index matrix of one independent size-m subset per particle.
+Directions are assembled in fixed row blocks and concatenated in order, so
+a run is bit-identical for any worker count.  Each block computes its own
+n x 256 kernel and profile columns and sums their products with the
+sources over 256-row source blocks, so results are also bit-identical for
+any BLAS thread count.
 
 A run spends little arithmetic per round, so :func:`run_ssvgd` keeps the
 per-round calls few.  The subsets of several consecutive rounds come from
 one draw of the run's stream, n rows per round, with the number of rounds
 per draw bounded so that the draw's ``(rounds * n, L)`` pool holds at most
 ``SUBSET_POOL_ENTRIES`` entries; one draw reads the same uniforms as one
-draw per round, so the assignments are the same.  Under the
+draw per round, so the subsets are the same.  Under the
 ``median_per_round`` bandwidth policy each round builds its particles'
 ``n x n`` squared distances once and hands them to both the median
 heuristic and the direction (``sq=``), whose blocks take column slices of
@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .discrepancy import SampleBatch, SubsetAssignment, scaled_scores
+from .discrepancy import SampleBatch, scaled_scores
 from .errors import DivergenceError
 from .parallel import ordered_map, resolve_threads, row_blocks, tree_reduce_sum
 from .rng import make_generator, uniform_subsets
@@ -61,8 +61,8 @@ class SvgdConfig:
     ``batch == target.L`` gives deterministic full-score descent.  With the
     ``adagrad`` schedule the per-coordinate step is
     ``step / (fudge + sqrt(accumulated squared direction))``.  A bandwidth
-    policy of None resolves to ``median_per_round`` for the rbf kernel and
-    ``fixed`` otherwise.
+    policy of None is replaced on construction by
+    :func:`default_bandwidth_policy` of the kernel.
     """
 
     rounds: int
@@ -86,17 +86,14 @@ class SvgdConfig:
             raise ValueError("fudge must be positive")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.bandwidth_policy is not None and (
-            self.bandwidth_policy not in BANDWIDTH_POLICIES
-        ):
+        if self.bandwidth_policy is None:
+            object.__setattr__(
+                self, "bandwidth_policy", default_bandwidth_policy(self.kernel)
+            )
+        if self.bandwidth_policy not in BANDWIDTH_POLICIES:
             raise ValueError(f"unknown bandwidth policy {self.bandwidth_policy!r}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be nonnegative")
-
-    def resolved_bandwidth_policy(self) -> str:
-        if self.bandwidth_policy is not None:
-            return self.bandwidth_policy
-        return default_bandwidth_policy(self.kernel)
 
 
 def default_bandwidth_policy(kernel) -> str:
@@ -119,13 +116,14 @@ class SsvgdResult:
     term_evals: int
 
 
-def ssvgd_direction(batch, target, spec, assignment=None, threads=None,
+def ssvgd_direction(batch, target, spec, subsets=None, threads=None,
                     sq=None) -> np.ndarray:
     """Update direction at every particle position.
 
-    Source scores are subset-scaled under ``assignment`` (indexed by source
-    particle, following the per-round minibatch scheme) or exact when it is
-    None.  Row i is the direction evaluated at particle i.
+    Source scores are subset-scaled under the ``(n, m)`` index matrix
+    ``subsets`` (row j for source particle j, following the per-round
+    minibatch scheme) or exact when it is None.  Row i is the direction
+    evaluated at particle i.
 
     ``sq``, when given, is the ``(n, n)`` matrix
     ``kernels.squared_distances(X, X)`` of the particles, and each row block
@@ -139,7 +137,7 @@ def ssvgd_direction(batch, target, spec, assignment=None, threads=None,
         raise ValueError(
             f"squared distances have shape {sq.shape}, expected {(n, n)}"
         )
-    B = scaled_scores(batch, target, assignment)
+    B = scaled_scores(batch, target, subsets)
     workers = resolve_threads(threads)
 
     sources = row_blocks(n)
@@ -175,8 +173,8 @@ def ssvgd_direction(batch, target, spec, assignment=None, threads=None,
 def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> SsvgdResult:
     """Synchronous particle descent for ``config.rounds`` rounds.
 
-    Every round takes a fresh assignment from the run's stream, computes all
-    directions from the round-start positions, then steps.  The assignments
+    Every round takes fresh subsets from the run's stream, computes all
+    directions from the round-start positions, then steps.  The subsets
     of up to ``SUBSET_POOL_ENTRIES // (n * L)`` consecutive rounds come from
     one draw, n rows per round; that draw reads the stream exactly as one
     draw per round would.  A full batch (``batch == target.L``) draws
@@ -193,13 +191,12 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
     X = init.points.copy()
     n = X.shape[0]
     gen = make_generator(config.seed)
-    policy = config.resolved_bandwidth_policy()
     full_batch = config.batch == target.L
     chunk_rounds = max(1, SUBSET_POOL_ENTRIES // (n * target.L))
     acc = np.zeros_like(X)
     evals_per_round = n * config.batch
     checkpoints = []
-    assignment = None
+    subsets = None
     sq = None
     spec = config.kernel
     for r in range(config.rounds):
@@ -208,19 +205,15 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
             if k == 0:
                 chunk = min(chunk_rounds, config.rounds - r)
                 drawn = uniform_subsets(gen, chunk * n, target.L, config.batch)
-            # Rounds continue the run's stream, which draw_subsets cannot
-            # resume from a seed, so no seed is recorded.
-            assignment = SubsetAssignment(
-                drawn[k * n:(k + 1) * n], L=target.L, seed=None
-            )
-        if policy == MEDIAN_PER_ROUND:
+            subsets = drawn[k * n:(k + 1) * n]
+        if config.bandwidth_policy == MEDIAN_PER_ROUND:
             sq = kernels.squared_distances(X, X)
             spec = replace(
                 config.kernel,
                 bandwidth=kernels.median_heuristic_bandwidth(X, sq=sq),
             )
         direction = ssvgd_direction(
-            SampleBatch(X), target, spec, assignment, threads=threads, sq=sq
+            SampleBatch(X), target, spec, subsets, threads=threads, sq=sq
         )
         if config.schedule == ADAGRAD:
             acc = acc + direction * direction

@@ -35,7 +35,6 @@ from steinlab import (
     DivergenceError,
     NonFiniteScoreError,
     NumericalConsistencyError,
-    SubsetAssignment,
     kernels,
     svgd,
 )
@@ -228,20 +227,20 @@ def uniform_subsets_oracle(gen, count, pool_size, subset_size):
     return np.sort(pool[:, :subset_size], axis=1)
 
 
-def pointwise_scaled_scores(batch, target, assignment=None):
+def pointwise_scaled_scores(batch, target, subsets=None):
     """Score matrix B built one point at a time: row i is
-    ``(L/m) * grad_log_subset(sigma_i, x_i)``, or ``grad_log_full(x_i)``
-    without an assignment.  Reference for the row-blocked
+    ``(L/m) * grad_log_subset(subsets[i], x_i)``, or ``grad_log_full(x_i)``
+    without an index matrix.  Reference for the row-blocked
     ``scaled_scores``."""
     X = batch.points
-    if assignment is not None:
-        scale = target.L / assignment.m
     B = np.empty_like(X)
     for i in range(batch.n):
-        if assignment is None:
+        if subsets is None:
             B[i] = target.grad_log_full(X[i])
         else:
-            B[i] = scale * target.grad_log_subset(assignment.subsets[i], X[i])
+            B[i] = (target.L / subsets.shape[1]) * target.grad_log_subset(
+                subsets[i], X[i]
+            )
     return B
 
 
@@ -307,24 +306,20 @@ def run_ssvgd_oracle(init, target, config, threads=None):
     X = init.points.copy()
     n = X.shape[0]
     gen = make_generator(config.seed)
-    policy = config.resolved_bandwidth_policy()
     acc = np.zeros_like(X)
     evals_per_round = n * config.batch
     checkpoints = []
     for r in range(config.rounds):
-        if policy == svgd.MEDIAN_PER_ROUND:
+        if config.bandwidth_policy == svgd.MEDIAN_PER_ROUND:
             spec = replace(
                 config.kernel, bandwidth=kernels.median_heuristic_bandwidth(X)
             )
         else:
             spec = config.kernel
         subsets = uniform_subsets_oracle(gen, n, target.L, config.batch)
-        if config.batch == target.L:
-            assignment = None
-        else:
-            assignment = SubsetAssignment(subsets, L=target.L, seed=None)
         direction = svgd.ssvgd_direction(
-            SampleBatch(X), target, spec, assignment, threads=threads
+            SampleBatch(X), target, spec,
+            None if config.batch == target.L else subsets, threads=threads
         )
         if config.schedule == svgd.ADAGRAD:
             acc = acc + direction * direction

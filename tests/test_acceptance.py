@@ -70,10 +70,10 @@ class TestCriterion01ClosedForm:
             batch, target, spec, m = random_instance(
                 rng, kinds=("gmm", "logreg"), families=("imq", "log_inverse")
             )
-            assignment = draw_subsets(
+            subsets = draw_subsets(
                 batch.n, target.L, m, seed=int(rng.integers(2**32))
             )
-            B = scaled_scores(batch, target, assignment)
+            B = scaled_scores(batch, target, subsets)
             w_sq = coord_stein_sums(batch, B, spec)
             for j in range(batch.dim):
                 oracle = stein_gram(j, batch, B, spec).sum() / batch.n**2
@@ -298,8 +298,8 @@ class TestCriterion09Concentration:
         )
         violations = 0
         for rep in range(reps):
-            assignment = draw_subsets(n, L, m, seed=derive_seed(rep, "c9"))
-            B = assignment.subsets[:, 0] == 0
+            subsets = draw_subsets(n, L, m, seed=derive_seed(rep, "c9"))
+            B = subsets[:, 0] == 0
             tilde_h = float(np.mean((B / tau) * h))
             violations += abs(tilde_h - nu_h) > threshold
         rate = violations / reps

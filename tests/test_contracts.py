@@ -1,8 +1,9 @@
 """Names that code outside the package relies on.
 
-The README's library example must run against the current API, and every
-function that ``perfbench/tracer.py`` wraps must still exist: a deleted or
-renamed one would drop its layer from the benchmark's per-layer report.
+The README's library example must run against the current API, the README
+must name every public name, and every function that ``perfbench/tracer.py``
+wraps must still exist: a deleted or renamed one would drop its layer from
+the benchmark's per-layer report.
 """
 
 import importlib
@@ -20,6 +21,15 @@ def test_readme_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     cheap, exact, ratio = map(float, capsys.readouterr().out.split())
     assert cheap > 0.0 and exact > 0.0 and ratio == 1 / 100
+
+
+def test_readme_names_every_public_name():
+    import steinlab
+
+    readme = (ROOT / "README.md").read_text()
+    missing = [name for name in steinlab.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not missing, f"README.md does not name {missing}"
 
 
 def test_traced_functions_exist(monkeypatch):

@@ -25,7 +25,6 @@ from steinlab import (
     NonFiniteScoreError,
     NumericalConsistencyError,
     SampleBatch,
-    SubsetAssignment,
     coord_stein_sums,
     draw_subsets,
     gen_gmm_data,
@@ -37,7 +36,9 @@ from steinlab import (
     make_logreg,
     scaled_scores,
     sksd,
+    ssvgd_direction,
 )
+from steinlab import discrepancy as discrepancy_module
 from steinlab import kernels as kernels_module
 from steinlab.discrepancy import (
     NEGATIVE_TOLERANCE,
@@ -69,31 +70,45 @@ class TestSampleBatch:
 
 class TestDrawSubsets:
     def test_full_size_subsets_are_the_whole_set(self):
-        assignment = draw_subsets(2, 3, 3, seed=99)
-        assert np.array_equal(assignment.subsets, np.tile(np.arange(3), (2, 1)))
+        subsets = draw_subsets(2, 3, 3, seed=99)
+        assert np.array_equal(subsets, np.tile(np.arange(3), (2, 1)))
 
     def test_deterministic_given_seed(self):
         a = draw_subsets(50, 10, 4, seed=5)
         b = draw_subsets(50, 10, 4, seed=5)
-        assert np.array_equal(a.subsets, b.subsets)
-        assert a.seed == b.seed == 5
+        assert np.array_equal(a, b)
 
-    def test_regenerates_from_stored_metadata(self):
-        a = draw_subsets(31, 8, 3, seed=123)
-        regenerated = draw_subsets(a.n, a.L, a.m, a.seed)
-        assert np.array_equal(regenerated.subsets, a.subsets)
+    def test_regenerates_from_stored_metadata(self, monkeypatch):
+        # Every sksd result's (n, L, m, seed) regenerates, through
+        # draw_subsets, exactly the subsets it was scored with, for the
+        # scalar call and for each member of a stacked one.
+        scored = []
+        scores = discrepancy_module.scaled_scores
+
+        def recording_scores(batch, target, subsets=None):
+            scored.append(subsets)
+            return scores(batch, target, subsets)
+
+        monkeypatch.setattr(discrepancy_module, "scaled_scores", recording_scores)
+        target = make_gaussian(0.0, 1.0, 8)
+        batch = iid_gaussian(31, 1, 0.0, 1.0, seed=6)
+        results = [sksd(batch, target, IMQ, m=3, seed=123)]
+        results += sksd(batch, target, IMQ, m=[1, 5, 8], seed=[4, 4, 9])
+        assert len(scored) == len(results) == 4
+        for result, subsets in zip(results, scored):
+            again = draw_subsets(result.n, result.L, result.m, result.seed)
+            assert np.array_equal(again, subsets)
 
     def test_rows_sorted_unique_in_range(self):
-        assignment = draw_subsets(200, 9, 5, seed=1)
-        subs = assignment.subsets
-        assert subs.shape == (200, 5)
+        subs = draw_subsets(200, 9, 5, seed=1)
+        assert subs.shape == (200, 5) and subs.dtype == np.int64
         assert subs.min() >= 0 and subs.max() < 9
         assert np.all(subs[:, 1:] > subs[:, :-1])
 
     def test_singleton_uniformity_chi_square(self):
         # 2-dof chi-square critical value at level 1e-3 is 13.8155.
-        assignment = draw_subsets(30_000, 3, 1, seed=7)
-        counts = np.bincount(assignment.subsets[:, 0], minlength=3)
+        subsets = draw_subsets(30_000, 3, 1, seed=7)
+        counts = np.bincount(subsets[:, 0], minlength=3)
         expected = 10_000.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 13.8155
@@ -105,8 +120,6 @@ class TestDrawSubsets:
             draw_subsets(5, 3, 0, seed=0)
         with pytest.raises(ValueError):
             draw_subsets(0, 3, 1, seed=0)
-        with pytest.raises(ValueError, match="ascending"):
-            SubsetAssignment(np.array([[1, 1]]), L=3, seed=0)
 
 
 class TestScaledScores:
@@ -115,23 +128,23 @@ class TestScaledScores:
         # full scores to the bit.
         target = make_gaussian(0.0, 1.0, 6, dim=2)
         batch = iid_gaussian(40, 2, 0.0, 1.0, seed=8)
-        assignment = draw_subsets(40, 6, 3, seed=3)
-        B = scaled_scores(batch, target, assignment)
+        subsets = draw_subsets(40, 6, 3, seed=3)
+        B = scaled_scores(batch, target, subsets)
         assert np.array_equal(B, -batch.points)
 
     def test_equal_factor_rows_near_exact_non_dyadic(self):
         target = make_gaussian(0.0, 1.0, 6, dim=2)
         batch = iid_gaussian(40, 2, 0.0, 1.0, seed=8)
-        assignment = draw_subsets(40, 6, 2, seed=3)
-        B = scaled_scores(batch, target, assignment)
+        subsets = draw_subsets(40, 6, 2, seed=3)
+        B = scaled_scores(batch, target, subsets)
         np.testing.assert_allclose(B, -batch.points, rtol=1e-15)
 
     def test_full_assignment_matches_exact_path(self):
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 5, seed=4))
         batch = iid_gaussian(17, 2, 0.0, 1.0, seed=2)
-        assignment = draw_subsets(17, 5, 5, seed=0)
+        subsets = draw_subsets(17, 5, 5, seed=0)
         assert np.array_equal(
-            scaled_scores(batch, target, assignment),
+            scaled_scores(batch, target, subsets),
             scaled_scores(batch, target, None),
         )
 
@@ -146,8 +159,7 @@ class TestScaledScores:
         subsets = list(itertools.combinations(range(6), 2))
         for sigma in subsets:
             rows = np.tile(np.asarray(sigma), (9, 1))
-            assignment = SubsetAssignment(rows, L=6, seed=0)
-            total += scaled_scores(batch, target, assignment)
+            total += scaled_scores(batch, target, rows)
         avg = total / len(subsets)
         # E[(L/m) * subset score] = full score + (L/m)(m/L - 1) ... the prior
         # share scales to exactly one full prior, so the average is the full
@@ -156,7 +168,7 @@ class TestScaledScores:
 
     def test_counter_accounting(self):
         # scaled_scores evaluates n * m term gradients, n * L without an
-        # assignment; sksd and ksd on the same shapes report as many.
+        # index matrix; sksd and ksd on the same shapes report as many.
         tally = TermTally(make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 7, seed=1)))
         batch = iid_gaussian(11, 2, 0.0, 1.0, seed=3)
         scaled_scores(batch, tally.target, draw_subsets(11, 7, 3, seed=9))
@@ -169,12 +181,43 @@ class TestScaledScores:
         assert tally.value - evaluated == reported == evaluated
 
     def test_mismatched_assignment(self):
+        # Subsets drawn for more terms or for fewer points than the call has.
         target = make_gaussian(0.0, 1.0, 4, dim=1)
         batch = iid_gaussian(5, 1, 0.0, 1.0, seed=0)
-        with pytest.raises(ValueError, match="terms"):
-            scaled_scores(batch, target, draw_subsets(5, 3, 1, seed=0))
-        with pytest.raises(ValueError, match="points"):
+        with pytest.raises(ValueError, match=r"term indices must lie in \[0, 4\)"):
+            scaled_scores(batch, target, draw_subsets(5, 8, 8, seed=0))
+        with pytest.raises(ValueError, match="one row for each of 5 points"):
             scaled_scores(batch, target, draw_subsets(4, 4, 1, seed=0))
+
+    @pytest.mark.parametrize("entry", ["scaled_scores", "ssvgd_direction"])
+    @pytest.mark.parametrize("subsets, message", [
+        ([[0, 4], [1, 2], [0, 3]], r"term indices must lie in \[0, 4\)"),
+        ([[0, 1], [2, 2], [1, 3]], "duplicate"),
+        (np.zeros((3, 0), dtype=np.int64), "nonempty"),
+        ([[0, 1], [2, 3]], "one row for each of 3 points"),
+        ([[0, 1], [2, 3], [1, 3], [0, 2]], "one row for each of 3 points"),
+        ([0, 1, 2], "one row for each of 3 points"),
+    ], ids=["out-of-range", "duplicate", "empty", "short", "long", "flat"])
+    def test_bad_index_matrix_is_a_value_error(self, entry, subsets, message):
+        # The target checks the indices, scaled_scores the row count; both
+        # reach a caller of either entry point as ValueError.
+        target = make_gaussian(0.0, 1.0, 4, dim=2)
+        batch = iid_gaussian(3, 2, 0.0, 1.0, seed=1)
+        with pytest.raises(ValueError, match=message):
+            if entry == "scaled_scores":
+                scaled_scores(batch, target, subsets)
+            else:
+                ssvgd_direction(batch, target, IMQ, subsets)
+
+    def test_row_order_within_a_subset_does_not_matter(self):
+        # The target sorts an unsorted row, so it scores the same subset.
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 6, seed=5))
+        batch = iid_gaussian(3, 2, 0.0, 1.0, seed=6)
+        rows = np.array([[0, 2, 5], [1, 3, 4], [2, 4, 5]])
+        assert np.array_equal(
+            scaled_scores(batch, target, rows[:, ::-1]),
+            scaled_scores(batch, target, rows),
+        )
 
 
 SCORE_TARGETS = {
@@ -196,12 +239,12 @@ class TestBatchedScores:
         target = SCORE_TARGETS[kind]()
         batch = iid_gaussian(n, target.dim, 0.2, 1.5, seed=n)
         if m == "exact":
-            assignment = None
+            subsets = None
         else:
             size = target.L if m == "L" else m
-            assignment = draw_subsets(n, target.L, size, seed=7)
-        want = pointwise_scaled_scores(batch, target, assignment)
-        got = scaled_scores(batch, target, assignment)
+            subsets = draw_subsets(n, target.L, size, seed=7)
+        want = pointwise_scaled_scores(batch, target, subsets)
+        got = scaled_scores(batch, target, subsets)
         assert np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -222,9 +265,9 @@ class TestBatchedScores:
         points = np.zeros((450, 1))
         points[[300, 400], 0] = 10.0
         batch = SampleBatch(points)
-        assignment = None if exact else draw_subsets(450, 5, 5, seed=1)
+        subsets = None if exact else draw_subsets(450, 5, 5, seed=1)
         with pytest.raises(NonFiniteScoreError) as err:
-            scaled_scores(batch, target, assignment)
+            scaled_scores(batch, target, subsets)
         assert err.value.point_index == 300
         assert err.value.term_index == 3
 
@@ -250,8 +293,8 @@ class TestCoordSteinSums:
         rng = np.random.default_rng(77)
         for _ in range(20):
             batch, target, spec, m = random_instance(rng)
-            assignment = draw_subsets(batch.n, target.L, m, seed=int(rng.integers(2**32)))
-            B = scaled_scores(batch, target, assignment)
+            subsets = draw_subsets(batch.n, target.L, m, seed=int(rng.integers(2**32)))
+            B = scaled_scores(batch, target, subsets)
             w_sq = coord_stein_sums(batch, B, spec)
             for j in range(batch.dim):
                 M = stein_gram(j, batch, B, spec)
@@ -646,10 +689,10 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
             rng, kinds=("gmm", "logreg", "gaussian"), families=(family,),
             max_d=12, n=n,
         )
-        assignment = draw_subsets(batch.n, target.L, m, seed=case)
-        B = scaled_scores(batch, target, assignment)
+        subsets = draw_subsets(batch.n, target.L, m, seed=case)
+        B = scaled_scores(batch, target, subsets)
         parts.append(coord_stein_sums(batch, B, spec, threads=2))
-        parts.append(ssvgd_direction(batch, target, spec, assignment, threads=2).ravel())
+        parts.append(ssvgd_direction(batch, target, spec, subsets, threads=2).ravel())
     # One stacked call, on the last and largest instance.
     stack = np.stack([B, -B, 0.5 * B])
     parts.append(coord_stein_sums(batch, stack, spec, threads=2).ravel())

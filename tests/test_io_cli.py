@@ -141,6 +141,13 @@ class TestConfigFiles:
         assert cfg["score"]["samples"] == "a%b.csv"
         assert cfg["score"]["out"] == "%(seed)s.json"
 
+    def test_default_section_is_rejected(self, tmp_path):
+        # configparser would copy its keys into every section.
+        path = tmp_path / "c.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n\n[score]\nsamples = a.csv\n")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\] gives seed to every section"):
+            io.load_config(path)
+
 
 def _write(path, text):
     path.write_text(textwrap.dedent(text))
@@ -221,6 +228,26 @@ class TestCliScore:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not (tmp_path / "bad.json").exists()
+
+    def test_default_section_is_a_config_error(self, mode_fixture, capsys):
+        tmp_path, config = mode_fixture
+        bad = _write(tmp_path / "bad.ini", "[DEFAULT]\nseed = 3\n" + config.read_text())
+        assert cli.main(["score", "--config", str(bad), "--out", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[DEFAULT] gives seed" in err
+        assert "[target]" not in err
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_thread_count_below_one_is_a_usage_error(self, mode_fixture, capsys, value):
+        tmp_path, config = mode_fixture
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["score", "--config", str(config), "--out", "t.json",
+                      "--threads", value])
+        assert exit_info.value.code == 2
+        assert f"argument --threads: '{value}' is not a positive integer" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_missing_samples_no_partial_output(self, mode_fixture, capsys):
         tmp_path, config = mode_fixture

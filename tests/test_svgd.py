@@ -9,7 +9,6 @@ from steinlab import (
     DivergenceError,
     KernelSpec,
     SampleBatch,
-    SubsetAssignment,
     SvgdConfig,
     draw_subsets,
     gen_logreg_data,
@@ -17,10 +16,9 @@ from steinlab import (
     make_gaussian,
     make_logreg,
     run_ssvgd,
-    sksd,
     ssvgd_direction,
 )
-from steinlab import discrepancy, kernels, svgd
+from steinlab import kernels, svgd
 from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -64,8 +62,7 @@ class TestDirection:
         # k(x, x) times the scaled subset score.
         target = make_gaussian(0.0, 1.0, 4, dim=2)
         x = np.array([[0.7, -0.3]])
-        assignment = SubsetAssignment(np.array([[1, 3]]), L=4, seed=0)
-        direction = ssvgd_direction(SampleBatch(x), target, IMQ, assignment)
+        direction = ssvgd_direction(SampleBatch(x), target, IMQ, np.array([[1, 3]]))
         assert np.array_equal(direction, -x)
 
     def test_one_constant_round_moves_to_expected_point(self):
@@ -78,24 +75,24 @@ class TestDirection:
     def test_full_batch_direction_matches_exact(self):
         target = make_gaussian(0.0, 1.0, 5, dim=2)
         batch = iid_gaussian(20, 2, 0.0, 1.0, seed=2)
-        assignment = draw_subsets(20, 5, 5, seed=3)
+        subsets = draw_subsets(20, 5, 5, seed=3)
         assert np.array_equal(
-            ssvgd_direction(batch, target, IMQ, assignment),
+            ssvgd_direction(batch, target, IMQ, subsets),
             ssvgd_direction(batch, target, IMQ, None),
         )
 
     def test_permutation_synchronicity(self):
         target = make_gaussian(0.0, 1.0, 6, dim=2)
         batch = iid_gaussian(15, 2, 0.0, 1.0, seed=4)
-        assignment = draw_subsets(15, 6, 2, seed=5)
-        direction = ssvgd_direction(batch, target, IMQ, assignment)
+        subsets = draw_subsets(15, 6, 2, seed=5)
+        direction = ssvgd_direction(batch, target, IMQ, subsets)
         rng = np.random.default_rng(6)
         perm = rng.permutation(15)
         permuted = ssvgd_direction(
             SampleBatch(batch.points[perm]),
             target,
             IMQ,
-            SubsetAssignment(assignment.subsets[perm], L=6, seed=5),
+            subsets[perm],
         )
         np.testing.assert_allclose(permuted, direction[perm], rtol=1e-10, atol=1e-13)
 
@@ -117,12 +114,12 @@ class TestDirection:
     def test_shared_squared_distances_give_same_bits(self, n, d, spec):
         target = make_gaussian(0.0, 1.0, 6, dim=d)
         batch = iid_gaussian(n, d, 0.3, 1.0, seed=n + d)
-        assignment = draw_subsets(n, 6, 2, seed=5)
+        subsets = draw_subsets(n, 6, 2, seed=5)
         sq = kernels.squared_distances(batch.points, batch.points)
         for threads in (1, 2):
             assert np.array_equal(
-                ssvgd_direction(batch, target, spec, assignment, threads, sq=sq),
-                ssvgd_direction(batch, target, spec, assignment, threads),
+                ssvgd_direction(batch, target, spec, subsets, threads, sq=sq),
+                ssvgd_direction(batch, target, spec, subsets, threads),
             )
 
     def test_squared_distances_of_wrong_shape_raise(self):
@@ -307,32 +304,6 @@ class TestRunSsvgd:
         assert result.checkpoints[0][2] == 10 * 6 * 2
         assert result.checkpoints[0][1].shape == (6, 1)
 
-    def test_recorded_seeds_regenerate_assignments(self, monkeypatch):
-        # An assignment that records a seed must be regenerated by
-        # draw_subsets from it; SSVGD rounds continue one stream and record
-        # none.
-        seen = []
-        scores = discrepancy.scaled_scores
-
-        def recording_scores(batch, target, assignment=None):
-            if assignment is not None:
-                seen.append(assignment)
-            return scores(batch, target, assignment)
-
-        monkeypatch.setattr(svgd, "scaled_scores", recording_scores)
-        monkeypatch.setattr(discrepancy, "scaled_scores", recording_scores)
-        target = make_gaussian(0.0, 1.0, 8)
-        init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
-        run_ssvgd(init, target, SvgdConfig(rounds=4, batch=3, kernel=IMQ,
-                                           bandwidth_policy="fixed", seed=21))
-        sksd(init, target, IMQ, m=3, seed=21)
-        assert len(seen) == 5
-        recorded = [a for a in seen if a.seed is not None]
-        assert len(recorded) == 1
-        for a in recorded:
-            again = draw_subsets(a.n, a.L, a.m, a.seed)
-            assert np.array_equal(again.subsets, a.subsets)
-
     def test_seeded_determinism_and_worker_independence(self):
         target = make_gaussian(0.0, 1.0, 8)
         init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
@@ -371,10 +342,12 @@ class TestRunSsvgd:
             SvgdConfig(rounds=1, batch=1, kernel=IMQ, schedule="nesterov")
         with pytest.raises(ValueError):
             SvgdConfig(rounds=1, batch=1, kernel=IMQ, bandwidth_policy="weekly")
-        assert SvgdConfig(rounds=1, batch=1, kernel=RBF).resolved_bandwidth_policy() \
+        # A policy of None is resolved on construction, from the kernel.
+        assert SvgdConfig(rounds=1, batch=1, kernel=RBF).bandwidth_policy \
             == MEDIAN_PER_ROUND
-        assert SvgdConfig(rounds=1, batch=1, kernel=IMQ).resolved_bandwidth_policy() \
-            == "fixed"
+        assert SvgdConfig(rounds=1, batch=1, kernel=IMQ).bandwidth_policy == "fixed"
+        assert SvgdConfig(rounds=1, batch=1, kernel=RBF,
+                          bandwidth_policy="fixed").bandwidth_policy == "fixed"
 
     @pytest.mark.parametrize("fudge", [0.0, -1.0, float("nan")])
     def test_fudge_must_be_positive(self, fudge):
