@@ -16,9 +16,10 @@ from steinlab import (
     make_gaussian,
     make_logreg,
     run_ssvgd,
+    sksd,
     ssvgd_direction,
 )
-from steinlab import kernels, svgd
+from steinlab import discrepancy, kernels, svgd
 from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -303,6 +304,32 @@ class TestRunSsvgd:
         assert rounds == [10, 20]
         assert result.checkpoints[0][2] == 10 * 6 * 2
         assert result.checkpoints[0][1].shape == (6, 1)
+
+    def test_recorded_seeds_regenerate_assignments(self, monkeypatch):
+        # The config seed regenerates, through draw_subsets, every subset an
+        # SSVGD run scored with: its rounds continue one stream, so they are
+        # the rows of one draw for all rounds.  An sksd result's recorded
+        # (n, L, m, seed) regenerates its own subsets the same way.
+        seen = []
+        scores = discrepancy.scaled_scores
+
+        def recording_scores(batch, target, subsets=None):
+            if subsets is not None:
+                seen.append(subsets)
+            return scores(batch, target, subsets)
+
+        monkeypatch.setattr(svgd, "scaled_scores", recording_scores)
+        monkeypatch.setattr(discrepancy, "scaled_scores", recording_scores)
+        target = make_gaussian(0.0, 1.0, 8)
+        init = iid_gaussian(10, 1, 0.0, 1.0, seed=6)
+        run_ssvgd(init, target, SvgdConfig(rounds=4, batch=3, kernel=IMQ,
+                                           bandwidth_policy="fixed", seed=21))
+        result = sksd(init, target, IMQ, m=3, seed=21)
+        assert len(seen) == 5
+        again = draw_subsets(4 * 10, 8, 3, 21)
+        assert np.array_equal(np.concatenate(seen[:4]), again)
+        again = draw_subsets(result.n, result.L, result.m, result.seed)
+        assert np.array_equal(again, seen[4])
 
     def test_seeded_determinism_and_worker_independence(self):
         target = make_gaussian(0.0, 1.0, 8)
