@@ -336,6 +336,18 @@ class _Config:
 # ---------------------------------------------------------------------------
 # commands
 
+def _discrepancy(sample, target, kernel, m, seed, threads):
+    """KSD for the subset size 'full' (None), else SKSD at ``m`` with ``seed``."""
+    if m is None:
+        return ksd(sample, target, kernel, threads=threads)
+    return sksd(sample, target, kernel, m, seed, threads=threads)
+
+
+def _grid_rows(run_cell, cells, threads):
+    """The rows ``run_cell`` returns for every cell, flattened in cell order."""
+    return [row for rows in ordered_map(run_cell, cells, threads) for row in rows]
+
+
 def cmd_score(args) -> int:
     cfg = _Config(args, "score")
     opts = cfg.read("score", _SCORE)
@@ -343,11 +355,7 @@ def cmd_score(args) -> int:
     if batch.dim != cfg.target.dim:
         raise ConfigError(f"[score] samples = {opts['samples']!r} has dimension {batch.dim}, "
                           f"target expects {cfg.target.dim}")
-    if opts["m"] is None:
-        result = ksd(batch, cfg.target, cfg.kernel, threads=cfg.threads)
-    else:
-        result = sksd(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"],
-                      threads=cfg.threads)
+    result = _discrepancy(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"], cfg.threads)
     sio.write_json(args.out or "result.json", {"config": cfg.echo, "result": result.to_dict()})
     return 0
 
@@ -367,8 +375,7 @@ def cmd_tune_sgld(args) -> int:
 
     def run_cell(cell):
         (eps, trial), chain = cell
-        rows = [{"epsilon": sio.fmt_float(eps), "m": m, "trial": trial}
-                for m in m_values]
+        rows = [{"epsilon": eps, "m": m, "trial": trial} for m in m_values]
         if isinstance(chain, DivergenceError):
             for row in rows:
                 row.update(value="", term_evals="", diverged=1, note=f"step {chain.step}")
@@ -380,44 +387,34 @@ def cmd_tune_sgld(args) -> int:
         score_seeds = [derive_seed(seed, "tune-score", trial, m) for m in m_values]
         results = sksd(chain, target, spec, m_values, score_seeds, threads=1)
         for row, result in zip(rows, results):
-            row.update(value=sio.fmt_float(result.value),
-                       term_evals=result.term_evals, diverged=0, note="")
+            row.update(value=result.value, term_evals=result.term_evals, diverged=0, note="")
         return rows
 
-    cells = ordered_map(run_cell, zip(chain_cells, chains), cfg.threads)
-    rows = [row for chain_rows in cells for row in chain_rows]
+    rows = _grid_rows(run_cell, zip(chain_cells, chains), cfg.threads)
+    values = {(m, eps): [] for m in m_values for eps in eps_grid}
+    for row in rows:
+        if not row["diverged"]:
+            values[row["m"], row["epsilon"]].append(row["value"])
 
     summary, summary_meta = [], dict(cfg.echo)
     for m in m_values:
-        per_eps = []
-        for eps in eps_grid:
-            values = [float(r["value"]) for r in rows if r["m"] == m
-                      and r["epsilon"] == sio.fmt_float(eps) and not r["diverged"]]
-            if values:
-                stderr = (statistics.stdev(values) / len(values) ** 0.5
-                          if len(values) > 1 else 0.0)
-                per_eps.append((statistics.fmean(values), eps, statistics.median(values),
-                                stderr, len(values)))
+        # min() compares (mean, eps), so a tie of means goes to the smaller step.
+        per_eps = [(statistics.fmean(v), eps, v) for eps in eps_grid if (v := values[m, eps])]
         if not per_eps:
             raise DivergenceError(f"every trial diverged for m={m}")
-        best = min(per_eps, key=lambda entry: (entry[0], entry[1]))[1]
-        summary_meta[f"argmin_epsilon.m={m}"] = sio.fmt_float(best)
+        best = min(per_eps)[1]
+        summary_meta[f"argmin_epsilon.m={m}"] = _show(best)
         summary.extend(
-            {"m": m, "epsilon": sio.fmt_float(eps), "mean_value": sio.fmt_float(mean),
-             "median_value": sio.fmt_float(median), "stderr": sio.fmt_float(stderr),
-             "trials_used": used, "is_argmin": int(eps == best)}
-            for mean, eps, median, stderr, used in per_eps
+            {"m": m, "epsilon": eps, "mean_value": mean, "median_value": statistics.median(v),
+             "stderr": statistics.stdev(v) / len(v) ** 0.5 if len(v) > 1 else 0.0,
+             "trials_used": len(v), "is_argmin": int(eps == best)}
+            for mean, eps, v in per_eps
         )
 
     out = args.out or "tune.csv"
-    sio.write_table_csv(out, ["epsilon", "m", "trial", "value", "term_evals", "diverged",
-                              "note"], rows, meta=cfg.echo)
     stem, ext = os.path.splitext(out)
-    sio.write_table_csv(
-        stem + ".summary" + (ext or ".csv"),
-        ["m", "epsilon", "mean_value", "median_value", "stderr", "trials_used", "is_argmin"],
-        summary, meta=summary_meta,
-    )
+    sio.write_table_csv(out, rows, meta=cfg.echo)
+    sio.write_table_csv(stem + ".summary" + (ext or ".csv"), summary, meta=summary_meta)
     return 0
 
 
@@ -440,35 +437,18 @@ def cmd_rank_samplers(args) -> int:
     def run_cell(n):
         # One call per sampler scores its first n points at every m.
         score_seeds = [derive_seed(seed, "rank-score", n, m) for m in m_values]
-        results = {
-            label: sksd(chain.take(n), target, spec, m_values, score_seeds, threads=1)
-            for label, chain in chains.items()
-        }
+        results = [sksd(chain.take(n), target, spec, m_values, score_seeds, threads=1)
+                   for chain in chains.values()]
         rows = []
-        for m, res_a, res_b in zip(m_values, results["a"], results["b"]):
-            if res_a.value < res_b.value:
-                preferred = "a"
-            elif res_b.value < res_a.value:
-                preferred = "b"
-            else:
-                preferred = "tie"
-            rows.append({
-                "n": n,
-                "m": m,
-                "value_a": sio.fmt_float(res_a.value),
-                "value_b": sio.fmt_float(res_b.value),
-                "term_evals_a": res_a.term_evals,
-                "term_evals_b": res_b.term_evals,
-                "preferred": preferred,
-            })
+        for m, res_a, res_b in zip(m_values, *results):
+            a, b = res_a.value, res_b.value
+            rows.append({"n": n, "m": m, "value_a": a, "value_b": b,
+                         "term_evals_a": res_a.term_evals, "term_evals_b": res_b.term_evals,
+                         "preferred": "a" if a < b else "b" if b < a else "tie"})
         return rows
 
-    rows = [row for n_rows in ordered_map(run_cell, n_grid, cfg.threads) for row in n_rows]
-    sio.write_table_csv(
-        args.out or "rank.csv",
-        ["n", "m", "value_a", "value_b", "term_evals_a", "term_evals_b", "preferred"],
-        rows, meta=cfg.echo,
-    )
+    rows = _grid_rows(run_cell, n_grid, cfg.threads)
+    sio.write_table_csv(args.out or "rank.csv", rows, meta=cfg.echo)
     return 0
 
 
@@ -521,18 +501,13 @@ def cmd_curve(args) -> int:
         n, rep = cell
         sample = iid_gaussian(n, target.dim, opts["mu"], opts["sigma"],
                               derive_seed(opts["seed"], "curve-sample", rep, n))
-        if opts["m"] is None:
-            result = ksd(sample, target, spec, threads=1)
-        else:
-            result = sksd(sample, target, spec, opts["m"],
-                          derive_seed(opts["seed"], "curve-score", rep, n), threads=1)
-        return {"n": n, "rep": rep, "value": sio.fmt_float(result.value),
-                "term_evals": result.term_evals}
+        result = _discrepancy(sample, target, spec, opts["m"],
+                              derive_seed(opts["seed"], "curve-score", rep, n), threads=1)
+        return [{"n": n, "rep": rep, "value": result.value, "term_evals": result.term_evals}]
 
     cells = [(n, rep) for n in opts["n_grid"] for rep in range(opts["seeds"])]
-    rows = ordered_map(run_cell, cells, cfg.threads)
-    sio.write_table_csv(args.out or "curve.csv", ["n", "rep", "value", "term_evals"], rows,
-                        meta=cfg.echo)
+    rows = _grid_rows(run_cell, cells, cfg.threads)
+    sio.write_table_csv(args.out or "curve.csv", rows, meta=cfg.echo)
     return 0
 
 
@@ -542,12 +517,9 @@ def cmd_curve(args) -> int:
 def _thread_count(text):
     """``--threads``: a positive integer; argparse names the option on error."""
     try:
-        value = int(text)
+        return resolve_threads(int(text))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer") from None
 
 
 def _build_parser():

@@ -149,13 +149,15 @@ def read_labeled_csv(path):
     return X, y
 
 
-def write_table_csv(path, fieldnames, rows, meta=None):
+def write_table_csv(path, rows, meta=None):
+    """Dict rows under a header of the first row's keys, which every row has in order."""
+    header = list(rows[0]) if rows else []
+    if not header or any(list(row) != header for row in rows):
+        raise ValueError(f"{path}: table rows must all have the first row's keys, in order")
     buf = StringIO()
     buf.write(_meta_block(meta))
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([header, *(row.values() for row in rows)])
     atomic_write_text(path, buf.getvalue())
 
 

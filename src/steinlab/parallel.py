@@ -7,6 +7,7 @@ worker count itself comes from an explicit argument, then the
 ``STEINLAB_THREADS`` environment variable, then 1.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,15 +26,16 @@ def resolve_threads(threads=None) -> int:
             raise ValueError(f"{ENV_THREADS} = {raw!r} is not an integer") from None
         if threads < 1:
             raise ValueError(f"{ENV_THREADS} = {raw!r} is less than 1")
-    threads = int(threads)
+    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool):
+        raise ValueError(f"thread count must be an integer, got {threads!r}")
     if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
-    return threads
+        raise ValueError(f"thread count must be positive, got {threads!r}")
+    return int(threads)
 
 
-def row_blocks(n, block_rows=BLOCK_ROWS):
-    """Half-open row ranges [(0, b), (b, 2b), ...] covering ``range(n)``."""
-    return [(s, min(s + block_rows, n)) for s in range(0, n, block_rows)]
+def row_blocks(n):
+    """Half-open ranges [(0, b), (b, 2b), ...] of b = ``BLOCK_ROWS`` rows over ``range(n)``."""
+    return [(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
 
 
 def ordered_map(fn, items, workers):

@@ -3,11 +3,14 @@
 The README's library example must run against the current API, the README
 must name every public name, and every function that ``perfbench/tracer.py``
 wraps must still exist: a deleted or renamed one would drop its layer from
-the benchmark's per-layer report.
+the benchmark's per-layer report.  The tracer's counters read some call
+arguments by position, or by name when they are passed as keywords; those
+parameters must stay where they are.
 """
 
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -47,3 +50,23 @@ def test_traced_functions_exist(monkeypatch):
         for part in attribute.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"steinlab.{module}.{attribute}"
+
+
+def test_counted_arguments_keep_their_places():
+    from steinlab import discrepancy, io, models, samplers, svgd
+
+    target = models.DecomposableTarget
+    counted = [(getattr(io, name), 0, "path")
+               for name in ("write_json", "write_samples_csv", "write_jsonl",
+                            "write_table_csv")]
+    counted += [
+        (discrepancy.coord_stein_sums, 0, "batch"),
+        (samplers.sgld_chain, 1, "config"),
+        (svgd.run_ssvgd, 2, "config"),
+        (target.grad_log_subset, 1, "sigma"),  # position 0 is self
+        (target.grad_log_terms, 1, "indices"),
+    ]
+    for fn, position, name in counted:
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[position].name == name, (fn.__qualname__, position, name)
+        assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -149,6 +149,37 @@ class TestConfigFiles:
             io.load_config(path)
 
 
+class TestTableCsv:
+    @pytest.mark.parametrize("value", [0.1 + 0.2, 1e-05, 1e+16, -0.0])
+    def test_floats_are_written_as_fmt_float_writes_them(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        io.write_table_csv(path, [{"x": value, "y": np.float64(value), "k": 3}])
+        assert path.read_text() == f"x,y,k\n{io.fmt_float(value)},{io.fmt_float(value)},3\n"
+
+    def test_header_is_the_first_rows_keys(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [{"b": 1, "a": "", "c": "step 4"}, {"b": 2, "a": 0.5, "c": ""}]
+        io.write_table_csv(path, rows, meta={"seed": "3"})
+        assert path.read_text() == "# seed = 3\nb,a,c\n1,,step 4\n2,0.5,\n"
+
+    @pytest.mark.parametrize("later", [
+        {"a": 2},
+        {"a": 2, "b": 3, "c": 4},
+        {"b": 3, "a": 2},
+    ], ids=["missing-key", "extra-key", "reordered-keys"])
+    def test_rows_must_share_the_first_rows_keys(self, tmp_path, later):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="first row's keys"):
+            io.write_table_csv(path, [{"a": 1, "b": 2}, later])
+        assert not path.exists()
+
+    def test_empty_table_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="first row's keys"):
+            io.write_table_csv(path, [])
+        assert not path.exists()
+
+
 def _write(path, text):
     path.write_text(textwrap.dedent(text))
     return path
@@ -238,8 +269,9 @@ class TestCliScore:
         assert "[target]" not in err
         assert not (tmp_path / "bad.json").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_thread_count_below_one_is_a_usage_error(self, mode_fixture, capsys, value):
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_thread_count_not_a_positive_integer_is_a_usage_error(self, mode_fixture,
+                                                                   capsys, value):
         tmp_path, config = mode_fixture
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["score", "--config", str(config), "--out", "t.json",
@@ -360,6 +392,15 @@ class TestCliTune:
         assert "# argmin_epsilon.m=2 = 0.005" in summary
         assert "1e+308" not in summary.split("m,epsilon")[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_trial_diverged_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The summary is checked before either table is written.
+        monkeypatch.chdir(tmp_path)
+        config = _tune_config(tmp_path, grid="1e308")
+        assert cli.main(["tune-sgld", "--config", str(config), "--out", "d.csv"]) == 1
+        assert "every trial diverged for m=2" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "d.summary.csv").exists()
 
     def test_one_lockstep_sweep_before_any_scoring(self, tmp_path, monkeypatch):
         # perfbench stamps set-up time and counts SGLD steps on the name

@@ -28,6 +28,18 @@ class TestResolveThreads:
         with pytest.raises(ValueError):
             resolve_threads(0)
 
+    @pytest.mark.parametrize("value, shown", [
+        (2.5, "2.5"), (0.5, "0.5"), (True, "True"), ("3", "'3'"),
+    ])
+    def test_rejects_non_integers_as_given(self, value, shown):
+        with pytest.raises(ValueError) as err:
+            resolve_threads(value)
+        assert str(err.value) == f"thread count must be an integer, got {shown}"
+
+    def test_accepts_numpy_integers(self):
+        count = resolve_threads(np.int64(2))
+        assert count == 2 and type(count) is int
+
     @pytest.mark.parametrize("raw, message", [
         ("abc", "STEINLAB_THREADS = 'abc' is not an integer"),
         ("2.5", "STEINLAB_THREADS = '2.5' is not an integer"),
