@@ -42,8 +42,8 @@ from .models import (gen_gmm_data, gen_logreg_data, make_gaussian, make_gmm_post
 from .parallel import ordered_map, resolve_threads
 from .rng import derive_seed, make_generator
 from .samplers import SgldConfig, SgldSweep, iid_gaussian, sgld_chain
-from .svgd import (BANDWIDTH_POLICIES, SCHEDULES, SvgdConfig, default_bandwidth_policy,
-                   run_ssvgd)
+from .svgd import (BANDWIDTH_POLICIES, MEDIAN_PER_ROUND, SCHEDULES, SvgdConfig,
+                   default_bandwidth_policy, run_ssvgd)
 
 # ---------------------------------------------------------------------------
 # field types: parse(text, where, context) -> value.  ``where`` is
@@ -437,8 +437,8 @@ def cmd_rank_samplers(args) -> int:
     def run_cell(n):
         # One call per sampler scores its first n points at every m.
         score_seeds = [derive_seed(seed, "rank-score", n, m) for m in m_values]
-        results = [sksd(chain.take(n), target, spec, m_values, score_seeds, threads=1)
-                   for chain in chains.values()]
+        results = [sksd(SampleBatch(chain.points[:n]), target, spec, m_values, score_seeds,
+                        threads=1) for chain in chains.values()]
         rows = []
         for m, res_a, res_b in zip(m_values, *results):
             a, b = res_a.value, res_b.value
@@ -456,6 +456,9 @@ def cmd_ssvgd(args) -> int:
     cfg = _Config(args, "svgd")
     target, kernel, threads = cfg.target, cfg.kernel, cfg.threads
     opts = cfg.read("svgd", _SVGD["init" in cfg.sections.get("svgd", {})])
+    if opts["save_trajectory"] and not opts["checkpoint_every"]:
+        raise ConfigError("[svgd] save_trajectory = true writes a round-*.csv at each "
+                          "checkpoint, but checkpoint_every = 0 makes none")
     if "init" in opts:
         init = sio.read_samples_csv(opts["init"])
         if init.dim != target.dim:
@@ -464,6 +467,11 @@ def cmd_ssvgd(args) -> int:
     else:
         init = iid_gaussian(opts["init_n"], target.dim, opts["init_mu"],
                             opts["init_sigma"], derive_seed(opts["seed"], "ssvgd-init"))
+    if opts["bandwidth_policy"] == MEDIAN_PER_ROUND and opts["rounds"] and init.n < 2:
+        where = (f"init = {opts['init']!r} has {init.n} row" if "init" in opts
+                 else f"init_n = {init.n}")
+        raise ConfigError(f"[svgd] {where}, but bandwidth_policy = median_per_round "
+                          "needs at least 2 particles when rounds >= 1")
     config = SvgdConfig(kernel=kernel, **{
         key: opts[key] for key in ("rounds", "batch", "step", "schedule", "fudge",
                                    "bandwidth_policy", "seed", "checkpoint_every")

@@ -91,12 +91,6 @@ class SampleBatch:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def take(self, n) -> "SampleBatch":
-        """Batch of the first ``n`` points, preserving order."""
-        if not 1 <= n <= self.n:
-            raise ValueError(f"cannot take {n} of {self.n} points")
-        return SampleBatch(self.points[:n])
-
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
@@ -134,8 +128,8 @@ def draw_subsets(n, L, m, seed) -> np.ndarray:
     """n independent uniform size-m subsets of the L term indices, as an
     ``(n, m)`` int64 matrix whose rows are sorted ascending.
 
-    Deterministic given the seed: subsets come point by point from a single
-    Philox stream (partial Fisher-Yates per point, point i's draws before
+    Deterministic given the seed: subsets come point by point from one Philox
+    stream (partial Fisher-Yates per point, point i's draws before
     point i+1's), so the subsets do not depend on how later computation is
     parallelized.
     """
@@ -302,10 +296,10 @@ def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
 def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     """Per-coordinate squared discrepancy pieces w_j^2, before clamping.
 
-    ``B`` is one ``(n, d)`` score matrix, giving ``(d,)`` pieces, or a
-    ``(k, n, d)`` stack of them, giving ``(k, d)``: one pass over the block
-    pairs builds each pair's kernel part once and serves every member, and
-    each member's pieces are bit-identical to a call with that member alone.
+    ``B`` is a ``(k, n, d)`` stack of score matrices, giving ``(k, d)``: one
+    pass over the block pairs builds each pair's kernel part once and serves
+    every member, and each member's pieces are bit-identical to a call with
+    that member alone.
 
     Each w_j^2 is a squared norm, so genuine negatives are bugs: values
     below ``-1e-8 * scale`` (scale = the largest pairwise term magnitude of
@@ -316,9 +310,6 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
     """
     X = batch.points
     Bs = np.asarray(B, dtype=np.float64)
-    single = Bs.ndim == 2
-    if single:
-        Bs = Bs[None]
     if Bs.ndim != 3 or Bs.shape[1:] != X.shape:
         raise ValueError(
             f"score matrix shape {np.shape(B)} does not match batch {X.shape}"
@@ -345,12 +336,11 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
             floor = -NEGATIVE_TOLERANCE * peak
             if np.any(pieces < floor):
                 j = int(np.argmin(pieces))
-                where = "" if single else f"score matrix {member}: "
                 raise NumericalConsistencyError(
-                    f"{where}w_sq[{j}] = {pieces[j]!r} is below the float-noise "
-                    f"floor {floor!r}"
+                    f"score matrix {member}: w_sq[{j}] = {pieces[j]!r} is below "
+                    f"the float-noise floor {floor!r}"
                 )
-    return w_sq[0] if single else w_sq
+    return w_sq
 
 
 def _finish(batch, target, spec, subset_mats, seeds, threads):

@@ -201,7 +201,7 @@ def median_heuristic_bandwidth(points, sq=None) -> float:
     when the median distance is zero (at least half of all pairs coincide),
     since a zero bandwidth would be unusable.
     """
-    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]

@@ -45,15 +45,14 @@ class DecomposableTarget:
     the ``(rows, d)`` matrix whose row i is the ascending-order sum of the
     score contributions of the terms ``subsets[i]`` at ``X[i]``, reduced with
     ``np.add.reduce`` over the term axis.  ``grad_log_prior`` maps stacked
-    rows (or one point) to prior scores row by row; a constant ``(d,)``
-    result broadcasts.  These two are all the scoring paths need; a
-    non-finite term sum is traced to its term by calling ``terms_sum`` on
-    one-term subsets of the faulty row.
+    rows to prior scores row by row; a constant ``(d,)`` result broadcasts.
+    These two are all the scoring paths need; a non-finite term sum is
+    traced to its term by calling ``terms_sum`` on one-term subsets of the
+    faulty row.
 
-    The score methods accept one subset and one point, or an ``(n, m)`` index
-    matrix with an ``(n, d)`` point matrix, returning ``(n, d)``; a one-point
-    call is the one-row case of the same computation.  A target is
-    immutable after construction.
+    The score methods take an ``(n, d)`` point matrix and, where they score
+    subsets, an ``(n, m)`` index matrix whose rows are strictly ascending,
+    and return ``(n, d)``.  A target is immutable after construction.
     """
 
     dim: int
@@ -61,40 +60,30 @@ class DecomposableTarget:
     grad_log_prior: Callable
     terms_sum: Callable
 
-    def _points(self, x):
-        """``(X, single)``: the call's points as an (rows, d) matrix, and
-        whether the call passed one point."""
+    def _points(self, x) -> np.ndarray:
+        """The call's points as an (rows, d) matrix."""
         X = np.asarray(x, dtype=np.float64)
-        single = X.ndim < 2
-        if single:
-            X = X.reshape(1, -1)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(
-                f"point has dimension {X.shape[-1]}, target expects {self.dim}"
+                f"points have shape {X.shape}, target expects (n, {self.dim})"
             )
-        return X, single
+        return X
 
-    def _subsets(self, indices, X, single) -> np.ndarray:
+    def _subsets(self, indices, X) -> np.ndarray:
         """The call's term subsets as an (rows, m) int64 matrix whose rows
         are strictly ascending."""
         subs = np.asarray(indices, dtype=np.int64)
-        if single:
-            subs = subs.reshape(1, -1)
         if subs.ndim != 2 or subs.shape[0] != X.shape[0]:
             raise ValueError(
-                f"expected one term subset per point, got shape {subs.shape} "
-                f"for {X.shape[0]} points"
+                f"expected one term subset per point as an ({X.shape[0]}, m) "
+                f"matrix, got shape {subs.shape}"
             )
         if subs.shape[1] == 0:
             raise ValueError("term subset must be nonempty")
         if subs.min() < 0 or subs.max() >= self.L:
             raise ValueError(f"term indices must lie in [0, {self.L})")
-        # Subsets from the rng module arrive sorted; np.sort would release
-        # the GIL once per SGLD step, so only unsorted input pays it.
         if (subs[:, 1:] <= subs[:, :-1]).any():
-            subs = np.sort(subs, axis=1)
-            if np.any(subs[:, 1:] == subs[:, :-1]):
-                raise ValueError("term subset contains duplicate indices")
+            raise ValueError("term subset rows must be strictly ascending")
         return subs
 
     def _term_sums(self, subs: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -125,7 +114,7 @@ class DecomposableTarget:
             point_index=row,
         )
 
-    def _subset_scores(self, subs, X, single) -> np.ndarray:
+    def _subset_scores(self, subs, X) -> np.ndarray:
         """``(m/L) * prior score + sum of subset term scores`` per row."""
         prior = np.asarray(self.grad_log_prior(X), dtype=np.float64)
         if not np.isfinite(prior).all():
@@ -134,27 +123,26 @@ class DecomposableTarget:
                 f"non-finite prior score at point {row}, x={X[row]!r}",
                 point_index=row,
             )
-        out = (subs.shape[1] / self.L) * prior + self._term_sums(subs, X)
-        return out[0] if single else out
+        return (subs.shape[1] / self.L) * prior + self._term_sums(subs, X)
 
     def grad_log_terms(self, indices, x) -> np.ndarray:
-        """Ascending-order sum of per-term scores over ``indices``."""
-        X, single = self._points(x)
-        sums = self._term_sums(self._subsets(indices, X, single), X)
-        return sums[0] if single else sums
+        """Ascending-order sum of per-term scores over each index row."""
+        X = self._points(x)
+        return self._term_sums(self._subsets(indices, X), X)
 
     def grad_log_full(self, x) -> np.ndarray:
         """Exact full score: prior score plus the sum of all L term scores."""
-        X, single = self._points(x)
+        X = self._points(x)
         subs = np.broadcast_to(np.arange(self.L), (X.shape[0], self.L))
-        return self._subset_scores(subs, X, single)
+        return self._subset_scores(subs, X)
 
     def grad_log_subset(self, sigma, x) -> np.ndarray:
         """Score of the subset posterior prior^(|sigma|/L) * prod_{l in sigma}
-        term_l, i.e. ``(|sigma|/L) * prior score + sum of subset term scores``.
+        term_l, i.e. ``(|sigma|/L) * prior score + sum of subset term scores``,
+        one subset row of ``sigma`` per point.
         """
-        X, single = self._points(x)
-        return self._subset_scores(self._subsets(sigma, X, single), X, single)
+        X = self._points(x)
+        return self._subset_scores(self._subsets(sigma, X), X)
 
 
 def _first_bad_row(values) -> int:

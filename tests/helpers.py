@@ -1,5 +1,6 @@
-"""Shared test oracles: finite differences, pointwise kernel calls, dense
-Stein-term assemblies, an eager-peak ``coord_stein_sums``, a per-point score
+"""Shared test oracles: finite differences, pointwise kernel calls, one-row
+calls of the stacked score and Stein-sum layers, dense Stein-term
+assemblies, an eager-peak ``coord_stein_sums``, a per-point score
 loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
 one-chain SGLD loop, a one-round-at-a-time SSVGD loop, a tally of the term
 gradients a target evaluates, log densities of the three model families
@@ -23,6 +24,7 @@ import numpy as np
 from steinlab import (
     KernelSpec,
     SampleBatch,
+    coord_stein_sums,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -104,6 +106,18 @@ def kernel_cross_deriv_diag(spec, x, y):
     u = xv - yv
     _, p1, p2 = kernels.radial_profile(spec, _sq_norm(u))
     return -4.0 * p2 * (u * u) - 2.0 * p1
+
+
+def one_point_score(method, *args):
+    """A target's score method at one point, after one term subset for the
+    subset methods: row 0 of the stacked call on one-row matrices."""
+    return method(*(np.asarray(a).reshape(1, -1) for a in args))[0]
+
+
+def one_matrix_stein_sums(batch, B, spec, threads=None):
+    """``coord_stein_sums`` of one ``(n, d)`` score matrix: member 0 of the
+    stacked call on a stack of one."""
+    return coord_stein_sums(batch, np.asarray(B)[None], spec, threads=threads)[0]
 
 
 def kernel_gram(spec, X, Y=None):
@@ -236,10 +250,10 @@ def pointwise_scaled_scores(batch, target, subsets=None):
     B = np.empty_like(X)
     for i in range(batch.n):
         if subsets is None:
-            B[i] = target.grad_log_full(X[i])
+            B[i] = one_point_score(target.grad_log_full, X[i])
         else:
-            B[i] = (target.L / subsets.shape[1]) * target.grad_log_subset(
-                subsets[i], X[i]
+            B[i] = (target.L / subsets.shape[1]) * one_point_score(
+                target.grad_log_subset, subsets[i], X[i]
             )
     return B
 
@@ -284,7 +298,7 @@ def sgld_chain_oracle(target, config):
     for t in range(config.steps):
         idx = uniform_subset(gen, target.L, config.batch)
         try:
-            terms = target.grad_log_terms(idx, x)
+            terms = one_point_score(target.grad_log_terms, idx, x)
         except NonFiniteScoreError as err:
             raise DivergenceError(f"score at step {t}", step=t) from err
         ghat = target.grad_log_prior(x) + ratio * terms

@@ -15,6 +15,7 @@ from helpers import (
     dense_block_pair_terms,
     eager_coord_stein_sums,
     kernel_cross_deriv_diag,
+    one_matrix_stein_sums,
     pointwise_scaled_scores,
     random_instance,
     stein_gram,
@@ -60,12 +61,6 @@ class TestSampleBatch:
             SampleBatch(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
             SampleBatch(np.empty((0, 2)))
-
-    def test_take_prefix(self):
-        batch = SampleBatch(np.arange(10.0).reshape(5, 2))
-        assert np.array_equal(batch.take(2).points, batch.points[:2])
-        with pytest.raises(ValueError):
-            batch.take(6)
 
 
 class TestDrawSubsets:
@@ -192,7 +187,7 @@ class TestScaledScores:
     @pytest.mark.parametrize("entry", ["scaled_scores", "ssvgd_direction"])
     @pytest.mark.parametrize("subsets, message", [
         ([[0, 4], [1, 2], [0, 3]], r"term indices must lie in \[0, 4\)"),
-        ([[0, 1], [2, 2], [1, 3]], "duplicate"),
+        ([[0, 1], [2, 2], [1, 3]], "strictly ascending"),
         (np.zeros((3, 0), dtype=np.int64), "nonempty"),
         ([[0, 1], [2, 3]], "one row for each of 3 points"),
         ([[0, 1], [2, 3], [1, 3], [0, 2]], "one row for each of 3 points"),
@@ -209,15 +204,14 @@ class TestScaledScores:
             else:
                 ssvgd_direction(batch, target, IMQ, subsets)
 
-    def test_row_order_within_a_subset_does_not_matter(self):
-        # The target sorts an unsorted row, so it scores the same subset.
+    def test_unsorted_rows_are_rejected(self):
+        # The target takes strictly ascending rows only; it does not re-sort.
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 6, seed=5))
         batch = iid_gaussian(3, 2, 0.0, 1.0, seed=6)
         rows = np.array([[0, 2, 5], [1, 3, 4], [2, 4, 5]])
-        assert np.array_equal(
-            scaled_scores(batch, target, rows[:, ::-1]),
-            scaled_scores(batch, target, rows),
-        )
+        assert scaled_scores(batch, target, rows).shape == (3, 2)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaled_scores(batch, target, rows[:, ::-1])
 
 
 SCORE_TARGETS = {
@@ -277,7 +271,7 @@ class TestCoordSteinSums:
         target = make_gaussian(0.0, 1.0, 1, dim=2)
         batch = SampleBatch(np.zeros((1, 2)))
         B = scaled_scores(batch, target, None)
-        w_sq = coord_stein_sums(batch, B, IMQ)
+        w_sq = one_matrix_stein_sums(batch, B, IMQ)
         assert np.array_equal(B, np.zeros((1, 2)))
         assert np.array_equal(w_sq, np.ones(2))
 
@@ -285,7 +279,7 @@ class TestCoordSteinSums:
         spec = KernelSpec("log_inverse", beta=-0.7, alpha=1.4, bandwidth=1.3)
         x = np.array([[0.4, -2.0, 1.0]])
         batch = SampleBatch(x)
-        w_sq = coord_stein_sums(batch, np.zeros((1, 3)), spec)
+        w_sq = one_matrix_stein_sums(batch, np.zeros((1, 3)), spec)
         expected = kernel_cross_deriv_diag(spec, x[0], x[0])
         assert np.array_equal(w_sq, expected)
 
@@ -295,7 +289,7 @@ class TestCoordSteinSums:
             batch, target, spec, m = random_instance(rng)
             subsets = draw_subsets(batch.n, target.L, m, seed=int(rng.integers(2**32)))
             B = scaled_scores(batch, target, subsets)
-            w_sq = coord_stein_sums(batch, B, spec)
+            w_sq = one_matrix_stein_sums(batch, B, spec)
             for j in range(batch.dim):
                 M = stein_gram(j, batch, B, spec)
                 oracle = M.sum() / batch.n**2
@@ -322,7 +316,7 @@ class TestCoordSteinSums:
         target = make_gaussian(0.0, 1.0, 3, dim=1)
         batch = iid_gaussian(300, 1, 0.0, 1.0, seed=21)
         B = scaled_scores(batch, target, None)
-        w_sq = coord_stein_sums(batch, B, IMQ)
+        w_sq = one_matrix_stein_sums(batch, B, IMQ)
         oracle = stein_gram(0, batch, B, IMQ).sum() / 300**2
         assert abs(w_sq[0] - oracle) <= 1e-10 * abs(oracle)
 
@@ -330,10 +324,10 @@ class TestCoordSteinSums:
         rng = np.random.default_rng(5)
         batch, target, spec, m = random_instance(rng, max_n=50)
         B = scaled_scores(batch, target, draw_subsets(batch.n, target.L, m, seed=3))
-        baseline = coord_stein_sums(batch, B, spec, threads=1)
+        baseline = one_matrix_stein_sums(batch, B, spec, threads=1)
         for workers in (2, 8):
             assert np.array_equal(
-                coord_stein_sums(batch, B, spec, threads=workers), baseline
+                one_matrix_stein_sums(batch, B, spec, threads=workers), baseline
             )
 
     def test_large_negative_raises(self, monkeypatch):
@@ -344,12 +338,12 @@ class TestCoordSteinSums:
         monkeypatch.setattr(kernels_module, "radial_profile", hostile_profile)
         batch = SampleBatch(np.zeros((2, 1)))
         with pytest.raises(NumericalConsistencyError):
-            coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
 
     def test_shape_mismatch(self):
         batch = SampleBatch(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape"):
-            coord_stein_sums(batch, np.zeros((2, 2)), IMQ)
+            one_matrix_stein_sums(batch, np.zeros((2, 2)), IMQ)
 
     @pytest.mark.parametrize("margin", [1e-6, -1e-6])
     def test_negative_floor_boundary(self, monkeypatch, margin):
@@ -370,13 +364,14 @@ class TestCoordSteinSums:
         monkeypatch.setattr(kernels_module, "radial_profile", hostile_profile)
         batch = SampleBatch(np.array([[0.0], [1.0]]))
         if margin > 0:
-            w_sq = coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            w_sq = one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
             assert floor < w_sq[0] < 0.0
             eager = eager_coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
             np.testing.assert_allclose(w_sq, eager, rtol=0, atol=1e-12 * 2.0 * b)
         else:
-            with pytest.raises(NumericalConsistencyError, match="floor"):
-                coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
+            with pytest.raises(NumericalConsistencyError,
+                               match=r"^score matrix 0: w_sq\[0\] .* floor"):
+                one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
             with pytest.raises(NumericalConsistencyError):
                 eager_coord_stein_sums(batch, np.zeros((2, 1)), IMQ)
 
@@ -503,10 +498,12 @@ class TestLazyPeak:
             )
             B = scaled_scores(batch, target, draw_subsets(batch.n, target.L, m, seed=seed))
             # Shifts from zero (genuine pieces) up to the largest piece.
-            scale = float(np.max(np.abs(coord_stein_sums(batch, B, spec))))
+            scale = float(np.max(np.abs(one_matrix_stein_sums(batch, B, spec))))
             shift = 0.0 if seed < 4 else float(rng.uniform(-1.0, 1.0)) * scale
             monkeypatch.setattr(kernels_module, "radial_profile", _profile_shifted_by(shift))
-            raised, w_sq = _raised(lambda: coord_stein_sums(batch, B, spec, threads=2))
+            raised, w_sq = _raised(
+                lambda: one_matrix_stein_sums(batch, B, spec, threads=2)
+            )
             eager_raised, eager = _raised(lambda: eager_coord_stein_sums(batch, B, spec))
             monkeypatch.undo()
             assert raised == eager_raised, (seed, shift)
@@ -530,7 +527,7 @@ class TestLazyPeak:
             return profile(*args, **kwargs)
 
         monkeypatch.setattr(kernels_module, "radial_profile", counted)
-        raised, w_sq = _raised(lambda: coord_stein_sums(batch, B, spec))
+        raised, w_sq = _raised(lambda: one_matrix_stein_sums(batch, B, spec))
         pairs = 6  # three row blocks
         if peak_pass:
             assert len(calls) == 2 * pairs
@@ -575,13 +572,16 @@ class TestStackedEngine:
         batch, spec = SampleBatch(X), ENGINE_SPECS[family]
         stacked = coord_stein_sums(batch, stack, spec, threads=2)
         assert stacked.shape == (3, d)
-        singles = [coord_stein_sums(batch, scores, spec, threads=1) for scores in stack]
+        singles = [one_matrix_stein_sums(batch, scores, spec, threads=1)
+                   for scores in stack]
         for member, single in zip(stacked, singles):
             assert np.array_equal(member, single)
         assert np.array_equal(coord_stein_sums(batch, stack[:1], spec)[0], singles[0])
 
     def test_shape_mismatch(self):
         batch = SampleBatch(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            coord_stein_sums(batch, np.zeros((3, 2)), IMQ)  # one matrix, unstacked
         with pytest.raises(ValueError, match="shape"):
             coord_stein_sums(batch, np.zeros((2, 2, 2)), IMQ)
         with pytest.raises(ValueError, match="shape"):
@@ -593,7 +593,9 @@ class TestStackedEngine:
         negative, positive = np.zeros((600, 1)), -1e4 * batch.points
         single_raises = {}
         for name, scores in (("negative", negative), ("positive", positive)):
-            single_raises[name], _ = _raised(lambda: coord_stein_sums(batch, scores, IMQ))
+            single_raises[name], _ = _raised(
+                lambda: one_matrix_stein_sums(batch, scores, IMQ)
+            )
         assert single_raises == {"negative": True, "positive": False}
         members = {"negative": negative, "positive": positive}
         for names in itertools.product(sorted(members), repeat=3):
@@ -605,7 +607,7 @@ class TestStackedEngine:
                     coord_stein_sums(batch, stack, IMQ, threads=2)
             else:
                 stacked = coord_stein_sums(batch, stack, IMQ, threads=2)
-                single = coord_stein_sums(batch, positive, IMQ)
+                single = one_matrix_stein_sums(batch, positive, IMQ)
                 assert all(np.array_equal(member, single) for member in stacked)
 
     def test_peak_pass_per_negative_member(self, monkeypatch):
@@ -624,7 +626,7 @@ class TestStackedEngine:
         singles = []
         for scores, peak_pass in ((negative, True), (positive, False)):
             calls.clear()
-            singles.append(coord_stein_sums(batch, scores, IMQ))
+            singles.append(one_matrix_stein_sums(batch, scores, IMQ))
             assert len(calls) == pairs * (1 + peak_pass)
         assert singles[0][0] < 0.0 < singles[1][0]
         for names in ("npnp", "pppp", "nnnp"):
@@ -647,8 +649,7 @@ class TestWorkspaceMemory:
         rng = np.random.default_rng(3)
         X = rng.normal(0.3, 1.0, size=(600, 9))
         B = -X + 0.5 * rng.standard_normal((600, 9))
-        if members is not None:
-            B = np.stack([B * (1.0 + member) for member in range(members)])
+        B = np.stack([B * (1.0 + member) for member in range(members)])
         batch = SampleBatch(X)
         spec = ENGINE_SPECS[family]
         coord_stein_sums(batch, B, spec, threads=1)
@@ -664,7 +665,7 @@ class TestWorkspaceMemory:
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     def test_peak_allocation_is_six_block_matrices(self, family):
-        self._assert_six_block_matrices(None, family)
+        self._assert_six_block_matrices(1, family)
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     def test_stack_of_three_shares_the_six_block_matrices(self, family):
@@ -676,7 +677,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 PROPERTY_SCRIPT = textwrap.dedent("""\
     import sys
     import numpy as np
-    from helpers import random_instance
+    from helpers import one_matrix_stein_sums, random_instance
     from steinlab import coord_stein_sums, draw_subsets, scaled_scores
     from steinlab.svgd import ssvgd_direction
 
@@ -691,7 +692,7 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
         )
         subsets = draw_subsets(batch.n, target.L, m, seed=case)
         B = scaled_scores(batch, target, subsets)
-        parts.append(coord_stein_sums(batch, B, spec, threads=2))
+        parts.append(one_matrix_stein_sums(batch, B, spec, threads=2))
         parts.append(ssvgd_direction(batch, target, spec, subsets, threads=2).ravel())
     # One stacked call, on the last and largest instance.
     stack = np.stack([B, -B, 0.5 * B])
@@ -787,7 +788,7 @@ class TestSksdAndKsd:
         small, large = [], []
         for seed in range(10):
             batch = iid_gaussian(400, 2, 0.0, 1.0, seed=1000 + seed)
-            small.append(ksd(batch.take(100), target, IMQ).value)
+            small.append(ksd(SampleBatch(batch.points[:100]), target, IMQ).value)
             large.append(ksd(batch, target, IMQ).value)
         assert np.median(large) < np.median(small)
 

@@ -14,8 +14,14 @@ ssvgd-n50 input that ``perfbench`` writes for seed 7001 (copied here as
 byte at any worker count, with BLAS pinned to one thread and at its default.  The
 goldens hold float64 bits from numpy with OpenBLAS on x86-64; a BLAS that
 rounds its matrix products differently would need goldens of its own.
+
+Every output echoes the resolved config it was run with.  An INI rebuilt
+from the echo of a case's main output reruns the case to the same bytes,
+and every row of the command field tables reaches the echo.
 """
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +30,7 @@ from pathlib import Path
 import pytest
 
 import steinlab
-from steinlab import cli
+from steinlab import KernelSpec, cli
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -48,10 +54,22 @@ CASES = {
 }
 
 
-def _arguments(name, workdir, threads):
-    command, config = CASES[name]
-    out = workdir / f"{name}.{'json' if command == 'score' else 'csv'}"
-    return [command, "--config", str(config), "--out", str(out), "--threads", str(threads)]
+# The section that holds each command's bare ``seed``.
+SEED_SECTIONS = {"score": "score", "tune-sgld": "tune", "rank-samplers": "rank",
+                 "ssvgd": "svgd", "curve": "curve"}
+# Echo lines that report a result rather than a config value.
+RESULT_PREFIXES = ("argmin_epsilon.",)
+
+
+def _main_output(name, workdir):
+    command, _ = CASES[name]
+    return workdir / f"{name}.{'json' if command == 'score' else 'csv'}"
+
+
+def _arguments(name, workdir, threads, config=None):
+    command, case_config = CASES[name]
+    return [command, "--config", str(config or case_config),
+            "--out", str(_main_output(name, workdir)), "--threads", str(threads)]
 
 
 def _assert_matches_goldens(name, workdir):
@@ -84,3 +102,80 @@ def test_outputs_match_goldens_with_blas_setting(tmp_path, name, blas):
     )
     assert proc.returncode == 0, proc.stderr
     _assert_matches_goldens(name, tmp_path)
+
+
+def _echo(path):
+    """The config that an output echoes: its leading ``# key = value`` lines
+    without the results, or ``"config"`` in the JSON that ``score`` writes."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["config"]
+    echo = {}
+    for line in path.read_text().splitlines():
+        if not line.startswith("# "):
+            break
+        key, value = line[2:].split(" = ", 1)
+        if not key.startswith(RESULT_PREFIXES):
+            echo[key] = value
+    return echo
+
+
+def _ini_from_echo(echo, seed_section):
+    """``section.key`` under ``[section]``, the bare ``seed`` under the
+    command's own section."""
+    sections = {}
+    for key, value in echo.items():
+        section, _, field = key.rpartition(".")
+        sections.setdefault(section or seed_section, {})[field] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in fields.items())
+        for section, fields in sections.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_echo_regenerates_every_output(tmp_path, monkeypatch, name):
+    echo = _echo(_main_output(name, GOLDENS))
+    config = tmp_path / "regenerated.ini"
+    config.write_text(_ini_from_echo(echo, SEED_SECTIONS[CASES[name][0]]))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(GOLDENS)
+    assert cli.main(_arguments(name, out, threads=1, config=config)) == 0
+    _assert_matches_goldens(name, out)
+    for written in out.iterdir():  # the tune summary adds its results
+        assert _echo(written) == echo, written.name
+
+
+def _tables_read(command, echo):
+    """The ``(section, field table)`` pairs that a run of ``command`` read,
+    besides ``[kernel]``."""
+    target, _ = cli._TARGETS[echo["target.kind"], "target.data" in echo]
+    tables = {
+        "score": [("score", cli._SCORE)],
+        "tune-sgld": [("tune", cli._TUNE)],
+        "rank-samplers": [("sampler_a", cli._SAMPLER), ("sampler_b", cli._SAMPLER),
+                          ("rank", cli._RANK)],
+        "ssvgd": [("svgd", cli._SVGD["svgd.init" in echo])],
+        "curve": [("curve", cli._CURVE)],
+    }[command]
+    return [("target", target), *tables]
+
+
+def test_every_table_row_is_echoed():
+    # Every row of every table that a golden case reads is in its echo, and
+    # the cases read every table.  [kernel] is echoed from the built spec:
+    # every case echoes each KernelSpec field, and every [kernel] row names
+    # one.
+    spec_keys = {f"kernel.{field.name}" for field in dataclasses.fields(KernelSpec)}
+    assert {f"kernel.{row[0]}" for row in cli._KERNEL} <= spec_keys
+    covered = set()
+    for name, (command, _) in CASES.items():
+        echo = _echo(_main_output(name, GOLDENS))
+        assert spec_keys <= set(echo), name
+        for section, table in _tables_read(command, echo):
+            covered.add(id(table))
+            names = {row[3] if len(row) > 3 else f"{section}.{row[0]}" for row in table}
+            assert names <= set(echo), (name, section, sorted(names - set(echo)))
+    tables = [cli._SCORE, cli._TUNE, cli._SAMPLER, cli._RANK, cli._CURVE,
+              *cli._SVGD.values(), *(table for table, _ in cli._TARGETS.values())]
+    assert covered == {id(table) for table in tables}

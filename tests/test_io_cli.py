@@ -1013,12 +1013,43 @@ class TestConfigValidation:
          "[score] samples = 'samples.csv' has dimension 2, target expects 3"),
         (_svgd_init_csv, "ssvgd", "dim = 1", "dim = 2",
          "[svgd] init = 'init.csv' has dimension 1, target expects 2"),
+        (_svgd_init_n, "ssvgd", "init_n = 4", "init_n = 4\nsave_trajectory = true",
+         "[svgd] save_trajectory = true writes a round-*.csv at each checkpoint, "
+         "but checkpoint_every = 0 makes none"),
     ], ids=["w_true-length", "beta-not-a-number", "family-missing", "family-unknown",
-            "samples-dimension", "init-dimension"])
+            "samples-dimension", "init-dimension", "trajectory-without-checkpoints"])
     def test_messages_name_the_key(self, tmp_path, monkeypatch, capsys,
                                    make, command, old, new, message):
         self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,
                                    old, new, message)
+
+    @pytest.mark.parametrize("init, message", [
+        ("init_n = 1", "[svgd] init_n = 1, but"),
+        ("init = one.csv", "[svgd] init = 'one.csv' has 1 row, but"),
+    ], ids=["init_n", "init-csv"])
+    def test_median_bandwidth_needs_two_particles(self, tmp_path, monkeypatch, capsys,
+                                                  init, message):
+        monkeypatch.chdir(tmp_path)
+        io.write_samples_csv(tmp_path / "one.csv", SampleBatch(np.zeros((1, 1))))
+        config = _svgd_config(tmp_path, rounds=3, batch=5, init_lines=[init])
+        inputs = sorted(os.listdir(tmp_path))
+        self._assert_config_error(
+            capsys, ["ssvgd", "--config", str(config)],
+            f"{message} bandwidth_policy = median_per_round needs at least 2 "
+            "particles when rounds >= 1", "p.csv",
+        )
+        assert sorted(os.listdir(tmp_path)) == inputs
+
+    @pytest.mark.parametrize("rounds, policy", [(0, "median_per_round"), (3, "fixed")])
+    def test_one_particle_runs_without_a_median(self, tmp_path, monkeypatch,
+                                                rounds, policy):
+        monkeypatch.chdir(tmp_path)
+        text = _svgd_config(tmp_path, rounds=rounds, batch=5,
+                            init_lines=["init_n = 1"]).read_text()
+        config = _write(tmp_path / "one.ini", text.replace(
+            "bandwidth_policy = median_per_round", f"bandwidth_policy = {policy}"))
+        assert cli.main(["ssvgd", "--config", str(config), "--out", "p.csv"]) == 0
+        assert io.read_samples_csv(tmp_path / "p.csv").points.shape == (1, 1)
 
     def _assert_edit_rejected(self, tmp_path, monkeypatch, capsys, make, command,
                               old, new, message):

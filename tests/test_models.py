@@ -10,6 +10,7 @@ from helpers import (
     gaussian_log_density,
     gmm_log_density,
     logreg_log_density,
+    one_point_score,
 )
 from steinlab import (
     DecomposableTarget,
@@ -39,20 +40,21 @@ class TestGaussian:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(3)
-            assert np.array_equal(target.grad_log_full(x), -x)
+            assert np.array_equal(one_point_score(target.grad_log_full, x), -x)
 
     def test_scaled_subset_score_is_exact(self):
         target = make_gaussian(0.0, 1.0, 4, dim=2)
         rng = np.random.default_rng(1)
         for sigma in ([0, 2], [1, 3], [0, 1]):
             x = rng.standard_normal(2)
-            assert np.array_equal(2.0 * target.grad_log_subset(sigma, x), -x)
+            score = one_point_score(target.grad_log_subset, sigma, x)
+            assert np.array_equal(2.0 * score, -x)
 
     def test_nonstandard_mean_and_variance(self):
         target = make_gaussian([1.0, -2.0], [4.0, 0.25], 3)
         x = np.array([3.0, -1.0])
         expected = -(x - np.array([1.0, -2.0])) / np.array([4.0, 0.25])
-        assert np.array_equal(target.grad_log_full(x), expected)
+        assert np.array_equal(one_point_score(target.grad_log_full, x), expected)
 
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
@@ -62,7 +64,7 @@ class TestGaussian:
 class TestGmmPosterior:
     def test_frozen_high_precision_score(self):
         target = _gmm_target()
-        got = target.grad_log_full(GMM_ORACLE_POINT)
+        got = one_point_score(target.grad_log_full, GMM_ORACLE_POINT)
         assert_rel_close(got, GMM_ORACLE_SCORE, rtol=1e-12)
 
     def test_independent_responsibility_oracle(self):
@@ -76,7 +78,8 @@ class TestGmmPosterior:
             (a * (obs - th[0]) + b * (obs - th[0] - th[1])) / ((a + b) * 2.0)
         )
         g2 = -th[1] / 1.0 + np.sum(b * (obs - th[0] - th[1]) / ((a + b) * 2.0))
-        assert_rel_close(target.grad_log_full(th), np.array([g1, g2]), rtol=1e-12)
+        got = one_point_score(target.grad_log_full, th)
+        assert_rel_close(got, np.array([g1, g2]), rtol=1e-12)
 
     def test_l_equals_observation_count(self):
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 100, seed=3))
@@ -90,7 +93,8 @@ class TestGmmPosterior:
 class TestLogreg:
     def test_single_point_example(self):
         target = make_logreg(np.array([[1.0]]), np.array([1.0]))
-        assert target.grad_log_full(np.zeros(1))[0] == pytest.approx(0.5, abs=0)
+        score = one_point_score(target.grad_log_full, np.zeros(1))
+        assert score[0] == pytest.approx(0.5, abs=0)
 
     def test_zero_weights_oracle(self):
         rng = np.random.default_rng(4)
@@ -101,7 +105,7 @@ class TestLogreg:
         acc = np.zeros(3)
         for l in range(40):
             acc = acc + (y[l] - 0.5) * X[l]
-        assert np.array_equal(target.grad_log_full(np.zeros(3)), acc)
+        assert np.array_equal(one_point_score(target.grad_log_full, np.zeros(3)), acc)
 
     def test_flat_prior(self):
         X, y = gen_logreg_data(10, 2, [0.5, -0.5], seed=9)
@@ -142,7 +146,7 @@ class TestScoreGradients:
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = rng.standard_normal(target.dim)
-            assert_rel_close(target.grad_log_full(x), fd_gradient(f, x))
+            assert_rel_close(one_point_score(target.grad_log_full, x), fd_gradient(f, x))
 
 
 class TestSubsetScores:
@@ -152,8 +156,8 @@ class TestSubsetScores:
         for _ in range(10):
             x = rng.standard_normal(2)
             assert np.array_equal(
-                target.grad_log_subset(np.arange(target.L), x),
-                target.grad_log_full(x),
+                one_point_score(target.grad_log_subset, np.arange(target.L), x),
+                one_point_score(target.grad_log_full, x),
             )
 
     def test_exhaustive_subset_average_reconstructs_full(self):
@@ -167,23 +171,24 @@ class TestSubsetScores:
         count = 0
         for sigma in itertools.combinations(range(L), m):
             total += (L / m) * (
-                target.grad_log_subset(list(sigma), x) - (m / L) * prior
+                one_point_score(target.grad_log_subset, sigma, x) - (m / L) * prior
             )
             count += 1
         assert count == 15
         reconstructed = prior + total / count
-        assert_rel_close(reconstructed, target.grad_log_full(x), rtol=1e-12)
+        full = one_point_score(target.grad_log_full, x)
+        assert_rel_close(reconstructed, full, rtol=1e-12)
 
     def test_ascending_term_sum_is_canonical(self):
         # full = prior + (ascending sum of term scores), bit for bit.
         for target in (_gmm_target(L=7, seed=1),
                        make_logreg(*gen_logreg_data(7, 2, [0.3, -0.8], seed=2))):
             x = np.full(target.dim, 0.37)
-            terms = np.asarray(target.grad_log_terms([0], x), dtype=np.float64)
+            terms = one_point_score(target.grad_log_terms, [0], x)
             for l in range(1, target.L):
-                terms = terms + target.grad_log_terms([l], x)
+                terms = terms + one_point_score(target.grad_log_terms, [l], x)
             full = np.asarray(target.grad_log_prior(x), dtype=np.float64) + terms
-            assert np.array_equal(target.grad_log_full(x), full)
+            assert np.array_equal(one_point_score(target.grad_log_full, x), full)
 
     def test_gaussian_collapsed_sum_is_near_canonical(self):
         # The equal-factor target sums factors by multiplication (count / L),
@@ -192,34 +197,49 @@ class TestSubsetScores:
         x = np.array([0.9, -1.4])
         acc = np.zeros(2)
         for l in range(7):
-            acc = acc + target.grad_log_terms([l], x)
-        np.testing.assert_allclose(target.grad_log_full(x), acc, rtol=1e-13)
+            acc = acc + one_point_score(target.grad_log_terms, [l], x)
+        full = one_point_score(target.grad_log_full, x)
+        np.testing.assert_allclose(full, acc, rtol=1e-13)
 
-    def test_subset_order_does_not_matter(self):
+    def test_unsorted_subset_rows_are_rejected(self):
+        # Every library caller passes ascending rows; any other order of the
+        # same subset is an error rather than a silent re-sort.
         target = _gmm_target()
-        x = np.array([0.3, -0.7])
-        want = target.grad_log_subset([0, 2, 5], x)
-        for sigma in ([5, 0, 2], [2, 5, 0], np.array([5, 2, 0])):
-            assert np.array_equal(target.grad_log_subset(sigma, x), want)
-            assert np.array_equal(
-                target.grad_log_terms(sigma, x), target.grad_log_terms([0, 2, 5], x)
-            )
+        X = np.array([[0.3, -0.7], [0.1, 0.2]])
+        want = target.grad_log_subset([[0, 2, 5], [1, 3, 4]], X)
+        assert want.shape == (2, 2)
+        for rows in ([[5, 0, 2], [1, 3, 4]], [[0, 2, 5], [4, 3, 1]]):
+            for method in (target.grad_log_subset, target.grad_log_terms):
+                with pytest.raises(ValueError, match="strictly ascending"):
+                    method(rows, X)
 
     def test_subset_validation(self):
         target = _gmm_target()
         x = np.zeros(2)
         with pytest.raises(ValueError, match="nonempty"):
-            target.grad_log_subset([], x)
-        with pytest.raises(ValueError, match="duplicate"):
-            target.grad_log_subset([1, 1], x)
-        with pytest.raises(ValueError, match="duplicate"):
-            target.grad_log_subset([3, 1, 3], x)
+            one_point_score(target.grad_log_subset, [], x)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            one_point_score(target.grad_log_subset, [1, 1], x)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            one_point_score(target.grad_log_subset, [3, 1, 3], x)
         with pytest.raises(ValueError, match="lie in"):
-            target.grad_log_subset([0, 6], x)
-        with pytest.raises(ValueError, match="dimension"):
-            target.grad_log_full(np.zeros(3))
+            one_point_score(target.grad_log_subset, [0, 6], x)
+        with pytest.raises(ValueError, match=r"target expects \(n, 2\)"):
+            one_point_score(target.grad_log_full, np.zeros(3))
         with pytest.raises(ValueError, match="one term subset per point"):
             target.grad_log_subset([[0, 1], [1, 2]], np.zeros((3, 2)))
+
+    def test_one_row_forms_are_rejected(self):
+        # Points and subsets are stacked rows only; a 1-D argument names its
+        # shape and the matrix expected.
+        target = _gmm_target()
+        with pytest.raises(ValueError, match=r"shape \(2,\), target expects \(n, 2\)"):
+            target.grad_log_full(np.zeros(2))
+        for method in (target.grad_log_subset, target.grad_log_terms):
+            with pytest.raises(ValueError, match=r"\(1, m\) matrix, got shape \(3,\)"):
+                method([0, 2, 4], np.zeros((1, 2)))
+            with pytest.raises(ValueError, match=r"shape \(2,\)"):
+                method([[0, 2, 4]], np.zeros(2))
 
     def test_terms_sum_must_return_one_row_per_point(self):
         # A per-point terms_sum returning (d,) would broadcast over the rows.
@@ -243,7 +263,7 @@ class TestSubsetScores:
             terms_sum=bad_terms_sum,
         )
         with pytest.raises(NonFiniteScoreError) as err:
-            target.grad_log_full(np.zeros(1))
+            one_point_score(target.grad_log_full, np.zeros(1))
         assert err.value.term_index == 3
 
 
@@ -252,12 +272,12 @@ class TestTermEvaluations:
         tally = TermTally(_gmm_target(L=6, seed=5))
         x = np.zeros(2)
         for _ in range(7):
-            tally.target.grad_log_subset([0, 2, 4], x)
+            one_point_score(tally.target.grad_log_subset, [0, 2, 4], x)
         assert tally.value == 7 * 3
 
     def test_full_accounting(self):
         tally = TermTally(_gmm_target(L=6, seed=5))
-        tally.target.grad_log_full(np.zeros(2))
+        one_point_score(tally.target.grad_log_full, np.zeros(2))
         assert tally.value == 6
 
 

@@ -110,7 +110,7 @@ class TestSgldChain:
         cfg = SgldConfig(step=1e-2, batch=1, steps=100, init=0.0, seed=99)
         first = sgld_chain(_std_normal_target(), cfg)
         other = _std_normal_target()
-        other.grad_log_full(np.zeros(1))
+        other.grad_log_full(np.zeros((1, 1)))
         second = sgld_chain(other, cfg)
         assert np.array_equal(first.points, second.points)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import TermTally, run_ssvgd_oracle
+from helpers import TermTally, one_point_score, run_ssvgd_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -39,7 +39,7 @@ def direct_svgd(init_points, target, spec, step, rounds, schedule=ADAGRAD,
             spec_r = spec
         B = np.empty_like(X)
         for i in range(n):
-            B[i] = target.grad_log_full(X[i])
+            B[i] = one_point_score(target.grad_log_full, X[i])
         K, P1, _ = kernels.radial_profile(spec_r, kernels.squared_distances(X, X))
         col = P1.sum(axis=0)
         direction = (K.T @ B + 2.0 * (P1.T @ X - X * col[:, None])) / n
