@@ -82,10 +82,13 @@ def _float(label, positive=False):
 
 
 def _list(item, check):
-    """Comma-separated ``item`` values, then ``check(values, where, context)``."""
+    """Comma-separated ``item`` values, then ``check(values, where, context)``;
+    a blank value has none, and a blank entry among others is an error."""
     def parse(text, where, context):
-        values = [item(tok, where, context) for tok in text.split(",") if tok.strip()]
-        return check(values, where, context)
+        tokens = text.split(",") if text.strip() else []
+        if not all(tok.strip() for tok in tokens):
+            raise ConfigError(f"{where} = {text!r} has an empty entry")
+        return check([item(tok, where, context) for tok in tokens], where, context)
     return parse
 
 

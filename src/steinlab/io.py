@@ -75,7 +75,7 @@ def _data_lines(path):
 def _parse_rows(path, sample_header=False):
     """File line numbers and float rows of a CSV's data rows, read in one
     pass; with ``sample_header`` the header must be ``x1..xd`` for its
-    width d."""
+    width d, and any header must name its columns, not be numbers."""
     lines = list(_data_lines(path))
     if not lines:
         raise ConfigError(f"{path}: no data rows")
@@ -89,6 +89,13 @@ def _parse_rows(path, sample_header=False):
                 f"{path}:{header_no}: expected header {','.join(expected)}, "
                 f"got {','.join(header)}"
             )
+    try:
+        [float(cell) for cell in header]
+    except ValueError:
+        pass
+    else:
+        raise ConfigError(f"{path}:{header_no}: expected a header row naming "
+                          f"the columns, got numbers {','.join(header)}")
     numbers, rows = [], []
     for number, line in lines[1:]:
         cells = next(csv.reader([line]))

@@ -13,15 +13,15 @@ element: the power families compute ``t = base ** (beta - 2)`` once and get
 ``base ** beta = t * base * base`` and ``base ** (beta - 1) = t * base``
 from it.  Exact squared distances are summed one coordinate at a time
 from per-coordinate difference matrices (:func:`coordinate_differences`,
-:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed; the SVGD
-direction, the median heuristic and the Stein engine's peak pass take
-them from here (an SSVGD round builds one ``n x n`` matrix and hands it to
-both its median heuristic and its direction), and so do the Stein block
-sums below three dimensions (from three on, those come from one matrix
-product, see :mod:`steinlab.discrepancy`).  All three write into
-caller-supplied arrays when given them (``out=``), which is how the Stein
-engine reuses one workspace across block pairs.  Finite differencing and
-pointwise kernel evaluation appear only in tests, as oracles.
+:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  An
+SSVGD round builds one ``n x n`` matrix here and hands it to both
+:func:`median_heuristic_bandwidth`, which takes only that matrix, and its
+direction; the Stein engine's peak pass and its block sums below three
+dimensions take theirs from here too (from three on, the block sums come
+from one matrix product, see :mod:`steinlab.discrepancy`).  All three
+write into caller-supplied arrays when given them (``out=``), which is how
+the Stein engine reuses one workspace across block pairs.  Finite
+differences and pointwise kernel values are test oracles only.
 """
 
 from __future__ import annotations
@@ -187,33 +187,24 @@ def _pair_index(n):
     return index
 
 
-def median_heuristic_bandwidth(points, sq=None) -> float:
-    """``median(pairwise distances)^2 / log(n)`` over all point pairs.
-
-    The median is taken as ``np.median`` takes it, bit for bit, but from a
-    partition of the squared distances, with a square root of only the
-    middle one or two.  ``sq``, when given, is the ``(n, n)`` matrix
-    ``squared_distances(points, points)`` already built by the caller (an
-    SSVGD round shares one with its direction); each of its elements is
-    summed on its own, so the result is the same bits either way.
+def median_heuristic_bandwidth(sq) -> float:
+    """``median(pairwise distances)^2 / log(n)`` over all pairs of n points,
+    read from their ``(n, n)`` squared distances ``squared_distances(X, X)``
+    (an SSVGD round shares one with its direction).  The median has the bits
+    of ``np.median``, taken from a partition of the squared distances with a
+    square root of only the middle one or two.
 
     Returns ``BANDWIDTH_FLOOR`` and emits :class:`DegenerateBandwidthWarning`
     when the median distance is zero (at least half of all pairs coincide),
     since a zero bandwidth would be unusable.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
+    shape = np.shape(sq)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"squared distances have shape {shape}, expected (n, n)")
+    n = shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
-    if sq is None:
-        sq = squared_distances(pts, pts)
-    elif sq.shape != (n, n):
-        raise ValueError(
-            f"squared distances have shape {sq.shape}, expected {(n, n)}"
-        )
-    sq = sq.ravel()[_pair_index(n)]
+    sq = np.ravel(sq)[_pair_index(n)]
     half = sq.size // 2
     # The last position is partitioned too, as np.median does, so that a
     # NaN distance, which sorts last, still gives a NaN median.

@@ -13,6 +13,12 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# A subset draw shuffles its int64 pool in row chunks of at most this many
+# entries (256 KiB), or one row when a row is longer, and an SSVGD run draws
+# as many rounds at once as fit.  One pool for all rows would hold
+# O(count * pool_size) memory for a result of O(count * subset_size).
+SUBSET_POOL_ENTRIES = 2 ** 15
+
 
 def make_generator(seed) -> np.random.Generator:
     """Philox-backed generator keyed by a 64-bit seed."""
@@ -49,9 +55,12 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     would.  Rows of the returned ``(count, subset_size)`` int64 array are
     sorted ascending.
 
-    Each shuffle step is one gather and one scatter on the flat
-    ``count * pool_size`` pool, indexed by the step's swap targets.  The
-    result equals the fancy-indexed swaps of a tiled pool
+    All uniforms are drawn up front; the rows are then shuffled in chunks
+    whose tiled pool holds at most ``SUBSET_POOL_ENTRIES`` entries (one row
+    at least), and each row's swaps read only its own uniforms.  Each
+    shuffle step is one gather and one scatter on a chunk's flat pool,
+    indexed by the step's swap targets.  The result equals the
+    fancy-indexed swaps of one tiled pool
     (``tests/helpers.uniform_subsets_oracle``) and leaves ``gen`` in the
     same state.
     """
@@ -59,23 +68,28 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
         raise ValueError(f"count must be at least 1, got {count}")
     _check_subset_size(pool_size, subset_size)
     u = gen.random((count, subset_size))
-    pool = np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
     if subset_size == pool_size:
         # Every subset is the whole pool; the draws above still advance the
         # stream as the swaps would.
-        return pool
-    flat = pool.reshape(-1)
-    offsets = np.arange(0, count * pool_size, pool_size)
-    for j in range(subset_size):
-        # Swap target j + floor(u * (pool_size - j)) of every row, as an
-        # index into the flat pool.
-        targets = (u[:, j] * (pool_size - j)).astype(np.int64)
-        targets += offsets
-        targets += j
-        held = pool[:, j].copy()
-        pool[:, j] = flat[targets]
-        flat[targets] = held
-    return np.sort(pool[:, :subset_size], axis=1)
+        return np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
+    chunk = max(1, SUBSET_POOL_ENTRIES // pool_size)
+    # Swap target j + floor(u * (pool_size - j)) of every subset at step j,
+    # as an index into its chunk's flat pool; row j of ``targets`` holds
+    # step j's, contiguous.
+    steps = np.arange(subset_size)[:, None]
+    targets = (u.T * (pool_size - steps)).astype(np.int64, order="C")
+    targets += steps
+    targets += np.arange(count) % chunk * pool_size
+    out = np.empty((count, subset_size), dtype=np.int64)
+    for c0 in range(0, count, chunk):
+        pool = np.tile(np.arange(pool_size, dtype=np.int64), (min(chunk, count - c0), 1))
+        flat = pool.reshape(-1)
+        for j, step_targets in enumerate(targets[:, c0:c0 + chunk]):
+            held = pool[:, j].copy()
+            pool[:, j] = flat[step_targets]
+            flat[step_targets] = held
+        out[c0:c0 + chunk] = np.sort(pool[:, :subset_size], axis=1)
+    return out
 
 
 def uniform_subset(gen, pool_size, subset_size) -> np.ndarray:

@@ -9,22 +9,20 @@ source particle j or its (L/m)-scaled subset score under a fresh per-round
 ``(n, m)`` index matrix of one independent size-m subset per particle.
 Directions are assembled in fixed row blocks and concatenated in order, so
 a run is bit-identical for any worker count.  Each block computes its own
-n x 256 kernel and profile columns and sums their products with the
-sources over 256-row source blocks, so results are also bit-identical for
-any BLAS thread count.
+n x 256 kernel and profile columns from its column slice of the particles'
+``n x n`` squared distances and sums their products with the sources over
+256-row source blocks, so results are also bit-identical for any BLAS
+thread count.
 
 A run spends little arithmetic per round, so :func:`run_ssvgd` keeps the
 per-round calls few.  The subsets of several consecutive rounds come from
 one draw of the run's stream, n rows per round, with the number of rounds
 per draw bounded so that the draw's ``(rounds * n, L)`` pool holds at most
-``SUBSET_POOL_ENTRIES`` entries; one draw reads the same uniforms as one
-draw per round, so the subsets are the same.  Under the
-``median_per_round`` bandwidth policy each round builds its particles'
-``n x n`` squared distances once and hands them to both the median
-heuristic and the direction (``sq=``), whose blocks take column slices of
-it; every element is summed on its own, so the bits do not change.  The
-``fixed`` policy needs no median, and its blocks keep building their own
-distances, so its memory stays O(256 n), not O(n^2).
+``rng.SUBSET_POOL_ENTRIES`` entries; one draw reads the same uniforms as
+one draw per round, so the subsets are the same.  Under either bandwidth
+policy each round builds its particles' ``n x n`` squared distances once,
+for the direction and, under ``median_per_round``, the median heuristic, so
+a round holds O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from . import kernels
 from .discrepancy import SampleBatch, scaled_scores
 from .errors import DivergenceError
 from .parallel import ordered_map, resolve_threads, row_blocks, tree_reduce_sum
-from .rng import make_generator, uniform_subsets
+from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
 CONSTANT = "constant"
 ADAGRAD = "adagrad"
@@ -47,11 +45,6 @@ SCHEDULES = (CONSTANT, ADAGRAD)
 FIXED = "fixed"
 MEDIAN_PER_ROUND = "median_per_round"
 BANDWIDTH_POLICIES = (FIXED, MEDIAN_PER_ROUND)
-
-# One subset draw serves as many consecutive rounds as keep its
-# (rounds * n, L) int64 pool within this many entries (256 KiB).  A draw
-# for all rounds at once would hold O(rounds * n * L) memory.
-SUBSET_POOL_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -116,27 +109,22 @@ class SsvgdResult:
     term_evals: int
 
 
-def ssvgd_direction(batch, target, spec, subsets=None, threads=None,
-                    sq=None) -> np.ndarray:
+def ssvgd_direction(batch, target, spec, sq, subsets=None,
+                    threads=None) -> np.ndarray:
     """Update direction at every particle position.
 
+    ``sq`` is the particles' ``(n, n)`` squared distances
+    ``kernels.squared_distances(X, X)``; each row block reads its columns.
     Source scores are subset-scaled under the ``(n, m)`` index matrix
     ``subsets`` (row j for source particle j, following the per-round
     minibatch scheme) or exact when it is None.  Row i is the direction
     evaluated at particle i.
-
-    ``sq``, when given, is the ``(n, n)`` matrix
-    ``kernels.squared_distances(X, X)`` of the particles, and each row block
-    takes its columns from it instead of building its own ``n x 256``
-    distances; every element is summed on its own, so the direction is the
-    same bits either way.  Without it, memory stays O(256 n).
     """
     X = batch.points
     n = batch.n
-    if sq is not None and sq.shape != (n, n):
-        raise ValueError(
-            f"squared distances have shape {sq.shape}, expected {(n, n)}"
-        )
+    sq = np.asarray(sq, dtype=np.float64)
+    if sq.shape != (n, n):
+        raise ValueError(f"squared distances have shape {sq.shape}, expected {(n, n)}")
     B = scaled_scores(batch, target, subsets)
     workers = resolve_threads(threads)
 
@@ -151,11 +139,7 @@ def ssvgd_direction(batch, target, spec, subsets=None, threads=None,
 
     def block_direction(span):
         i0, i1 = span
-        if sq is None:
-            S = kernels.squared_distances(X, X[i0:i1])
-        else:
-            S = sq[:, i0:i1]
-        K, P1, _ = kernels.radial_profile(spec, S)
+        K, P1, _ = kernels.radial_profile(spec, sq[:, i0:i1])
         drift = source_sum(K, B)
         rep = source_sum(P1, X) - X[i0:i1] * P1.sum(axis=0)[:, None]
         return (drift + 2.0 * rep) / n
@@ -179,10 +163,11 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
     one draw, n rows per round; that draw reads the stream exactly as one
     draw per round would.  A full batch (``batch == target.L``) draws
     nothing and takes the exact-score path, which is what makes it
-    bit-identical to deterministic full-score descent.  Under
-    ``median_per_round`` each round builds its particles' ``n x n`` squared
-    distances once, for both the median heuristic and the direction.  Each
-    round consumes exactly ``n * batch`` term-gradient evaluations.
+    bit-identical to deterministic full-score descent.  Each round builds
+    its particles' ``n x n`` squared distances once, for the direction and,
+    under ``median_per_round``, the median heuristic, so its memory is
+    O(n^2).  Each round consumes exactly ``n * batch`` term-gradient
+    evaluations.
     """
     if config.batch > target.L:
         raise ValueError(
@@ -197,7 +182,6 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
     evals_per_round = n * config.batch
     checkpoints = []
     subsets = None
-    sq = None
     spec = config.kernel
     for r in range(config.rounds):
         if not full_batch:
@@ -206,15 +190,12 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> Ss
                 chunk = min(chunk_rounds, config.rounds - r)
                 drawn = uniform_subsets(gen, chunk * n, target.L, config.batch)
             subsets = drawn[k * n:(k + 1) * n]
+        sq = kernels.squared_distances(X, X)
         if config.bandwidth_policy == MEDIAN_PER_ROUND:
-            sq = kernels.squared_distances(X, X)
-            spec = replace(
-                config.kernel,
-                bandwidth=kernels.median_heuristic_bandwidth(X, sq=sq),
-            )
-        direction = ssvgd_direction(
-            SampleBatch(X), target, spec, subsets, threads=threads, sq=sq
-        )
+            spec = replace(config.kernel,
+                           bandwidth=kernels.median_heuristic_bandwidth(sq))
+        direction = ssvgd_direction(SampleBatch(X), target, spec, sq, subsets,
+                                    threads=threads)
         if config.schedule == ADAGRAD:
             acc = acc + direction * direction
             X = X + (config.step / (config.fudge + np.sqrt(acc))) * direction

@@ -210,8 +210,6 @@ def median_heuristic_oracle(points):
     """``kernels.median_heuristic_bandwidth`` as ``np.median`` of the square
     roots of every pair's squared distance, taken by ``np.triu_indices``."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     n = pts.shape[0]
     iu = np.triu_indices(n, k=1)
     dists = np.sqrt(kernels.squared_distances(pts, pts)[iu])
@@ -312,8 +310,8 @@ def sgld_chain_oracle(target, config):
 def run_ssvgd_oracle(init, target, config, threads=None):
     """``svgd.run_ssvgd`` one round at a time: every round draws its own
     subsets (``uniform_subsets_oracle``, also when ``batch == L``) and the
-    median heuristic and the direction each build their own squared
-    distances.  The reference for the chunked draws and the shared
+    median heuristic and the direction each get a squared-distance matrix
+    of their own.  The reference for the chunked draws and the shared
     per-round distance matrix."""
     if config.batch > target.L:
         raise ValueError(f"batch size {config.batch} exceeds the {target.L} terms")
@@ -325,14 +323,13 @@ def run_ssvgd_oracle(init, target, config, threads=None):
     checkpoints = []
     for r in range(config.rounds):
         if config.bandwidth_policy == svgd.MEDIAN_PER_ROUND:
-            spec = replace(
-                config.kernel, bandwidth=kernels.median_heuristic_bandwidth(X)
-            )
+            spec = replace(config.kernel, bandwidth=kernels.median_heuristic_bandwidth(
+                kernels.squared_distances(X, X)))
         else:
             spec = config.kernel
         subsets = uniform_subsets_oracle(gen, n, target.L, config.batch)
         direction = svgd.ssvgd_direction(
-            SampleBatch(X), target, spec,
+            SampleBatch(X), target, spec, kernels.squared_distances(X, X),
             None if config.batch == target.L else subsets, threads=threads
         )
         if config.schedule == svgd.ADAGRAD:

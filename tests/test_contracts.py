@@ -5,9 +5,11 @@ must name every public name, and every function that ``perfbench/tracer.py``
 wraps must still exist: a deleted or renamed one would drop its layer from
 the benchmark's per-layer report.  The tracer's counters read some call
 arguments by position, or by name when they are passed as keywords; those
-parameters must stay where they are.
+parameters must stay where they are.  The engine imports only the
+standard library, numpy and its own modules.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -70,3 +72,18 @@ def test_counted_arguments_keep_their_places():
         params = list(inspect.signature(fn).parameters.values())
         assert params[position].name == name, (fn.__qualname__, position, name)
         assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_engine_imports_only_stdlib_and_numpy():
+    outside = []
+    for path in sorted((ROOT / "src" / "steinlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one of the package
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in {*sys.stdlib_module_names, "numpy"}]
+    assert not outside, outside

@@ -202,7 +202,8 @@ class TestScaledScores:
             if entry == "scaled_scores":
                 scaled_scores(batch, target, subsets)
             else:
-                ssvgd_direction(batch, target, IMQ, subsets)
+                sq = kernels_module.squared_distances(batch.points, batch.points)
+                ssvgd_direction(batch, target, IMQ, sq, subsets)
 
     def test_unsorted_rows_are_rejected(self):
         # The target takes strictly ascending rows only; it does not re-sort.
@@ -679,6 +680,7 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
     import numpy as np
     from helpers import one_matrix_stein_sums, random_instance
     from steinlab import coord_stein_sums, draw_subsets, scaled_scores
+    from steinlab.kernels import squared_distances
     from steinlab.svgd import ssvgd_direction
 
     parts = []
@@ -693,7 +695,8 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
         subsets = draw_subsets(batch.n, target.L, m, seed=case)
         B = scaled_scores(batch, target, subsets)
         parts.append(one_matrix_stein_sums(batch, B, spec, threads=2))
-        parts.append(ssvgd_direction(batch, target, spec, subsets, threads=2).ravel())
+        sq = squared_distances(batch.points, batch.points)
+        parts.append(ssvgd_direction(batch, target, spec, sq, subsets, threads=2).ravel())
     # One stacked call, on the last and largest instance.
     stack = np.stack([B, -B, 0.5 * B])
     parts.append(coord_stein_sums(batch, stack, spec, threads=2).ravel())

@@ -102,6 +102,21 @@ class TestDatasetCsv:
         assert np.array_equal(X, [[0.1, 0.2], [-0.3, 0.4]])
         assert np.array_equal(y, [1.0, 0.0])
 
+    def test_observations_need_a_header_row(self, tmp_path):
+        # A numeric first row is data, not a header: it used to be dropped.
+        path = tmp_path / "obs.csv"
+        path.write_text("# values\n1.0\n2.0\n3.0\n")
+        with pytest.raises(ConfigError) as err:
+            io.read_observations_csv(path)
+        assert str(err.value) == (f"{path}:2: expected a header row naming the "
+                                  "columns, got numbers 1.0")
+
+    def test_labeled_needs_a_header_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.2,1\n-0.3,0.4,0\n")
+        with pytest.raises(ConfigError, match=r"data.csv:1: expected a header row"):
+            io.read_labeled_csv(path)
+
     def test_labeled_rejects_bad_label(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f1,label\n0.1,2\n")
@@ -808,6 +823,20 @@ class TestConfigValidation:
             "[curve] seeds = 0 is less than 1", "c.csv",
         )
 
+    def test_headerless_observations_are_rejected(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # Without a header the first observation used to be dropped.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "obs.csv").write_text("1.0\n2.0\n3.0\n")
+        text = _gmm_config(tmp_path).read_text()
+        bad = _write(tmp_path / "bad.ini", text.replace(
+            "l = 20\n", "").replace("data_seed = 1", "data = obs.csv"))
+        self._assert_config_error(
+            capsys, ["curve", "--config", str(bad)],
+            "obs.csv:1: expected a header row naming the columns, got numbers 1.0",
+            "out.csv",
+        )
+
     def test_tune_trials_must_be_positive(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         config = _tune_config(tmp_path, trials=0)
@@ -995,7 +1024,15 @@ class TestConfigValidation:
          "[curve] mu entry inf is not finite"),
         (_tune_config, "tune-sgld", "eps_grid = 5e-3", "eps_grid = 5e-3,inf",
          "[tune] eps_grid entry inf is not finite"),
-    ], ids=["fudge", "sigma_sq-inf", "bandwidth-inf", "mu-nan", "curve-mu-inf", "eps-inf"])
+        # An empty list entry used to be dropped: init = 0,,1 ran from [0, 1].
+        (_tune_config, "tune-sgld", "init = 0", "init = 0,,1",
+         "[tune] init = '0,,1' has an empty entry"),
+        (_tune_config, "tune-sgld", "eps_grid = 5e-3", "eps_grid = 1e-3, ,1e-2",
+         "[tune] eps_grid = '1e-3, ,1e-2' has an empty entry"),
+        (_rank_config, "rank-samplers", "m_list = 4,full", "m_list = 4,full,",
+         "[rank] m_list = '4,full,' has an empty entry"),
+    ], ids=["fudge", "sigma_sq-inf", "bandwidth-inf", "mu-nan", "curve-mu-inf", "eps-inf",
+            "empty-coordinate-entry", "empty-grid-entry", "trailing-comma"])
     def test_values_once_accepted_silently(self, tmp_path, monkeypatch, capsys,
                                            make, command, old, new, message):
         self._assert_edit_rejected(tmp_path, monkeypatch, capsys, make, command,

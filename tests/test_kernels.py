@@ -175,32 +175,48 @@ class TestSquaredDistances:
         with pytest.raises(ValueError, match="dimension"):
             kernels.squared_distances(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", [257, 600])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_column_blocks_are_slices_of_the_square_matrix(self, n, d):
+        # Each element is summed on its own, in coordinate order, so the
+        # 256-column blocks an SSVGD direction reads as slices of the
+        # round's n x n matrix are the bits of building each block alone.
+        X = np.random.default_rng(n + d).standard_normal((n, d))
+        sq = kernels.squared_distances(X, X)
+        for i0 in range(0, n, 256):
+            i1 = min(i0 + 256, n)
+            assert np.array_equal(kernels.squared_distances(X, X[i0:i1]),
+                                  sq[:, i0:i1])
+
+
+def _median(points):
+    """The median heuristic of a point matrix, from its squared distances."""
+    pts = np.asarray(points, dtype=np.float64)
+    return kernels.median_heuristic_bandwidth(kernels.squared_distances(pts, pts))
+
 
 class TestMedianHeuristic:
     def test_three_point_example(self):
         # pairwise distances {1, 1, 2}, median 1
-        bw = kernels.median_heuristic_bandwidth(np.array([[0.0], [1.0], [2.0]]))
+        bw = _median([[0.0], [1.0], [2.0]])
         assert bw == pytest.approx(1.0 / math.log(3), rel=1e-14)
 
     def test_degenerate_points_floor(self):
         with pytest.warns(DegenerateBandwidthWarning):
-            bw = kernels.median_heuristic_bandwidth(np.zeros((2, 3)))
+            bw = _median(np.zeros((2, 3)))
         assert bw == kernels.BANDWIDTH_FLOOR
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((12, 3))
-        base = kernels.median_heuristic_bandwidth(pts)
-        assert kernels.median_heuristic_bandwidth(2.0 * pts) == pytest.approx(
-            4.0 * base, rel=1e-12
-        )
-        assert kernels.median_heuristic_bandwidth(3.0 * pts) == pytest.approx(
-            9.0 * base, rel=1e-12
-        )
+        base = _median(pts)
+        assert _median(2.0 * pts) == pytest.approx(4.0 * base, rel=1e-12)
+        assert _median(3.0 * pts) == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            kernels.median_heuristic_bandwidth(np.zeros((1, 2)))
+        for sq in (np.zeros((1, 1)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="at least two points"):
+                kernels.median_heuristic_bandwidth(sq)
 
     # Pair counts n(n-1)/2: odd for n = 2, 3, 6, 7, 50, even for 4, 5, 8, 9.
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 50])
@@ -212,26 +228,25 @@ class TestMedianHeuristic:
             rng.integers(0, 3, size=(n, d)).astype(float),  # tied distances
             1e3 + rng.standard_normal((n, d)),
         ):
-            assert kernels.median_heuristic_bandwidth(pts) == median_heuristic_oracle(
-                pts
-            )
+            assert _median(pts) == median_heuristic_oracle(pts)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 257, 600])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_given_squared_distances_give_same_bits(self, n, d):
+        # The matrix an SSVGD round shares with its direction gives the
+        # oracle's bits, above one 256-row block too, and is only read.
         pts = np.random.default_rng(7 * n + d).standard_normal((n, d))
         sq = kernels.squared_distances(pts, pts)
         kept = sq.copy()
-        assert kernels.median_heuristic_bandwidth(pts, sq=sq) == (
-            kernels.median_heuristic_bandwidth(pts)
-        )
+        assert kernels.median_heuristic_bandwidth(sq) == median_heuristic_oracle(pts)
         assert np.array_equal(sq, kept)
 
     def test_squared_distances_of_wrong_shape_raise(self):
-        pts = np.zeros((4, 2))
         for shape in ((4, 3), (3, 4), (16,), (4, 4, 1)):
-            with pytest.raises(ValueError, match="shape"):
-                kernels.median_heuristic_bandwidth(pts, sq=np.ones(shape))
+            with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+                kernels.median_heuristic_bandwidth(np.ones(shape))
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            kernels.median_heuristic_bandwidth([[0.0, 1.0]])
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
     def test_degenerate_floor_equals_oracle(self, n):
@@ -241,13 +256,13 @@ class TestMedianHeuristic:
         if n >= 5:
             pts[0] = 1.0
         with pytest.warns(DegenerateBandwidthWarning):
-            bw = kernels.median_heuristic_bandwidth(pts)
+            bw = _median(pts)
         with pytest.warns(DegenerateBandwidthWarning):
             assert bw == median_heuristic_oracle(pts) == kernels.BANDWIDTH_FLOOR
 
     def test_nan_point_gives_nan_as_oracle(self):
         pts = np.array([[0.0], [1.0], [np.nan], [3.0]])
-        assert math.isnan(kernels.median_heuristic_bandwidth(pts))
+        assert math.isnan(_median(pts))
         assert math.isnan(median_heuristic_oracle(pts))
 
 

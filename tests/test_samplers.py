@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from steinlab import (
     SampleBatch,
     SgldConfig,
     SgldSweep,
+    draw_subsets,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -17,6 +20,7 @@ from steinlab import (
     make_logreg,
     sgld_chain,
 )
+from steinlab import rng
 from steinlab.rng import make_generator, uniform_subset, uniform_subsets
 
 
@@ -325,6 +329,38 @@ class TestUniformSubset:
             assert got.shape == want.shape == (count, subset_size)
             assert np.array_equal(got, want)
             assert np.array_equal(gen.random(3), twin.random(3))
+
+    @pytest.mark.parametrize("entries, count, pool_size, subset_size", [
+        (50, 23, 10, 3),   # chunks of 5 rows, the last one 3 rows long
+        (50, 4, 64, 5),    # a row above the bound: one row per chunk
+        (None, 3001, 50, 49),
+        (None, 7, 100_000, 3),
+    ])
+    def test_row_chunks_match_oracle(self, monkeypatch, entries, count,
+                                     pool_size, subset_size):
+        # The pool is shuffled in row chunks; subsets and the stream state
+        # are those of one tiled pool.
+        if entries is not None:
+            monkeypatch.setattr(rng, "SUBSET_POOL_ENTRIES", entries)
+        chunk = max(1, rng.SUBSET_POOL_ENTRIES // pool_size)
+        assert chunk < count  # several chunks
+        for seed in range(3):
+            gen = make_generator(seed)
+            twin = make_generator(seed)
+            got = uniform_subsets(gen, count, pool_size, subset_size)
+            want = uniform_subsets_oracle(twin, count, pool_size, subset_size)
+            assert np.array_equal(got, want)
+            assert np.array_equal(gen.random(3), twin.random(3))
+
+    def test_draw_memory_is_bounded_by_the_pool_chunk(self):
+        # One tiled (400, 100000) pool would take 320 MB for a 3.2 kB result.
+        tracemalloc.start()
+        try:
+            draw_subsets(400, 100_000, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     @pytest.mark.parametrize("pool_size, subset_size", [(20, 5), (7, 7), (9, 1)])
     def test_one_draw_equals_consecutive_draws(self, pool_size, subset_size):

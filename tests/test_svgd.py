@@ -34,7 +34,8 @@ def direct_svgd(init_points, target, spec, step, rounds, schedule=ADAGRAD,
     acc = np.zeros_like(X)
     for _ in range(rounds):
         if median_per_round:
-            spec_r = replace(spec, bandwidth=kernels.median_heuristic_bandwidth(X))
+            spec_r = replace(spec, bandwidth=kernels.median_heuristic_bandwidth(
+                kernels.squared_distances(X, X)))
         else:
             spec_r = spec
         B = np.empty_like(X)
@@ -51,11 +52,16 @@ def direct_svgd(init_points, target, spec, step, rounds, schedule=ADAGRAD,
     return X
 
 
+def _sq(batch):
+    """The particles' squared distances, the direction's distance input."""
+    return kernels.squared_distances(batch.points, batch.points)
+
+
 class TestDirection:
     def test_single_particle_exact_score(self):
         target = make_gaussian(0.0, 1.0, 1)
         batch = SampleBatch(np.array([[2.0]]))
-        direction = ssvgd_direction(batch, target, IMQ, None)
+        direction = ssvgd_direction(batch, target, IMQ, _sq(batch), None)
         assert np.array_equal(direction, np.array([[-2.0]]))
 
     def test_single_particle_repulsion_vanishes(self):
@@ -63,7 +69,8 @@ class TestDirection:
         # k(x, x) times the scaled subset score.
         target = make_gaussian(0.0, 1.0, 4, dim=2)
         x = np.array([[0.7, -0.3]])
-        direction = ssvgd_direction(SampleBatch(x), target, IMQ, np.array([[1, 3]]))
+        batch = SampleBatch(x)
+        direction = ssvgd_direction(batch, target, IMQ, _sq(batch), np.array([[1, 3]]))
         assert np.array_equal(direction, -x)
 
     def test_one_constant_round_moves_to_expected_point(self):
@@ -78,23 +85,19 @@ class TestDirection:
         batch = iid_gaussian(20, 2, 0.0, 1.0, seed=2)
         subsets = draw_subsets(20, 5, 5, seed=3)
         assert np.array_equal(
-            ssvgd_direction(batch, target, IMQ, subsets),
-            ssvgd_direction(batch, target, IMQ, None),
+            ssvgd_direction(batch, target, IMQ, _sq(batch), subsets),
+            ssvgd_direction(batch, target, IMQ, _sq(batch), None),
         )
 
     def test_permutation_synchronicity(self):
         target = make_gaussian(0.0, 1.0, 6, dim=2)
         batch = iid_gaussian(15, 2, 0.0, 1.0, seed=4)
         subsets = draw_subsets(15, 6, 2, seed=5)
-        direction = ssvgd_direction(batch, target, IMQ, subsets)
+        direction = ssvgd_direction(batch, target, IMQ, _sq(batch), subsets)
         rng = np.random.default_rng(6)
         perm = rng.permutation(15)
-        permuted = ssvgd_direction(
-            SampleBatch(batch.points[perm]),
-            target,
-            IMQ,
-            subsets[perm],
-        )
+        shuffled = SampleBatch(batch.points[perm])
+        permuted = ssvgd_direction(shuffled, target, IMQ, _sq(shuffled), subsets[perm])
         np.testing.assert_allclose(permuted, direction[perm], rtol=1e-10, atol=1e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -107,28 +110,42 @@ class TestDirection:
         )
         batch = SampleBatch(np.array([[0.0], [0.1]]))
         with pytest.raises(DivergenceError, match="particle"):
-            ssvgd_direction(batch, huge, IMQ, None)
+            ssvgd_direction(batch, huge, IMQ, _sq(batch), None)
 
     @pytest.mark.parametrize("n", [1, 2, 50, 257, 600])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("spec", [IMQ, RBF], ids=["imq", "rbf"])
     def test_shared_squared_distances_give_same_bits(self, n, d, spec):
+        # Row blocks read column slices of one shared n x n matrix: the
+        # direction has the same bits at one and two workers, and below and
+        # above one 256-row block it is the dense formula to rounding.
+        # test_kernels.TestSquaredDistances checks that the slices have the
+        # bits of building each block's distances alone.
         target = make_gaussian(0.0, 1.0, 6, dim=d)
         batch = iid_gaussian(n, d, 0.3, 1.0, seed=n + d)
         subsets = draw_subsets(n, 6, 2, seed=5)
-        sq = kernels.squared_distances(batch.points, batch.points)
-        for threads in (1, 2):
-            assert np.array_equal(
-                ssvgd_direction(batch, target, spec, subsets, threads, sq=sq),
-                ssvgd_direction(batch, target, spec, subsets, threads),
-            )
+        sq = _sq(batch)
+        got = ssvgd_direction(batch, target, spec, sq, subsets, threads=1)
+        assert np.array_equal(
+            ssvgd_direction(batch, target, spec, sq, subsets, threads=2), got
+        )
+        X = batch.points
+        B = discrepancy.scaled_scores(batch, target, subsets)
+        K, P1, _ = kernels.radial_profile(spec, sq)
+        dense = (K.T @ B + 2.0 * (P1.T @ X - X * P1.sum(axis=0)[:, None])) / n
+        np.testing.assert_allclose(got, dense, rtol=1e-11, atol=1e-14)
 
     def test_squared_distances_of_wrong_shape_raise(self):
         target = make_gaussian(0.0, 1.0, 6)
         batch = iid_gaussian(5, 1, 0.0, 1.0, seed=1)
         for shape in ((5, 4), (4, 5), (25,), (5, 5, 1)):
-            with pytest.raises(ValueError, match="shape"):
-                ssvgd_direction(batch, target, IMQ, None, sq=np.zeros(shape))
+            with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+                ssvgd_direction(batch, target, IMQ, np.zeros(shape), None)
+        with pytest.raises(ValueError, match=r"shape \(1, 5\)"):
+            ssvgd_direction(batch, target, IMQ, [[0.0] * 5], None)
+        # A nested list of the right shape is read as the matrix.
+        assert np.array_equal(ssvgd_direction(batch, target, IMQ, _sq(batch).tolist()),
+                              ssvgd_direction(batch, target, IMQ, _sq(batch)))
 
 
 def _logreg_target(L, d, seed):
@@ -283,6 +300,27 @@ class TestRunSsvgd:
         reference = direct_svgd(init.points, target, IMQ,
                                 0.05, 25)
         np.testing.assert_allclose(result.final.points, reference, rtol=1e-12)
+
+    @pytest.mark.parametrize("policy", ["fixed", MEDIAN_PER_ROUND])
+    def test_one_squared_distance_matrix_per_round(self, monkeypatch, policy):
+        shapes = []
+        build = kernels.squared_distances
+
+        def recording_build(X, Y):
+            shapes.append((len(X), len(Y)))
+            return build(X, Y)
+
+        monkeypatch.setattr(kernels, "squared_distances", recording_build)
+        n, rounds = 7, 5
+        target = make_gaussian(0.0, 1.0, 6)
+        init = iid_gaussian(n, 1, 0.0, 1.0, seed=3)
+        config = SvgdConfig(rounds=rounds, batch=2, kernel=RBF,
+                            bandwidth_policy=policy, seed=4)
+        run_ssvgd(init, target, config)
+        assert shapes == [(n, n)] * rounds
+        shapes.clear()
+        ssvgd_direction(init, target, RBF, build(init.points, init.points))
+        assert shapes == []
 
     def test_per_round_cost(self):
         tally = TermTally(make_gaussian(0.0, 1.0, 9))
