@@ -39,7 +39,7 @@ from .errors import ConfigError, DivergenceError, SteinlabError
 from .kernels import FAMILIES, KernelSpec
 from .models import (gen_gmm_data, gen_logreg_data, make_gaussian, make_gmm_posterior,
                      make_logreg)
-from .parallel import ordered_map, resolve_threads
+from .parallel import ordered_map
 from .rng import derive_seed, make_generator
 from .samplers import SgldConfig, SgldSweep, iid_gaussian, sgld_chain
 from .svgd import (BANDWIDTH_POLICIES, MEDIAN_PER_ROUND, SCHEDULES, SvgdConfig,
@@ -281,8 +281,8 @@ _CURVE = (
 
 
 class _Config:
-    """One command's INI config, target, kernel and worker count, and the echo
-    of what it has read.  ``--seed`` replaces the seed of its own section."""
+    """One command's INI config, target and kernel, and the echo of what it
+    has read.  ``--seed`` replaces the seed of its own section."""
 
     def __init__(self, args, section):
         self.sections = sio.load_config(args.config)
@@ -293,7 +293,6 @@ class _Config:
         self.target = self._target()
         self.kernel = self._kernel()
         self.context = {"L": self.target.L, "dim": self.target.dim, "kernel": self.kernel}
-        self.threads = resolve_threads(args.threads)
 
     def read(self, name, table, echo=True):
         """Parse, check and (with ``echo``) echo every field of ``table`` from
@@ -339,7 +338,7 @@ class _Config:
 # ---------------------------------------------------------------------------
 # commands
 
-def _discrepancy(sample, target, kernel, m, seed, threads):
+def _discrepancy(sample, target, kernel, m, seed, threads=1):
     """KSD for the subset size 'full' (None), else SKSD at ``m`` with ``seed``."""
     if m is None:
         return ksd(sample, target, kernel, threads=threads)
@@ -358,7 +357,7 @@ def cmd_score(args) -> int:
     if batch.dim != cfg.target.dim:
         raise ConfigError(f"[score] samples = {opts['samples']!r} has dimension {batch.dim}, "
                           f"target expects {cfg.target.dim}")
-    result = _discrepancy(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"], cfg.threads)
+    result = _discrepancy(batch, cfg.target, cfg.kernel, opts["m"], opts["seed"], args.threads)
     sio.write_json(args.out or "result.json", {"config": cfg.echo, "result": result.to_dict()})
     return 0
 
@@ -388,12 +387,12 @@ def cmd_tune_sgld(args) -> int:
         # independent subsampling noise per grid point.  One call scores
         # the chain at every m.
         score_seeds = [derive_seed(seed, "tune-score", trial, m) for m in m_values]
-        results = sksd(chain, target, spec, m_values, score_seeds, threads=1)
+        results = sksd(chain, target, spec, m_values, score_seeds)
         for row, result in zip(rows, results):
             row.update(value=result.value, term_evals=result.term_evals, diverged=0, note="")
         return rows
 
-    rows = _grid_rows(run_cell, zip(chain_cells, chains), cfg.threads)
+    rows = _grid_rows(run_cell, zip(chain_cells, chains), args.threads)
     values = {(m, eps): [] for m in m_values for eps in eps_grid}
     for row in rows:
         if not row["diverged"]:
@@ -440,8 +439,8 @@ def cmd_rank_samplers(args) -> int:
     def run_cell(n):
         # One call per sampler scores its first n points at every m.
         score_seeds = [derive_seed(seed, "rank-score", n, m) for m in m_values]
-        results = [sksd(SampleBatch(chain.points[:n]), target, spec, m_values, score_seeds,
-                        threads=1) for chain in chains.values()]
+        results = [sksd(SampleBatch(chain.points[:n]), target, spec, m_values, score_seeds)
+                   for chain in chains.values()]
         rows = []
         for m, res_a, res_b in zip(m_values, *results):
             a, b = res_a.value, res_b.value
@@ -450,14 +449,14 @@ def cmd_rank_samplers(args) -> int:
                          "preferred": "a" if a < b else "b" if b < a else "tie"})
         return rows
 
-    rows = _grid_rows(run_cell, n_grid, cfg.threads)
+    rows = _grid_rows(run_cell, n_grid, args.threads)
     sio.write_table_csv(args.out or "rank.csv", rows, meta=cfg.echo)
     return 0
 
 
 def cmd_ssvgd(args) -> int:
     cfg = _Config(args, "svgd")
-    target, kernel, threads = cfg.target, cfg.kernel, cfg.threads
+    target, kernel, threads = cfg.target, cfg.kernel, args.threads
     opts = cfg.read("svgd", _SVGD["init" in cfg.sections.get("svgd", {})])
     if opts["save_trajectory"] and not opts["checkpoint_every"]:
         raise ConfigError("[svgd] save_trajectory = true writes a round-*.csv at each "
@@ -513,11 +512,11 @@ def cmd_curve(args) -> int:
         sample = iid_gaussian(n, target.dim, opts["mu"], opts["sigma"],
                               derive_seed(opts["seed"], "curve-sample", rep, n))
         result = _discrepancy(sample, target, spec, opts["m"],
-                              derive_seed(opts["seed"], "curve-score", rep, n), threads=1)
+                              derive_seed(opts["seed"], "curve-score", rep, n))
         return [{"n": n, "rep": rep, "value": result.value, "term_evals": result.term_evals}]
 
     cells = [(n, rep) for n in opts["n_grid"] for rep in range(opts["seeds"])]
-    rows = _grid_rows(run_cell, cells, cfg.threads)
+    rows = _grid_rows(run_cell, cells, args.threads)
     sio.write_table_csv(args.out or "curve.csv", rows, meta=cfg.echo)
     return 0
 
@@ -526,10 +525,10 @@ def cmd_curve(args) -> int:
 # entry point
 
 def _thread_count(text):
-    """``--threads``: a positive integer; argparse names the option on error."""
+    """``--threads``: a positive integer, read as a config count; argparse names it."""
     try:
-        return resolve_threads(int(text))
-    except ValueError:
+        return _COUNT(text, "--threads", {})
+    except ConfigError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer") from None
 
 
@@ -553,8 +552,8 @@ def _build_parser():
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         cmd.add_argument("--out", default=None, help="output path")
-        cmd.add_argument("--threads", type=_thread_count, default=None,
-                         help="worker threads (default STEINLAB_THREADS or 1)")
+        cmd.add_argument("--threads", type=_thread_count, default=1,
+                         help="worker threads (default 1)")
         cmd.set_defaults(handler=handler)
     return parser
 

@@ -45,14 +45,8 @@ import numpy as np
 
 from . import kernels
 from .errors import NonFiniteScoreError, NumericalConsistencyError
-from .parallel import (
-    BLOCK_ROWS,
-    ordered_map,
-    resolve_threads,
-    row_blocks,
-    tree_reduce_sum,
-)
-from .rng import make_generator, uniform_subsets
+from .parallel import BLOCK_ROWS, ordered_map, row_blocks, tree_reduce_sum
+from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
 NEGATIVE_TOLERANCE = 1e-8
 
@@ -141,28 +135,36 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
 
     Row i is ``(L/m) * grad_log_subset(subsets[i], x_i)`` for an ``(n, m)``
     index matrix ``subsets``, or the exact ``grad_log_full(x_i)`` when it is
-    None.  The target checks the indices and scores one fixed row block of
-    points per call.  Consumes ``n * m`` (respectively ``n * L``)
-    term-gradient evaluations.
+    None.  The target checks the indices and scores
+    ``min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // m)`` points per call (at least
+    one; m = L on the exact path), so a call's ``(rows, m, d)`` term array
+    stays small at any m.  Every row is scored on its own, so the rows per
+    call do not change the bits.  Consumes ``n * m`` (respectively
+    ``n * L``) term-gradient evaluations.
     """
     X = batch.points
+    m = target.L
     if subsets is not None:
-        # The target sees one row block at a time, so only this check
-        # notices rows beyond the batch.
+        # The target sees a few rows at a time, so only this check notices
+        # rows beyond the batch.
         shape = np.shape(subsets)
         if len(shape) != 2 or shape[0] != batch.n:
             raise ValueError(
                 f"subsets have shape {shape}, expected one row for each of "
                 f"{batch.n} points"
             )
+        m = shape[1]
+    # An empty subset (m = 0) reaches the target, which rejects it.
+    rows = max(1, min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // max(m, 1)))
     B = np.empty_like(X)
-    for i0, i1 in row_blocks(batch.n):
+    for i0 in range(0, batch.n, rows):
+        i1 = min(i0 + rows, batch.n)
         try:
             if subsets is None:
                 B[i0:i1] = target.grad_log_full(X[i0:i1])
             else:
-                rows = target.grad_log_subset(subsets[i0:i1], X[i0:i1])
-                B[i0:i1] = (target.L / shape[1]) * rows
+                scores = target.grad_log_subset(subsets[i0:i1], X[i0:i1])
+                B[i0:i1] = (target.L / m) * scores
         except NonFiniteScoreError as err:
             err.point_index += i0
             raise
@@ -293,7 +295,7 @@ def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
     return peak
 
 
-def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
+def coord_stein_sums(batch, B, spec, threads=1) -> np.ndarray:
     """Per-coordinate squared discrepancy pieces w_j^2, before clamping.
 
     ``B`` is a ``(k, n, d)`` stack of score matrices, giving ``(k, d)``: one
@@ -314,7 +316,6 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
         raise ValueError(
             f"score matrix shape {np.shape(B)} does not match batch {X.shape}"
         )
-    workers = resolve_threads(threads)
     blocks = row_blocks(batch.n)
     tasks = [(a, b) for ia, a in enumerate(blocks) for b in blocks[ia:]]
     # One workspace per worker thread, freed with this call.
@@ -327,7 +328,7 @@ def coord_stein_sums(batch, B, spec, threads=None) -> np.ndarray:
                 workspace = workspaces.it = _Workspace(min(batch.n, BLOCK_ROWS))
             return block_fn(X, scores, spec, pair[0], pair[1], workspace)
 
-        return ordered_map(run, tasks, workers)
+        return ordered_map(run, tasks, threads)
 
     w_sq = tree_reduce_sum(over_block_pairs(_block_pair_sums, Bs)) / float(batch.n) ** 2
     for member, pieces in enumerate(w_sq):
@@ -366,7 +367,7 @@ def _finish(batch, target, spec, subset_mats, seeds, threads):
     return results
 
 
-def sksd(batch, target, spec, m, seed, threads=None):
+def sksd(batch, target, spec, m, seed, threads=1):
     """Stochastic kernel Stein discrepancy with one independent size-m
     subset of likelihood terms per sample point.
 
@@ -393,6 +394,6 @@ def sksd(batch, target, spec, m, seed, threads=None):
     return results if stacked else results[0]
 
 
-def ksd(batch, target, spec, threads=None) -> DiscrepancyResult:
+def ksd(batch, target, spec, threads=1) -> DiscrepancyResult:
     """Exact kernel Stein discrepancy (full scores; the m = L case)."""
     return _finish(batch, target, spec, [None], [None], threads)[0]

@@ -59,17 +59,31 @@ def write_samples_csv(path, batch: SampleBatch, meta=None):
     atomic_write_text(path, buf.getvalue())
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file, split as text mode splits them; a byte
+    that is not UTF-8 is a ``ConfigError`` naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        # The bad byte ends no line, so the lines up to it number its own.
+        line = len(data[: err.start + 1].splitlines())
+        raise ConfigError(f"{path}:{line}: byte {data[err.start]:#04x} is not "
+                          "UTF-8") from None
+
+
 def _data_lines(path):
     """Yield (line_number, raw_line) skipping blanks and # comments."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                yield number, stripped
+        lines = _text_lines(path)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
+    for number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield number, stripped
 
 
 def _parse_rows(path, sample_header=False):
@@ -187,8 +201,7 @@ def load_config(path) -> dict:
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle, source=os.fspath(path))
+        parser.read_file(_text_lines(path), source=os.fspath(path))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:

@@ -3,34 +3,14 @@
 Work is always split into the same fixed row blocks and partial results are
 combined in a fixed order (ordered concatenation or a pairwise reduction
 tree), so numeric outputs are bit-identical for any worker count.  The
-worker count itself comes from an explicit argument, then the
-``STEINLAB_THREADS`` environment variable, then 1.
+worker count is a plain positive integer argument, checked where
+:func:`ordered_map` spends it.
 """
 
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 
-ENV_THREADS = "STEINLAB_THREADS"
 BLOCK_ROWS = 256
-
-
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} = {raw!r} is not an integer") from None
-        if threads < 1:
-            raise ValueError(f"{ENV_THREADS} = {raw!r} is less than 1")
-    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool):
-        raise ValueError(f"thread count must be an integer, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads!r}")
-    return int(threads)
 
 
 def row_blocks(n):
@@ -39,7 +19,12 @@ def row_blocks(n):
 
 
 def ordered_map(fn, items, workers):
-    """Apply ``fn`` to every item, preserving item order in the result."""
+    """Apply ``fn`` to every item on ``workers`` threads, preserving item
+    order in the result.  ``workers`` must be a positive integer."""
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+        raise ValueError(f"thread count must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"thread count must be positive, got {workers!r}")
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]

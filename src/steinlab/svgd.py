@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .discrepancy import SampleBatch, scaled_scores
 from .errors import DivergenceError
-from .parallel import ordered_map, resolve_threads, row_blocks, tree_reduce_sum
+from .parallel import ordered_map, row_blocks, tree_reduce_sum
 from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
 CONSTANT = "constant"
@@ -109,8 +109,7 @@ class SsvgdResult:
     term_evals: int
 
 
-def ssvgd_direction(batch, target, spec, sq, subsets=None,
-                    threads=None) -> np.ndarray:
+def ssvgd_direction(batch, target, spec, sq, subsets=None, threads=1) -> np.ndarray:
     """Update direction at every particle position.
 
     ``sq`` is the particles' ``(n, n)`` squared distances
@@ -126,8 +125,6 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None,
     if sq.shape != (n, n):
         raise ValueError(f"squared distances have shape {sq.shape}, expected {(n, n)}")
     B = scaled_scores(batch, target, subsets)
-    workers = resolve_threads(threads)
-
     sources = row_blocks(n)
 
     def source_sum(M, Y):
@@ -144,7 +141,7 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None,
         rep = source_sum(P1, X) - X[i0:i1] * P1.sum(axis=0)[:, None]
         return (drift + 2.0 * rep) / n
 
-    parts = ordered_map(block_direction, row_blocks(n), workers)
+    parts = ordered_map(block_direction, row_blocks(n), threads)
     direction = np.concatenate(parts, axis=0)
     if not np.isfinite(direction).all():
         bad = int(np.where(~np.isfinite(direction).all(axis=1))[0][0])
@@ -154,7 +151,7 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None,
     return direction
 
 
-def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=None) -> SsvgdResult:
+def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=1) -> SsvgdResult:
     """Synchronous particle descent for ``config.rounds`` rounds.
 
     Every round takes fresh subsets from the run's stream, computes all

@@ -114,7 +114,7 @@ def one_point_score(method, *args):
     return method(*(np.asarray(a).reshape(1, -1) for a in args))[0]
 
 
-def one_matrix_stein_sums(batch, B, spec, threads=None):
+def one_matrix_stein_sums(batch, B, spec, threads=1):
     """``coord_stein_sums`` of one ``(n, d)`` score matrix: member 0 of the
     stacked call on a stack of one."""
     return coord_stein_sums(batch, np.asarray(B)[None], spec, threads=threads)[0]
@@ -307,7 +307,7 @@ def sgld_chain_oracle(target, config):
     return SampleBatch(out)
 
 
-def run_ssvgd_oracle(init, target, config, threads=None):
+def run_ssvgd_oracle(init, target, config, threads=1):
     """``svgd.run_ssvgd`` one round at a time: every round draws its own
     subsets (``uniform_subsets_oracle``, also when ``batch == L``) and the
     median heuristic and the direction each get a squared-distance matrix

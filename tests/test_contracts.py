@@ -6,7 +6,8 @@ wraps must still exist: a deleted or renamed one would drop its layer from
 the benchmark's per-layer report.  The tracer's counters read some call
 arguments by position, or by name when they are passed as keywords; those
 parameters must stay where they are.  The engine imports only the
-standard library, numpy and its own modules.
+standard library, numpy and its own modules, and reads no environment
+variable: a run is a function of its config and flags.
 """
 
 import ast
@@ -87,3 +88,21 @@ def test_engine_imports_only_stdlib_and_numpy():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in {*sys.stdlib_module_names, "numpy"}]
     assert not outside, outside
+
+
+def test_engine_reads_no_environment():
+    names = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    found = []
+    for path in sorted((ROOT / "src" / "steinlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names if a.name in names), None)
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

@@ -242,6 +242,31 @@ class TestBatchedScores:
         got = scaled_scores(batch, target, subsets)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [200, 1000, "exact"])
+    def test_large_m_matches_pointwise_loop(self, m):
+        # SUBSET_POOL_ENTRIES // m rows per target call: 163, 32 and 16 here,
+        # each leaving a partial last call.
+        target = make_logreg(*gen_logreg_data(2000, 3, [0.7, -0.4, 0.1], seed=4))
+        batch = iid_gaussian(300, 3, 0.2, 1.5, seed=5)
+        subsets = None if m == "exact" else draw_subsets(300, 2000, m, seed=6)
+        want = pointwise_scaled_scores(batch, target, subsets)
+        assert np.array_equal(scaled_scores(batch, target, subsets), want)
+
+    def test_exact_scores_of_many_terms_stay_small(self):
+        # 256 points per call would hold (256, 20000) term arrays, over
+        # 500 MB at peak; one point per call holds a few MB.
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 20000, seed=1))
+        batch = iid_gaussian(300, 2, 0.0, 1.0, seed=3)
+        tracemalloc.start()
+        try:
+            B = scaled_scores(batch, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+        assert np.array_equal(B[:5], pointwise_scaled_scores(SampleBatch(batch.points[:5]),
+                                                             target))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("exact", [True, False])
     def test_non_finite_row_names_point_and_term(self, exact):

@@ -63,6 +63,13 @@ class TestSampleCsv:
         with pytest.raises(ConfigError, match="expected 2 columns"):
             io.read_samples_csv(path)
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1,x2\r\n1.0,2.0\r\n1.0,2\xe9\r\n")
+        with pytest.raises(ConfigError) as err:
+            io.read_samples_csv(path)
+        assert str(err.value) == f"{path}:3: byte 0xe9 is not UTF-8"
+
     def test_file_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         io.write_samples_csv(path, SampleBatch(np.eye(3)))
@@ -132,6 +139,13 @@ class TestDatasetCsv:
             io.read_labeled_csv(path)
         assert str(err.value) == f"{path}:5: column 3: label 0.5 is not 0 or 1"
 
+    def test_non_utf8_byte_in_a_comment_names_file_and_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"f1,label\n0.1,1\n# caf\xe9\n0.2,0\n")
+        with pytest.raises(ConfigError) as err:
+            io.read_labeled_csv(path)
+        assert str(err.value) == f"{path}:3: byte 0xe9 is not UTF-8"
+
 
 class TestConfigFiles:
     def test_sections_and_inline_comments(self, tmp_path):
@@ -162,6 +176,13 @@ class TestConfigFiles:
         path.write_text("[DEFAULT]\nseed = 3\n\n[score]\nsamples = a.csv\n")
         with pytest.raises(ConfigError, match=r"\[DEFAULT\] gives seed to every section"):
             io.load_config(path)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"[kernel]\rfamily = imq\r# caf\xe9\rbeta = -0.5\r")
+        with pytest.raises(ConfigError) as err:
+            io.load_config(path)
+        assert str(err.value) == f"{path}:3: byte 0xe9 is not UTF-8"
 
 
 class TestTableCsv:
@@ -317,6 +338,25 @@ class TestCliScore:
         cli.main(["score", "--config", str(config), "--out", "t8.json",
                   "--threads", "8"])
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t8.json").read_bytes()
+
+    def test_threads_environment_variable_is_ignored(self, mode_fixture, monkeypatch):
+        # The worker count comes from --threads alone.
+        tmp_path, config = mode_fixture
+        assert cli.main(["score", "--config", str(config), "--out", "plain.json"]) == 0
+        monkeypatch.setenv("STEINLAB_THREADS", "abc")
+        assert cli.main(["score", "--config", str(config), "--out", "env.json"]) == 0
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("name, line", [("samples.csv", 2), ("score.ini", 9)])
+    def test_non_utf8_input_exits_before_output(self, mode_fixture, capsys, name, line):
+        tmp_path, config = mode_fixture
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] += b" # caf\xe9" if name.endswith(".ini") else b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+        assert cli.main(["score", "--config", str(config)]) == 2
+        assert f"{name}:{line}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
 
     def test_non_finite_sample_exit_code(self, mode_fixture, capsys):
         tmp_path, config = mode_fixture
@@ -548,7 +588,7 @@ class TestCliRank:
         config = _rank_config(tmp_path)
         calls = []
 
-        def recorder(batch, target, spec, m, seed, threads=None):
+        def recorder(batch, target, spec, m, seed, threads=1):
             calls.append((batch.n, list(m), list(seed)))
             return sksd(batch, target, spec, m, seed, threads=threads)
 

@@ -1,68 +1,48 @@
 import numpy as np
 import pytest
 
-from steinlab import cli
-from steinlab.parallel import (
-    ENV_THREADS,
-    ordered_map,
-    resolve_threads,
-    row_blocks,
-    tree_reduce_sum,
-)
+from steinlab import SampleBatch, ksd, make_gaussian
+from steinlab.discrepancy import coord_stein_sums
+from steinlab.kernels import KernelSpec
+from steinlab.parallel import ordered_map, row_blocks, tree_reduce_sum
+from steinlab.svgd import SvgdConfig, run_ssvgd
+
+IMQ = KernelSpec("imq", beta=-0.5)
 
 
 class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "4")
-        assert resolve_threads(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "6")
-        assert resolve_threads(None) == 6
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert resolve_threads(None) == 1
+    """``ordered_map`` takes its worker count as given and checks it."""
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
+        for value in (0, -3):
+            with pytest.raises(ValueError) as err:
+                ordered_map(abs, [1, 2], value)
+            assert str(err.value) == f"thread count must be positive, got {value}"
 
     @pytest.mark.parametrize("value, shown", [
-        (2.5, "2.5"), (0.5, "0.5"), (True, "True"), ("3", "'3'"),
+        (2.5, "2.5"), (0.5, "0.5"), (True, "True"), ("3", "'3'"), (None, "None"),
     ])
     def test_rejects_non_integers_as_given(self, value, shown):
-        with pytest.raises(ValueError) as err:
-            resolve_threads(value)
-        assert str(err.value) == f"thread count must be an integer, got {shown}"
+        # Also for one item or none, which need no pool.
+        for items in ([], [1], [1, 2]):
+            with pytest.raises(ValueError) as err:
+                ordered_map(abs, items, value)
+            assert str(err.value) == f"thread count must be an integer, got {shown}"
 
     def test_accepts_numpy_integers(self):
-        count = resolve_threads(np.int64(2))
-        assert count == 2 and type(count) is int
+        assert ordered_map(abs, [-1, 2, -3], np.int64(2)) == [1, 2, 3]
 
-    @pytest.mark.parametrize("raw, message", [
-        ("abc", "STEINLAB_THREADS = 'abc' is not an integer"),
-        ("2.5", "STEINLAB_THREADS = '2.5' is not an integer"),
-        ("0", "STEINLAB_THREADS = '0' is less than 1"),
-        ("-3", "STEINLAB_THREADS = '-3' is less than 1"),
-    ])
-    def test_bad_env_value_names_the_variable(self, monkeypatch, raw, message):
-        monkeypatch.setenv(ENV_THREADS, raw)
-        with pytest.raises(ValueError) as err:
-            resolve_threads(None)
-        assert str(err.value) == message
-
-    def test_bad_env_value_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        config = tmp_path / "score.ini"
-        config.write_text("[target]\nkind = gaussian\ndim = 1\nmu = 0\n"
-                          "sigma_sq = 1\nL = 2\n[kernel]\nfamily = imq\n"
-                          "[score]\nsamples = samples.csv\n")
-        monkeypatch.setenv(ENV_THREADS, "abc")
-        assert cli.main(["score", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == (
-            "steinlab: STEINLAB_THREADS = 'abc' is not an integer\n"
-        )
+    def test_library_calls_check_the_count_where_they_spend_it(self):
+        batch = SampleBatch(np.zeros((3, 1)))
+        target = make_gaussian(0.0, 1.0, L=2)
+        with pytest.raises(ValueError, match="thread count must be positive, got 0"):
+            ksd(batch, target, IMQ, threads=0)
+        with pytest.raises(ValueError, match="does not match batch"):
+            coord_stein_sums(batch, np.zeros((1, 2, 1)), IMQ, threads=0)
+        # No round, no direction: nothing spends the count.
+        config = SvgdConfig(rounds=0, batch=2, kernel=IMQ)
+        final = run_ssvgd(batch, target, config, threads=0).final
+        assert np.array_equal(final.points, batch.points)
 
 
 class TestBlocksAndReduction:
