@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -561,6 +562,13 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # What is alive now, mostly the imported modules, stays alive until the
+    # process ends.  Freezing it takes it out of every later garbage
+    # collection, including the interpreter's final ones at exit, which
+    # otherwise scan it all: about 20 ms of every command on a 2-vCPU VM.
+    # A process that calls main more than once, such as a test run, keeps
+    # what it had at each call for good.
+    gc.freeze()
     try:
         return args.handler(args)
     except ConfigError as err:

@@ -138,7 +138,8 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
     None.  The target checks the indices and scores
     ``min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // m)`` points per call (at least
     one; m = L on the exact path), so a call's ``(rows, m, d)`` term array
-    stays small at any m.  Every row is scored on its own, so the rows per
+    stays small at any m; when one call covers the batch its result is
+    returned as it is.  Every row is scored on its own, so the rows per
     call do not change the bits.  Consumes ``n * m`` (respectively
     ``n * L``) term-gradient evaluations.
     """
@@ -156,6 +157,12 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
         m = shape[1]
     # An empty subset (m = 0) reaches the target, which rejects it.
     rows = max(1, min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // max(m, 1)))
+    if rows >= batch.n:
+        # One call covers the batch.
+        if subsets is None:
+            return target.grad_log_full(X)
+        scores = target.grad_log_subset(subsets, X)
+        return (target.L / m) * scores
     B = np.empty_like(X)
     for i0 in range(0, batch.n, rows):
         i1 = min(i0 + rows, batch.n)

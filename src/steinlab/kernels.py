@@ -14,13 +14,15 @@ element: the power families compute ``t = base ** (beta - 2)`` once and get
 from it.  Exact squared distances are summed one coordinate at a time
 from per-coordinate difference matrices (:func:`coordinate_differences`,
 :func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  An
-SSVGD round builds one ``n x n`` matrix here and hands it to both
-:func:`median_heuristic_bandwidth`, which takes only that matrix, and its
-direction; the Stein engine's peak pass and its block sums below three
-dimensions take theirs from here too (from three on, the block sums come
-from one matrix product, see :mod:`steinlab.discrepancy`).  All three
-write into caller-supplied arrays when given them (``out=``), which is how
-the Stein engine reuses one workspace across block pairs.  Finite
+SSVGD round builds one ``n x n`` matrix with :func:`squared_distances`,
+which sums in the same order with one broadcast subtraction per
+coordinate, and hands it to both :func:`median_heuristic_bandwidth`, which
+takes only that matrix, and its direction; the Stein engine's peak pass and
+its block sums below three dimensions take theirs from the two summation
+functions (from three on, the block sums come from one matrix product, see
+:mod:`steinlab.discrepancy`).  Those two and :func:`radial_profile` write
+into caller-supplied arrays when given them (``out=``), which is how the
+Stein engine reuses one workspace across block pairs.  Finite
 differences and pointwise kernel values are test oracles only.
 """
 
@@ -95,7 +97,10 @@ def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
     ``k, p1, p2`` and are returned; ``scratch`` is two more that
     log_inverse uses for intermediates.  Both are allocated when None, and
     neither may share memory with ``sq_dist``.  The arithmetic is the same
-    either way, so the results are too, bit for bit.
+    either way, so the results are too, bit for bit.  A caller that needs
+    only ``k`` and ``p1``, such as the SVGD direction, passes None as the
+    third entry of ``out``: the last steps of ``p2`` are then skipped and
+    None is returned in its place, with ``k`` and ``p1`` unchanged.
     """
     q = np.asarray(sq_dist, dtype=np.float64)
     if out is None:
@@ -109,11 +114,13 @@ def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
         tb = np.multiply(t, base, out=p1)
         base *= tb
         tb *= beta / h
-        t *= beta * (beta - 1.0) / (h * h)
+        if p2 is not None:
+            t *= beta * (beta - 1.0) / (h * h)
     elif spec.family == RBF:
         np.exp(np.divide(q, -h, out=k), out=k)
         np.divide(k, -h, out=p1)
-        np.divide(k, h * h, out=p2)
+        if p2 is not None:
+            np.divide(k, h * h, out=p2)
     else:
         if scratch is None:
             scratch = (np.empty_like(q), np.empty_like(q))
@@ -124,11 +131,12 @@ def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
         t = np.power(w, beta - 2.0, out=p2)
         np.multiply(t, w, out=tw)
         w *= tw
-        t *= beta - 1.0
-        t -= tw
-        np.multiply(dw, beta, out=u)
-        u *= dw
-        t *= u
+        if p2 is not None:
+            t *= beta - 1.0
+            t -= tw
+            np.multiply(dw, beta, out=u)
+            u *= dw
+            t *= u
         tw *= beta
         dw *= tw
     return k, p1, p2
@@ -173,9 +181,25 @@ def sum_of_squares(diffs, out=None) -> np.ndarray:
 
 
 def squared_distances(X, Y) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of X and Y, summed
-    in coordinate order; memory is three matrices of the output shape."""
-    return sum_of_squares(coordinate_differences(X, Y))
+    """Pairwise squared Euclidean distances between rows of X and Y.
+
+    Summed in coordinate order, ``D_0^2 + D_1^2 + ...``, as
+    :func:`sum_of_squares` sums, so every element has the bits of summing
+    its own coordinate differences; memory is two matrices of the output
+    shape.  Every SSVGD round calls this, so it makes only one broadcast
+    subtraction, square and sum per coordinate.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    total = np.subtract(X[:, :1], Y[:, 0])
+    total *= total
+    for j in range(1, X.shape[1]):
+        Dj = np.subtract(X[:, j:j + 1], Y[:, j])
+        Dj *= Dj
+        total += Dj
+    return total
 
 
 @functools.lru_cache(maxsize=16)

@@ -80,21 +80,27 @@ class DecomposableTarget:
             )
         if subs.shape[1] == 0:
             raise ValueError("term subset must be nonempty")
-        if subs.min() < 0 or subs.max() >= self.L:
+        # One unsigned maximum checks both ends: a negative index reads as
+        # at least 2**63.
+        if subs.view(np.uint64).max() >= self.L:
             raise ValueError(f"term indices must lie in [0, {self.L})")
         if (subs[:, 1:] <= subs[:, :-1]).any():
             raise ValueError("term subset rows must be strictly ascending")
         return subs
 
     def _term_sums(self, subs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``terms_sum`` of the call, shape-checked but not yet checked
+        finite (see :meth:`_check_term_sums`)."""
         sums = np.asarray(self.terms_sum(subs, X), dtype=np.float64)
         if sums.shape != X.shape:
             raise ValueError(
                 f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
+        return sums
+
+    def _check_term_sums(self, subs, X, sums):
         if not np.isfinite(sums).all():
             self._raise_non_finite(subs, X, _first_bad_row(sums))
-        return sums
 
     def _raise_non_finite(self, subs, X, row):
         x = X[row]
@@ -115,20 +121,34 @@ class DecomposableTarget:
         )
 
     def _subset_scores(self, subs, X) -> np.ndarray:
-        """``(m/L) * prior score + sum of subset term scores`` per row."""
+        """``(m/L) * prior score + sum of subset term scores`` per row.
+
+        The parts are checked finite only when the total is not: with
+        ``m <= L`` the prior's share of a finite prior score is finite, so a
+        finite total has finite parts.  A non-finite prior is reported
+        before a non-finite term sum, and a total that overflows from
+        finite parts is returned as it is.
+        """
         prior = np.asarray(self.grad_log_prior(X), dtype=np.float64)
-        if not np.isfinite(prior).all():
-            row = _first_bad_row(np.broadcast_to(prior, X.shape))
-            raise NonFiniteScoreError(
-                f"non-finite prior score at point {row}, x={X[row]!r}",
-                point_index=row,
-            )
-        return (subs.shape[1] / self.L) * prior + self._term_sums(subs, X)
+        sums = self._term_sums(subs, X)
+        scores = (subs.shape[1] / self.L) * prior + sums
+        if not np.isfinite(scores).all():
+            if not np.isfinite(prior).all():
+                row = _first_bad_row(np.broadcast_to(prior, X.shape))
+                raise NonFiniteScoreError(
+                    f"non-finite prior score at point {row}, x={X[row]!r}",
+                    point_index=row,
+                )
+            self._check_term_sums(subs, X, sums)
+        return scores
 
     def grad_log_terms(self, indices, x) -> np.ndarray:
         """Ascending-order sum of per-term scores over each index row."""
         X = self._points(x)
-        return self._term_sums(self._subsets(indices, X), X)
+        subs = self._subsets(indices, X)
+        sums = self._term_sums(subs, X)
+        self._check_term_sums(subs, X, sums)
+        return sums
 
     def grad_log_full(self, x) -> np.ndarray:
         """Exact full score: prior score plus the sum of all L term scores."""

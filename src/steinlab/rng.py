@@ -57,9 +57,11 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
 
     All uniforms are drawn up front; the rows are then shuffled in chunks
     whose tiled pool holds at most ``SUBSET_POOL_ENTRIES`` entries (one row
-    at least), and each row's swaps read only its own uniforms.  Each
-    shuffle step is one gather and one scatter on a chunk's flat pool,
-    indexed by the step's swap targets.  The result equals the
+    at least), and each row's swaps read only its own uniforms.  One pool
+    buffer serves every chunk of a call, refilled with ``0, 1, ...`` rows
+    before each, and the rows are sorted once at the end.  Each shuffle
+    step is one gather and one scatter on the chunk's flat pool, indexed by
+    the step's swap targets.  The result equals the
     fancy-indexed swaps of one tiled pool
     (``tests/helpers.uniform_subsets_oracle``) and leaves ``gen`` in the
     same state.
@@ -81,14 +83,18 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     targets += steps
     targets += np.arange(count) % chunk * pool_size
     out = np.empty((count, subset_size), dtype=np.int64)
+    members = np.arange(pool_size, dtype=np.int64)
+    pool = np.empty((min(chunk, count), pool_size), dtype=np.int64)
+    flat = pool.reshape(-1)
     for c0 in range(0, count, chunk):
-        pool = np.tile(np.arange(pool_size, dtype=np.int64), (min(chunk, count - c0), 1))
-        flat = pool.reshape(-1)
+        rows = min(chunk, count - c0)
+        pool[:rows] = members
         for j, step_targets in enumerate(targets[:, c0:c0 + chunk]):
-            held = pool[:, j].copy()
-            pool[:, j] = flat[step_targets]
+            held = pool[:rows, j].copy()
+            pool[:rows, j] = flat[step_targets]
             flat[step_targets] = held
-        out[c0:c0 + chunk] = np.sort(pool[:, :subset_size], axis=1)
+        out[c0:c0 + rows] = pool[:rows, :subset_size]
+    out.sort(axis=1)
     return out
 
 

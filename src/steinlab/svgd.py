@@ -15,7 +15,20 @@ n x 256 kernel and profile columns from its column slice of the particles'
 thread count.
 
 A run spends little arithmetic per round, so :func:`run_ssvgd` keeps the
-per-round calls few.  The subsets of several consecutive rounds come from
+per-round calls few.  A round calls ``kernels.squared_distances(X, X)``
+once; under ``median_per_round``, ``kernels.median_heuristic_bandwidth`` on
+that matrix; then :func:`ssvgd_direction`, which calls
+``discrepancy.scaled_scores`` (one ``DecomposableTarget.grad_log_subset``
+call, or ``grad_log_full`` on a full batch, whenever one call covers the
+particles) and ``kernels.radial_profile`` once per 256-column block,
+asking it for ``k`` and ``p1`` only; then it steps the particles in place.
+Up to ``BLOCK_ROWS`` = 256 particles make one block, which the direction
+computes directly, without the blocked path's block list, thread pool,
+reduction tree and concatenation; its products have the shapes of that
+path's one block, so the bits are the same.  The particles stay in one
+``SampleBatch`` for the whole run, and a round's median bandwidth reaches
+``radial_profile`` in a tuple of the kernel's fields, not a new
+``KernelSpec``.  The subsets of several consecutive rounds come from
 one draw of the run's stream, n rows per round, with the number of rounds
 per draw bounded so that the draw's ``(rounds * n, L)`` pool holds at most
 ``rng.SUBSET_POOL_ENTRIES`` entries; one draw reads the same uniforms as
@@ -27,7 +40,8 @@ a round holds O(n^2) memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,7 +49,7 @@ import numpy as np
 from . import kernels
 from .discrepancy import SampleBatch, scaled_scores
 from .errors import DivergenceError
-from .parallel import ordered_map, row_blocks, tree_reduce_sum
+from .parallel import BLOCK_ROWS, check_workers, ordered_map, row_blocks, tree_reduce_sum
 from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
 CONSTANT = "constant"
@@ -117,7 +131,8 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None, threads=1) -> np.ndar
     Source scores are subset-scaled under the ``(n, m)`` index matrix
     ``subsets`` (row j for source particle j, following the per-round
     minibatch scheme) or exact when it is None.  Row i is the direction
-    evaluated at particle i.
+    evaluated at particle i.  Up to ``BLOCK_ROWS`` particles make one
+    block, computed directly with the blocked path's shapes and bits.
     """
     X = batch.points
     n = batch.n
@@ -125,30 +140,46 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None, threads=1) -> np.ndar
     if sq.shape != (n, n):
         raise ValueError(f"squared distances have shape {sq.shape}, expected {(n, n)}")
     B = scaled_scores(batch, target, subsets)
-    sources = row_blocks(n)
+    one_block = n <= BLOCK_ROWS
+    sources = None if one_block else row_blocks(n)
 
     def source_sum(M, Y):
         # M.T @ Y with every matrix product reducing over at most one
         # 256-row source block, summed in a fixed order: OpenBLAS splits
         # longer reductions differently when it threads, which changes the
         # bits with the BLAS thread count.
+        if one_block:
+            return M.T @ Y
         return tree_reduce_sum([M[s0:s1].T @ Y[s0:s1] for s0, s1 in sources])
 
     def block_direction(span):
         i0, i1 = span
-        K, P1, _ = kernels.radial_profile(spec, sq[:, i0:i1])
+        shape = (n, i1 - i0)
+        K, P1, _ = kernels.radial_profile(
+            spec, sq[:, i0:i1], out=(np.empty(shape), np.empty(shape), None)
+        )
         drift = source_sum(K, B)
         rep = source_sum(P1, X) - X[i0:i1] * P1.sum(axis=0)[:, None]
         return (drift + 2.0 * rep) / n
 
-    parts = ordered_map(block_direction, row_blocks(n), threads)
-    direction = np.concatenate(parts, axis=0)
+    if one_block:
+        check_workers(threads)
+        direction = block_direction((0, n))
+    else:
+        direction = np.concatenate(ordered_map(block_direction, sources, threads), axis=0)
     if not np.isfinite(direction).all():
         bad = int(np.where(~np.isfinite(direction).all(axis=1))[0][0])
         raise DivergenceError(
             f"non-finite update direction at particle {bad}", step=bad
         )
     return direction
+
+
+# The kernel fields that ``kernels.radial_profile`` reads, which carry a
+# median-policy round's bandwidth without building and re-checking a
+# ``KernelSpec``.  That bandwidth is positive, unless a squared median
+# underflows to zero, which makes the direction non-finite and so raises.
+_RoundKernel = namedtuple("_RoundKernel", "family beta alpha bandwidth")
 
 
 def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=1) -> SsvgdResult:
@@ -164,22 +195,26 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=1) -> Ssvgd
     its particles' ``n x n`` squared distances once, for the direction and,
     under ``median_per_round``, the median heuristic, so its memory is
     O(n^2).  Each round consumes exactly ``n * batch`` term-gradient
-    evaluations.
+    evaluations.  The particles are stepped in place, in one
+    ``SampleBatch`` for the whole run, and checked finite after every step.
     """
     if config.batch > target.L:
         raise ValueError(
             f"batch size {config.batch} exceeds the {target.L} terms"
         )
-    X = init.points.copy()
-    n = X.shape[0]
+    batch = SampleBatch(init.points.copy())
+    X = batch.points
+    n = batch.n
     gen = make_generator(config.seed)
     full_batch = config.batch == target.L
     chunk_rounds = max(1, SUBSET_POOL_ENTRIES // (n * target.L))
+    median_per_round = config.bandwidth_policy == MEDIAN_PER_ROUND
+    adagrad = config.schedule == ADAGRAD
     acc = np.zeros_like(X)
     evals_per_round = n * config.batch
     checkpoints = []
     subsets = None
-    spec = config.kernel
+    kernel = spec = config.kernel
     for r in range(config.rounds):
         if not full_batch:
             k = r % chunk_rounds
@@ -188,22 +223,27 @@ def run_ssvgd(init: SampleBatch, target, config: SvgdConfig, threads=1) -> Ssvgd
                 drawn = uniform_subsets(gen, chunk * n, target.L, config.batch)
             subsets = drawn[k * n:(k + 1) * n]
         sq = kernels.squared_distances(X, X)
-        if config.bandwidth_policy == MEDIAN_PER_ROUND:
-            spec = replace(config.kernel,
-                           bandwidth=kernels.median_heuristic_bandwidth(sq))
-        direction = ssvgd_direction(SampleBatch(X), target, spec, sq, subsets,
-                                    threads=threads)
-        if config.schedule == ADAGRAD:
-            acc = acc + direction * direction
-            X = X + (config.step / (config.fudge + np.sqrt(acc))) * direction
+        if median_per_round:
+            spec = _RoundKernel(kernel.family, kernel.beta, kernel.alpha,
+                                kernels.median_heuristic_bandwidth(sq))
+        direction = ssvgd_direction(batch, target, spec, sq, subsets, threads=threads)
+        # The steps of X = X + (step / (fudge + sqrt(acc))) * direction, in
+        # place, with acc = acc + direction^2 before it.
+        if adagrad:
+            acc += direction * direction
+            rate = np.sqrt(acc)
+            rate += config.fudge
+            np.divide(config.step, rate, out=rate)
+            rate *= direction
+            X += rate
         else:
-            X = X + config.step * direction
+            X += config.step * direction
         if not np.isfinite(X).all():
             raise DivergenceError(f"particles diverged at round {r}", step=r)
         if config.checkpoint_every and (r + 1) % config.checkpoint_every == 0:
             checkpoints.append((r + 1, X.copy(), (r + 1) * evals_per_round))
     return SsvgdResult(
-        final=SampleBatch(X),
+        final=batch,
         checkpoints=tuple(checkpoints),
         term_evals=config.rounds * evals_per_round,
     )

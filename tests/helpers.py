@@ -2,9 +2,10 @@
 calls of the stacked score and Stein-sum layers, dense Stein-term
 assemblies, an eager-peak ``coord_stein_sums``, a per-point score
 loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
-one-chain SGLD loop, a one-round-at-a-time SSVGD loop, a tally of the term
-gradients a target evaluates, log densities of the three model families
-written from their formulas, and random problem builders.
+one-chain SGLD loop, a blocked SSVGD direction, a one-round-at-a-time
+SSVGD loop, a tally of the term gradients a target evaluates, log
+densities of the three model families written from their formulas, and
+random problem builders.
 
 The kernel oracle re-implements the radial families in extended precision
 (long double) so nested finite differences of the mixed second derivative
@@ -41,7 +42,7 @@ from steinlab import (
     svgd,
 )
 from steinlab.discrepancy import NEGATIVE_TOLERANCE
-from steinlab.parallel import row_blocks, tree_reduce_sum
+from steinlab.parallel import ordered_map, row_blocks, tree_reduce_sum
 from steinlab.rng import make_generator, uniform_subset
 
 FD_STEP = 1e-5
@@ -307,12 +308,45 @@ def sgld_chain_oracle(target, config):
     return SampleBatch(out)
 
 
+def ssvgd_direction_oracle(batch, target, spec, sq, subsets=None, threads=1):
+    """``svgd.ssvgd_direction`` through the blocked path at every n: the
+    target row blocks go through ``ordered_map`` and ``np.concatenate``,
+    every product with the sources is a ``tree_reduce_sum`` over 256-row
+    source blocks, the kernel profile is built with all three of its
+    matrices, and the scores come from ``pointwise_scaled_scores``.  The
+    reference for the library's one-block path below 257 particles and
+    for its blocked path above."""
+    X = batch.points
+    n = batch.n
+    sq = np.asarray(sq, dtype=np.float64)
+    B = pointwise_scaled_scores(batch, target, subsets)
+    sources = row_blocks(n)
+
+    def source_sum(M, Y):
+        return tree_reduce_sum([M[s0:s1].T @ Y[s0:s1] for s0, s1 in sources])
+
+    def block_direction(span):
+        i0, i1 = span
+        K, P1, _ = kernels.radial_profile(spec, sq[:, i0:i1])
+        drift = source_sum(K, B)
+        rep = source_sum(P1, X) - X[i0:i1] * P1.sum(axis=0)[:, None]
+        return (drift + 2.0 * rep) / n
+
+    direction = np.concatenate(ordered_map(block_direction, sources, threads), axis=0)
+    if not np.isfinite(direction).all():
+        bad = int(np.where(~np.isfinite(direction).all(axis=1))[0][0])
+        raise DivergenceError(f"non-finite update direction at particle {bad}", step=bad)
+    return direction
+
+
 def run_ssvgd_oracle(init, target, config, threads=1):
     """``svgd.run_ssvgd`` one round at a time: every round draws its own
-    subsets (``uniform_subsets_oracle``, also when ``batch == L``) and the
-    median heuristic and the direction each get a squared-distance matrix
-    of their own.  The reference for the chunked draws and the shared
-    per-round distance matrix."""
+    subsets (``uniform_subsets_oracle``, also when ``batch == L``), the
+    median heuristic and the direction (``ssvgd_direction_oracle``) each
+    get a squared-distance matrix of their own, the bandwidth goes into a
+    new ``KernelSpec`` and the particles into a new ``SampleBatch`` every
+    round, and every step allocates.  The reference for the chunked
+    draws, the shared per-round distance matrix and the in-place round."""
     if config.batch > target.L:
         raise ValueError(f"batch size {config.batch} exceeds the {target.L} terms")
     X = init.points.copy()
@@ -328,7 +362,7 @@ def run_ssvgd_oracle(init, target, config, threads=1):
         else:
             spec = config.kernel
         subsets = uniform_subsets_oracle(gen, n, target.L, config.batch)
-        direction = svgd.ssvgd_direction(
+        direction = ssvgd_direction_oracle(
             SampleBatch(X), target, spec, kernels.squared_distances(X, X),
             None if config.batch == target.L else subsets, threads=threads
         )

@@ -2,8 +2,8 @@
 
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or in
 the captured output of a failing run) and asserts.  Tolerances and scales
-are pinned here, not configurable.  Runtimes: criteria 1-3, 9 take seconds;
-4, 5, 8 under two minutes; 6, 7 under ten.
+are pinned here, not configurable.  Runtimes: criteria 1-3, 9, 11 take
+seconds; 4, 5, 8 under two minutes; 6, 7 under ten.
 """
 
 import json
@@ -48,7 +48,9 @@ from steinlab import (
     sgld_chain,
     sksd,
 )
+from steinlab.kernels import squared_distances
 from steinlab.samplers import SgldConfig
+from steinlab.svgd import ssvgd_direction
 from test_svgd import direct_svgd
 
 IMQ = KernelSpec("imq", beta=-0.5)
@@ -362,3 +364,26 @@ class TestCriterion10Determinism:
         ok = ok and (tmp_path / "w1.csv").read_bytes() == \
             (tmp_path / "w8.csv").read_bytes()
         _report(10, "results identical at 1 and 8 worker threads", ok)
+
+
+class TestCriterion11Unbiasedness:
+    def test_ssvgd_direction_mean_is_exact_direction(self):
+        # The direction is linear in the source scores, and a scaled subset
+        # score is unbiased for the exact score, so the mean direction over
+        # independent subset draws is the exact direction.  Term scores of
+        # logistic regression differ from term to term, so every draw
+        # gives another direction.  R rounds of subsets come from one draw.
+        L, d, n, m, R = 12, 2, 20, 3, 2000
+        target = make_logreg(*gen_logreg_data(L, d, [0.8, -0.5], seed=1101))
+        batch = iid_gaussian(n, d, 0.3, 1.0, seed=1102)
+        sq = squared_distances(batch.points, batch.points)
+        exact = ssvgd_direction(batch, target, IMQ, sq, None)
+        subsets = draw_subsets(R * n, L, m, seed=1103)
+        draws = np.array([ssvgd_direction(batch, target, IMQ, sq, subsets[r * n:(r + 1) * n])
+                          for r in range(R)])
+        spread = draws.std(axis=0, ddof=1)
+        assert spread.min() > 0.0
+        z = (draws.mean(axis=0) - exact) / (spread / math.sqrt(R))
+        worst = float(np.abs(z).max())
+        _report(11, "mean subsampled ssvgd direction equals the exact direction",
+                worst <= 4.5, f"max |z| {worst:.2f} over {z.size} entries, R = {R}")

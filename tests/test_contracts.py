@@ -3,7 +3,9 @@
 The README's library example must run against the current API, the README
 must name every public name, and every function that ``perfbench/tracer.py``
 wraps must still exist: a deleted or renamed one would drop its layer from
-the benchmark's per-layer report.  The tracer's counters read some call
+the benchmark's per-layer report.  The benchmark's commands, run small under
+that tracer, must call every layer its workload expects: one that a command
+bypasses fails a traced benchmark run.  The tracer's counters read some call
 arguments by position, or by name when they are passed as keywords; those
 parameters must stay where they are.  The engine imports only the
 standard library, numpy and its own modules, and reads no environment
@@ -17,6 +19,8 @@ import inspect
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +57,72 @@ def test_traced_functions_exist(monkeypatch):
         for part in attribute.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"steinlab.{module}.{attribute}"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``perfbench/run.py`` and its ``inputs`` and ``tracer`` modules, loaded
+    read-only (no bytecode is written next to them); they leave
+    ``sys.modules`` and ``sys.path`` afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    folder = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(folder))
+    spec = importlib.util.spec_from_file_location("perfbench_run", folder / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    yield run, sys.modules["inputs"], sys.modules["tracer"]
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "").parent == folder:
+            del sys.modules[name]
+
+
+def _restore_traced_bindings(monkeypatch, tracer):
+    """Have ``monkeypatch`` put back every binding that the tracer's install
+    replaces: each layer function's module bindings and class attributes."""
+    originals = []
+    for module, attribute, _ in tracer.LAYER_FUNCTIONS:
+        owner = importlib.import_module(f"steinlab.{module}")
+        *class_path, name = attribute.split(".")
+        for part in class_path:
+            owner = getattr(owner, part)
+        if class_path:
+            monkeypatch.setattr(owner, name, vars(owner)[name])
+        else:
+            originals.append(getattr(owner, name))
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "steinlab" or mod_name.startswith("steinlab."):
+            for key, value in list(vars(mod).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(mod, key, value)
+
+
+@pytest.mark.parametrize("workload", ["ssvgd-n50", "tune-gmm"])
+def test_benchmark_commands_call_every_expected_layer(perfbench, monkeypatch,
+                                                      tmp_path, workload):
+    # The workload's own config at a small size, traced as a benchmark run
+    # traces it; every span the benchmark expects needs at least one call.
+    from steinlab import cli
+
+    run, inputs, tracer = perfbench
+    bench = run.WORKLOADS[workload]
+    if workload == "ssvgd-n50":
+        text = inputs.ssvgd_config(7, rounds=inputs.SSVGD_CHECKPOINT_EVERY)
+    else:
+        text = inputs.tune_config(7, trials=1, chain_steps=20)
+    config = tmp_path / "config.ini"
+    config.write_text(text)
+    _restore_traced_bindings(monkeypatch, tracer)
+    traced = tracer.Tracer()
+    traced.install()
+    code = cli.main([bench.command, "--config", str(config),
+                     "--out", str(tmp_path / bench.out), "--threads", str(bench.threads)])
+    assert code == 0
+    report = traced.report()
+    missing = report["missing"] + [
+        name for name in bench.expected_spans
+        if report["spans"].get(name, {}).get("calls", 0) == 0
+    ]
+    assert not missing, f"{workload} calls no {sorted(set(missing))}"
 
 
 def test_counted_arguments_keep_their_places():

@@ -124,6 +124,21 @@ class TestDerivatives:
         )
 
 
+class TestRadialProfile:
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_without_p2_gives_same_k_and_p1(self, spec):
+        # The SVGD direction passes None for p2; k and p1 keep their bits.
+        rng = np.random.default_rng(5)
+        q = kernels.squared_distances(rng.standard_normal((40, 2)),
+                                      rng.standard_normal((30, 2)))
+        k, p1, p2 = kernels.radial_profile(spec, q)
+        for scratch in (None, (np.empty_like(q), np.empty_like(q))):
+            out = (np.empty_like(q), np.empty_like(q), None)
+            got = kernels.radial_profile(spec, q, out=out, scratch=scratch)
+            assert got[0] is out[0] and got[1] is out[1] and got[2] is None
+            assert np.array_equal(got[0], k) and np.array_equal(got[1], p1)
+
+
 class TestGram:
     def test_psd_up_to_float_noise(self):
         rng = np.random.default_rng(3)

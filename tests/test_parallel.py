@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from steinlab import SampleBatch, ksd, make_gaussian
+from steinlab import SampleBatch, iid_gaussian, ksd, make_gaussian
 from steinlab.discrepancy import coord_stein_sums
-from steinlab.kernels import KernelSpec
+from steinlab.kernels import KernelSpec, squared_distances
 from steinlab.parallel import ordered_map, row_blocks, tree_reduce_sum
-from steinlab.svgd import SvgdConfig, run_ssvgd
+from steinlab.svgd import SvgdConfig, run_ssvgd, ssvgd_direction
 
 IMQ = KernelSpec("imq", beta=-0.5)
 
@@ -39,6 +39,13 @@ class TestResolveThreads:
             ksd(batch, target, IMQ, threads=0)
         with pytest.raises(ValueError, match="does not match batch"):
             coord_stein_sums(batch, np.zeros((1, 2, 1)), IMQ, threads=0)
+        # The direction checks it whether it has one block or several.
+        for n in (3, 257):
+            points = iid_gaussian(n, 1, 0.0, 1.0, seed=n)
+            sq = squared_distances(points.points, points.points)
+            for threads, message in ((0, "positive, got 0"), (1.0, "an integer, got 1.0")):
+                with pytest.raises(ValueError, match=f"thread count must be {message}"):
+                    ssvgd_direction(points, target, IMQ, sq, threads=threads)
         # No round, no direction: nothing spends the count.
         config = SvgdConfig(rounds=0, batch=2, kernel=IMQ)
         final = run_ssvgd(batch, target, config, threads=0).final

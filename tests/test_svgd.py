@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import TermTally, one_point_score, run_ssvgd_oracle
+from helpers import TermTally, one_point_score, run_ssvgd_oracle, ssvgd_direction_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -24,6 +24,7 @@ from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND
 
 IMQ = KernelSpec("imq", beta=-0.5)
 RBF = KernelSpec("rbf", bandwidth=1.0)
+LOG_INVERSE = KernelSpec("log_inverse", beta=-1.0, alpha=2.0, bandwidth=0.5)
 
 
 def direct_svgd(init_points, target, spec, step, rounds, schedule=ADAGRAD,
@@ -112,28 +113,35 @@ class TestDirection:
         with pytest.raises(DivergenceError, match="particle"):
             ssvgd_direction(batch, huge, IMQ, _sq(batch), None)
 
-    @pytest.mark.parametrize("n", [1, 2, 50, 257, 600])
+    @pytest.mark.parametrize("n", [1, 2, 50, 257, 600, 255, 256])
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("spec", [IMQ, RBF], ids=["imq", "rbf"])
+    @pytest.mark.parametrize("spec", [IMQ, RBF, LOG_INVERSE],
+                             ids=["imq", "rbf", "log_inverse"])
     def test_shared_squared_distances_give_same_bits(self, n, d, spec):
-        # Row blocks read column slices of one shared n x n matrix: the
-        # direction has the same bits at one and two workers, and below and
-        # above one 256-row block it is the dense formula to rounding.
+        # Row blocks read column slices of one shared n x n matrix.  Up to
+        # 256 particles the library computes its one block directly, from
+        # 257 on it takes the blocked path; both give the bits of the
+        # blocked oracle, at one and two workers, with subset and exact
+        # scores, and the dense formula to rounding.
         # test_kernels.TestSquaredDistances checks that the slices have the
         # bits of building each block's distances alone.
-        target = make_gaussian(0.0, 1.0, 6, dim=d)
+        target = _logreg_target(6, d, seed=d)
         batch = iid_gaussian(n, d, 0.3, 1.0, seed=n + d)
-        subsets = draw_subsets(n, 6, 2, seed=5)
         sq = _sq(batch)
-        got = ssvgd_direction(batch, target, spec, sq, subsets, threads=1)
-        assert np.array_equal(
-            ssvgd_direction(batch, target, spec, sq, subsets, threads=2), got
-        )
         X = batch.points
-        B = discrepancy.scaled_scores(batch, target, subsets)
-        K, P1, _ = kernels.radial_profile(spec, sq)
-        dense = (K.T @ B + 2.0 * (P1.T @ X - X * P1.sum(axis=0)[:, None])) / n
-        np.testing.assert_allclose(got, dense, rtol=1e-11, atol=1e-14)
+        for subsets in (draw_subsets(n, 6, 2, seed=5), None):
+            got = ssvgd_direction(batch, target, spec, sq, subsets, threads=1)
+            assert np.array_equal(
+                ssvgd_direction(batch, target, spec, sq, subsets, threads=2), got
+            )
+            for threads in (1, 2):
+                assert np.array_equal(
+                    ssvgd_direction_oracle(batch, target, spec, sq, subsets, threads), got
+                )
+            B = discrepancy.scaled_scores(batch, target, subsets)
+            K, P1, _ = kernels.radial_profile(spec, sq)
+            dense = (K.T @ B + 2.0 * (P1.T @ X - X * P1.sum(axis=0)[:, None])) / n
+            np.testing.assert_allclose(got, dense, rtol=1e-11, atol=1e-14)
 
     def test_squared_distances_of_wrong_shape_raise(self):
         target = make_gaussian(0.0, 1.0, 6)
@@ -321,6 +329,30 @@ class TestRunSsvgd:
         shapes.clear()
         ssvgd_direction(init, target, RBF, build(init.points, init.points))
         assert shapes == []
+
+    @pytest.mark.parametrize("policy", ["fixed", MEDIAN_PER_ROUND])
+    def test_rounds_build_no_wrappers(self, monkeypatch, policy):
+        # A round builds no KernelSpec and no SampleBatch: the run's count
+        # of each does not grow with its rounds.
+        built = []
+        for cls in (KernelSpec, SampleBatch):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        target = _logreg_target(10, 2, seed=1)
+        init = iid_gaussian(12, 2, 0.0, 1.0, seed=2)
+        counts = []
+        for rounds in (5, 50):
+            config = SvgdConfig(rounds=rounds, batch=3, kernel=RBF,
+                                bandwidth_policy=policy, seed=3, checkpoint_every=1)
+            built.clear()
+            run_ssvgd(init, target, config)
+            counts.append(sorted(built))
+        assert counts[0] == counts[1]
 
     def test_per_round_cost(self):
         tally = TermTally(make_gaussian(0.0, 1.0, 9))
