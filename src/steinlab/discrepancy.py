@@ -13,19 +13,20 @@ accumulated over fixed 256-row blocks combined by a fixed reduction tree, so
 results are bit-identical for any worker count.  Within a block pair the
 pairwise terms are never formed.  The squared distances come from one
 matrix product of coordinates centred on the b-block mean when d >= 3
-(``|xa|^2 + |xb|^2 - 2 xa xb^T``, clamped at 0) and from summed coordinate
-differences below that.  Once the kernel profile ``K, P1, P2`` is built
-from them, every coordinate's sum comes from three matrix products of those
-profiles with per-point columns (centred coordinates, scores, and their
-products), combined per row; no per-coordinate pass over a block matrix
-follows the profile.  Every block matrix lives in a per-call workspace of
+(``|xa|^2 + |xb|^2 - 2 xa xb^T``, clamped at 0) and from
+:func:`kernels.squared_distances`, the exact coordinate-order sum, below
+that.  Once the kernel profile ``K, P1, P2`` is built from them, every
+coordinate's sum comes from three matrix products of those profiles with
+per-point columns (centred coordinates, scores, and their products),
+combined per row; no per-coordinate pass over a block matrix follows the
+profile.  Every block matrix lives in a per-call workspace of
 six 256 x 256 matrices per worker, whatever the dimension, written with
 ``out=`` and freed when the call returns; no ``(n, n, d)`` or
 ``(256, 256, d)`` array and no per-pair block matrix is allocated.  The
 kernel profile takes one ``pow`` per block pair for the power families
 (see :func:`kernels.radial_profile`).  The largest pairwise term
 magnitude, which scales the negativity floor, is computed in a second pass
-only when some piece is negative.
+only when some piece is negative; a piece that is not finite is an error.
 
 Subsampling changes only the score matrix, so one pass can score a sample
 at several subset sizes: :func:`coord_stein_sums` takes a stack of score
@@ -208,7 +209,7 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
     ``D_j = xa_j - xb_j``.  From ``GEMM_DISTANCE_MIN_DIM`` dimensions on,
     the squared distances ``S = sum_j D_j^2`` are
     ``|xa|^2 + |xb|^2 - 2 xa xb^T`` from one matrix product, clamped at 0;
-    below that they are summed from the formed ``D_j``.  The row sums of
+    below that they come from ``kernels.squared_distances``.  The row sums of
     ``T_j`` expand into three matrix products, ``P2 @ [xb^2, 1, xb]``,
     ``P1 @ [1, xb, Bb, xb Bb]`` and ``K @ Bb``, combined per row and
     coordinate, then summed.  ``S``, the profile and the ``P2`` product do
@@ -245,7 +246,7 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
         S += cols[:, :d].sum(axis=1)
         np.maximum(S, 0.0, out=S)
     else:
-        kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=S)
+        kernels.squared_distances(Xa, Xb, out=S, scratch=D)
     K, P1, P2 = kernels.radial_profile(spec, S, out=(K, P1, P2), scratch=(W, D))
     cols[:, d] = 1.0
     p2_xb2, r2, p2_xb = np.split(P2 @ cols[:, : 2 * d + 1], [d, d + 1], axis=1)
@@ -281,12 +282,13 @@ def _block_pair_peak(X, B, spec, rows_a, rows_b, workspace):
     b0, b1 = rows_b
     Xa, Xb, Ba, Bb = X[a0:a1], X[b0:b1], B[a0:a1], B[b0:b1]
     T, K, P1, P2, W, D, gap = workspace.matrices(7, (a1 - a0, b1 - b0))
-    kernels.sum_of_squares(kernels.coordinate_differences(Xa, Xb, out=D), out=T)
+    kernels.squared_distances(Xa, Xb, out=T, scratch=D)
     K, P1, P2 = kernels.radial_profile(spec, T, out=(K, P1, P2), scratch=(W, D))
     two_p1 = np.multiply(P1, 2.0, out=P1)
     four_p2 = np.multiply(P2, 4.0, out=P2)
     peak = 0.0
-    for j, Dj in enumerate(kernels.coordinate_differences(Xa, Xb, out=D)):
+    for j in range(X.shape[1]):
+        Dj = np.subtract(Xa[:, j, None], Xb[:, j], out=D)
         ba, bb = Ba[:, j, None], Bb[None, :, j]
         np.multiply(ba, bb, out=T)
         T *= K
@@ -315,7 +317,8 @@ def coord_stein_sums(batch, B, spec, threads=1) -> np.ndarray:
     that member) raise :class:`NumericalConsistencyError` instead of being
     silently repaired.  That floor is never positive, so a member's scale
     is computed, in a second pass over the block pairs, only when one of
-    its pieces is negative.
+    its pieces is negative.  A piece that is not finite, as when the
+    pairwise terms of finite scores overflow, raises the same error.
     """
     X = batch.points
     Bs = np.asarray(B, dtype=np.float64)
@@ -339,6 +342,11 @@ def coord_stein_sums(batch, B, spec, threads=1) -> np.ndarray:
 
     w_sq = tree_reduce_sum(over_block_pairs(_block_pair_sums, Bs)) / float(batch.n) ** 2
     for member, pieces in enumerate(w_sq):
+        if not np.isfinite(pieces).all():
+            j = int(np.argmin(np.isfinite(pieces)))
+            raise NumericalConsistencyError(
+                f"score matrix {member}: w_sq[{j}] = {float(pieces[j])!r} is not finite"
+            )
         if np.any(pieces < 0.0):
             peak = max(over_block_pairs(_block_pair_peak, Bs[member]))
             floor = -NEGATIVE_TOLERANCE * peak

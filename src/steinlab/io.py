@@ -50,13 +50,11 @@ def _meta_block(meta) -> str:
 
 
 def write_samples_csv(path, batch: SampleBatch, meta=None):
-    buf = StringIO()
-    buf.write(_meta_block(meta))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{j + 1}" for j in range(batch.dim)])
-    for row in batch.points:
-        writer.writerow([fmt_float(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    # The repr of each Python float is fmt_float's string, and no value
+    # needs CSV quoting.
+    lines = [",".join(f"x{j + 1}" for j in range(batch.dim))]
+    lines += [",".join(map(repr, row)) for row in batch.points.tolist()]
+    atomic_write_text(path, _meta_block(meta) + "\n".join(lines) + "\n")
 
 
 def _text_lines(path):

@@ -11,19 +11,18 @@ All supported families are radial in the squared distance,
 the squared distance, analytically and with one transcendental call per
 element: the power families compute ``t = base ** (beta - 2)`` once and get
 ``base ** beta = t * base * base`` and ``base ** (beta - 1) = t * base``
-from it.  Exact squared distances are summed one coordinate at a time
-from per-coordinate difference matrices (:func:`coordinate_differences`,
-:func:`sum_of_squares`), so no ``(n, n, d)`` array is ever formed.  An
-SSVGD round builds one ``n x n`` matrix with :func:`squared_distances`,
-which sums in the same order with one broadcast subtraction per
-coordinate, and hands it to both :func:`median_heuristic_bandwidth`, which
-takes only that matrix, and its direction; the Stein engine's peak pass and
-its block sums below three dimensions take theirs from the two summation
-functions (from three on, the block sums come from one matrix product, see
-:mod:`steinlab.discrepancy`).  Those two and :func:`radial_profile` write
-into caller-supplied arrays when given them (``out=``), which is how the
-Stein engine reuses one workspace across block pairs.  Finite
-differences and pointwise kernel values are test oracles only.
+from it.  :func:`squared_distances` is the one exact squared-distance
+summation: it sums per-coordinate difference matrices in coordinate order,
+so no ``(n, n, d)`` array is ever formed.  An SSVGD round builds one
+``n x n`` matrix with it and hands it to both
+:func:`median_heuristic_bandwidth`, which takes only that matrix, and its
+direction; the Stein engine's peak pass and its block sums below three
+dimensions call it on each block pair (from three on, the block sums come
+from one matrix product, see :mod:`steinlab.discrepancy`).  It and
+:func:`radial_profile` write into caller-supplied arrays when given them
+(``out=``, ``scratch=``), which is how the Stein engine reuses one
+workspace across block pairs.  Finite differences and pointwise kernel
+values are test oracles only.
 """
 
 from __future__ import annotations
@@ -65,6 +64,9 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family = {self.family!r} is not one of "
                              f"{', '.join(FAMILIES)}")
+        for name in ("beta", "alpha", "bandwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth = {self.bandwidth!r} is not positive")
         if self.family == IMQ and not -1.0 < self.beta < 0.0:
@@ -142,63 +144,37 @@ def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
     return k, p1, p2
 
 
-def coordinate_differences(X, Y, out=None):
-    """Per-coordinate difference matrices ``X[:, j] - Y[:, j]^T``, yielded
-    one coordinate at a time in order ``j = 0, 1, ...``.
-
-    With ``out`` every matrix is written into that one array, so each
-    yielded matrix is valid only until the next is requested.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    shape = (X.shape[0], Y.shape[0])
-    # Filling each row with x_j first and then subtracting the contiguous
-    # row y_j in place is faster than one broadcast subtraction, and gives
-    # the same bits.
-    for xj, yj in zip(X.T, np.ascontiguousarray(Y.T)):
-        D = np.empty(shape) if out is None else out
-        np.copyto(D, xj[:, None])
-        yield np.subtract(D, yj, out=D)
-
-
-def sum_of_squares(diffs, out=None) -> np.ndarray:
-    """``D_0^2 + D_1^2 + ...`` accumulated left to right over a nonempty
-    sequence of equal-shape difference matrices, written into ``out`` when
-    given.  Every matrix after the first is squared in place.
-
-    The SVGD direction, the median heuristic, the Stein peak pass and the
-    Stein block sums below three dimensions take their squared distances
-    from here, so they share one summation order.
-    """
-    diffs = iter(diffs)
-    first = next(diffs)
-    total = np.multiply(first, first, out=out)
-    for Dj in diffs:
-        total += np.multiply(Dj, Dj, out=Dj)
-    return total
-
-
-def squared_distances(X, Y) -> np.ndarray:
+def squared_distances(X, Y, out=None, scratch=None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and Y.
 
-    Summed in coordinate order, ``D_0^2 + D_1^2 + ...``, as
-    :func:`sum_of_squares` sums, so every element has the bits of summing
-    its own coordinate differences; memory is two matrices of the output
-    shape.  Every SSVGD round calls this, so it makes only one broadcast
-    subtraction, square and sum per coordinate.
+    Summed in coordinate order, ``D_0^2 + D_1^2 + ...`` with
+    ``D_j = X[:, j] - Y[:, j]^T``, so every element has the bits of summing
+    its own coordinate differences, and no ``(n, n, d)`` array is formed.
+    Each ``D_j`` is made by filling a matrix with ``x_j`` and subtracting
+    the contiguous row ``y_j`` in place, which is faster than one broadcast
+    subtraction and gives the same bits.  ``out`` receives the sum and is
+    returned; ``scratch`` holds each ``D_j`` after the first.  Both are
+    float64 matrices of the output shape, allocated when None (``scratch``
+    only from two coordinates on), and neither may share memory with the
+    other, ``X`` or ``Y``.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    total = np.subtract(X[:, :1], Y[:, 0])
-    total *= total
-    for j in range(1, X.shape[1]):
-        Dj = np.subtract(X[:, j:j + 1], Y[:, j])
+    if X.shape[1] == 0:
+        raise ValueError("points have no coordinates")
+    shape = (X.shape[0], Y.shape[0])
+    total = np.empty(shape) if out is None else out
+    if scratch is None and X.shape[1] > 1:
+        scratch = np.empty(shape)
+    for j, yj in enumerate(np.ascontiguousarray(Y.T)):
+        Dj = scratch if j else total
+        Dj[...] = X[:, j, None]
+        Dj -= yj
         Dj *= Dj
-        total += Dj
+        if j:
+            total += Dj
     return total
 
 

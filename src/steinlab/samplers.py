@@ -40,6 +40,8 @@ class SgldConfig:
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("step size must be positive")
+        if not math.isfinite(self.step):
+            raise ValueError(f"step = {self.step!r} is not finite")
         if self.batch < 1:
             raise ValueError("minibatch size must be at least 1")
         if self.steps < 1:

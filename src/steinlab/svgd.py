@@ -15,9 +15,10 @@ n x 256 kernel and profile columns from its column slice of the particles'
 thread count.
 
 A run spends little arithmetic per round, so :func:`run_ssvgd` keeps the
-per-round calls few.  A round calls ``kernels.squared_distances(X, X)``
-once; under ``median_per_round``, ``kernels.median_heuristic_bandwidth`` on
-that matrix; then :func:`ssvgd_direction`, which calls
+per-round calls few.  A round calls ``kernels.squared_distances(X, X)``,
+the package's one exact squared-distance summation, once; under
+``median_per_round``, ``kernels.median_heuristic_bandwidth`` on that
+matrix; then :func:`ssvgd_direction`, which calls
 ``discrepancy.scaled_scores`` (one ``DecomposableTarget.grad_log_subset``
 call, or ``grad_log_full`` on a full batch, whenever one call covers the
 particles) and ``kernels.radial_profile`` once per 256-column block,
@@ -40,6 +41,7 @@ a round holds O(n^2) memory.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -67,9 +69,10 @@ class SvgdConfig:
 
     ``batch == target.L`` gives deterministic full-score descent.  With the
     ``adagrad`` schedule the per-coordinate step is
-    ``step / (fudge + sqrt(accumulated squared direction))``.  A bandwidth
-    policy of None is replaced on construction by
-    :func:`default_bandwidth_policy` of the kernel.
+    ``step / (fudge + sqrt(accumulated squared direction))``; ``step`` and
+    ``fudge`` must be positive and finite.  A bandwidth policy of None is
+    replaced on construction by :func:`default_bandwidth_policy` of the
+    kernel.
     """
 
     rounds: int
@@ -87,10 +90,12 @@ class SvgdConfig:
             raise ValueError("rounds must be nonnegative")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.fudge > 0:
-            raise ValueError("fudge must be positive")
+        for name in ("step", "fudge"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} is not finite")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.bandwidth_policy is None:

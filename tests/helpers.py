@@ -25,7 +25,6 @@ import numpy as np
 from steinlab import (
     KernelSpec,
     SampleBatch,
-    coord_stein_sums,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -41,7 +40,7 @@ from steinlab import (
     kernels,
     svgd,
 )
-from steinlab.discrepancy import NEGATIVE_TOLERANCE
+from steinlab.discrepancy import NEGATIVE_TOLERANCE, coord_stein_sums
 from steinlab.parallel import ordered_map, row_blocks, tree_reduce_sum
 from steinlab.rng import make_generator, uniform_subset
 

@@ -2,7 +2,7 @@
 
 Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or in
 the captured output of a failing run) and asserts.  Tolerances and scales
-are pinned here, not configurable.  Runtimes: criteria 1-3, 9, 11 take
+are pinned here, not configurable.  Runtimes: criteria 1-3, 9, 11, 12 take
 seconds; 4, 5, 8 under two minutes; 6, 7 under ten.
 """
 
@@ -34,8 +34,6 @@ from steinlab import (
     SampleBatch,
     SvgdConfig,
     cli,
-    derive_seed,
-    draw_subsets,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -44,11 +42,12 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
     run_ssvgd,
-    scaled_scores,
     sgld_chain,
     sksd,
 )
+from steinlab.discrepancy import coord_stein_sums, draw_subsets, scaled_scores
 from steinlab.kernels import squared_distances
+from steinlab.rng import derive_seed
 from steinlab.samplers import SgldConfig
 from steinlab.svgd import ssvgd_direction
 from test_svgd import direct_svgd
@@ -387,3 +386,49 @@ class TestCriterion11Unbiasedness:
         worst = float(np.abs(z).max())
         _report(11, "mean subsampled ssvgd direction equals the exact direction",
                 worst <= 4.5, f"max |z| {worst:.2f} over {z.size} entries, R = {R}")
+
+
+class TestCriterion12SksdMoment:
+    def test_mean_pieces_match_closed_form(self):
+        # With B_i = b_i + e_i, e_i zero-mean and independent across points,
+        # every pair i != i' keeps its exact expectation and only the
+        # diagonal picks up variance:
+        #   E w_j^2(sksd) = w_j^2(ksd) + (k(0)/n^2) sum_i Var(e_ij),
+        #   Var(e_ij) = L^2 s2_ij (L - m) / (m (L - 1)),
+        # s2_ij being the population variance over the L terms of
+        # coordinate j of each term's score at x_i.  R members, each one
+        # sksd draw, are scored in one stacked call.  A draw that keeps each
+        # point's mean score right but is not independent across points
+        # (one subset shared by all), or not uniform without replacement,
+        # moves the mean.
+        n, R = 40, 1000
+        gmm = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 8, seed=1201))
+        logreg = make_logreg(*gen_logreg_data(12, 3, [0.8, -0.5, 0.3], seed=1202))
+        specs = (
+            (KernelSpec("imq", beta=-0.5), 1.0),
+            (KernelSpec("log_inverse", beta=-1.0, alpha=2.0), 2.0 ** -1.0),  # alpha**beta
+            (KernelSpec("rbf", bandwidth=2.0), 1.0),
+        )
+        worst, cases = 0.0, 0
+        for t, target in enumerate((gmm, logreg)):
+            L, d = target.L, target.dim
+            batch = iid_gaussian(n, d, 0.3, 1.0, seed=1203 + t)
+            terms = np.array([target.terms_sum(np.full((n, 1), l), batch.points)
+                              for l in range(L)])
+            s2 = terms.var(axis=0)
+            for m in (1, 4):
+                stack = np.array([
+                    scaled_scores(batch, target,
+                                  draw_subsets(n, L, m, seed=derive_seed(r, "c12", t, m)))
+                    for r in range(R)
+                ])
+                excess = (L * L * (L - m) / (m * (L - 1))) * s2.sum(axis=0) / n**2
+                for spec, k0 in specs:
+                    expected = ksd(batch, target, spec).w_sq + k0 * excess
+                    pieces = coord_stein_sums(batch, stack, spec)
+                    z = (pieces.mean(axis=0) - expected) / (
+                        pieces.std(axis=0, ddof=1) / math.sqrt(R))
+                    worst = max(worst, float(np.abs(z).max()))
+                    cases += 1
+        _report(12, "mean sksd pieces match the closed-form moment",
+                worst <= 4.5, f"max |z| {worst:.2f} over {cases} cases, R = {R}")

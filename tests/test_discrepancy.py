@@ -26,8 +26,6 @@ from steinlab import (
     NonFiniteScoreError,
     NumericalConsistencyError,
     SampleBatch,
-    coord_stein_sums,
-    draw_subsets,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -35,9 +33,7 @@ from steinlab import (
     make_gaussian,
     make_gmm_posterior,
     make_logreg,
-    scaled_scores,
     sksd,
-    ssvgd_direction,
 )
 from steinlab import discrepancy as discrepancy_module
 from steinlab import kernels as kernels_module
@@ -46,8 +42,12 @@ from steinlab.discrepancy import (
     _block_pair_peak,
     _block_pair_sums,
     _Workspace,
+    coord_stein_sums,
+    draw_subsets,
+    scaled_scores,
 )
 from steinlab.parallel import row_blocks
+from steinlab.svgd import ssvgd_direction
 
 IMQ = KernelSpec("imq", beta=-0.5)
 
@@ -366,6 +366,23 @@ class TestCoordSteinSums:
         with pytest.raises(NumericalConsistencyError):
             one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
 
+    def test_overflowing_pieces_raise(self):
+        # Scores of order 1e160 overflow the pairwise products; the pieces
+        # were [nan, inf, nan] and the value NaN, with no error.
+        target = make_gaussian(0.0, 1e-160, 4, dim=3)
+        batch = iid_gaussian(40, 3, 0.0, 1.0, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalConsistencyError,
+            match=r"^score matrix 0: w_sq\[0\] = .*nan.* is not finite$",
+        ):
+            ksd(batch, target, IMQ)
+
+    def test_largest_scores_that_fit_give_finite_pieces(self):
+        target = make_gaussian(0.0, 1e-150, 4, dim=3)
+        batch = iid_gaussian(40, 3, 0.0, 1.0, seed=3)
+        result = ksd(batch, target, IMQ)
+        assert np.isfinite(result.w_sq).all() and result.value > 1e149
+
     def test_shape_mismatch(self):
         batch = SampleBatch(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape"):
@@ -604,6 +621,23 @@ class TestStackedEngine:
             assert np.array_equal(member, single)
         assert np.array_equal(coord_stein_sums(batch, stack[:1], spec)[0], singles[0])
 
+    def test_overflowing_pieces_raise(self):
+        # Scores of order 1e160 overflow the pairwise products; the pieces
+        # were [nan, inf, nan] and the value NaN, with no error.
+        target = make_gaussian(0.0, 1e-160, 4, dim=3)
+        batch = iid_gaussian(40, 3, 0.0, 1.0, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalConsistencyError,
+            match=r"^score matrix 0: w_sq\[0\] = .*nan.* is not finite$",
+        ):
+            ksd(batch, target, IMQ)
+
+    def test_largest_scores_that_fit_give_finite_pieces(self):
+        target = make_gaussian(0.0, 1e-150, 4, dim=3)
+        batch = iid_gaussian(40, 3, 0.0, 1.0, seed=3)
+        result = ksd(batch, target, IMQ)
+        assert np.isfinite(result.w_sq).all() and result.value > 1e149
+
     def test_shape_mismatch(self):
         batch = SampleBatch(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shape"):
@@ -704,7 +738,7 @@ PROPERTY_SCRIPT = textwrap.dedent("""\
     import sys
     import numpy as np
     from helpers import one_matrix_stein_sums, random_instance
-    from steinlab import coord_stein_sums, draw_subsets, scaled_scores
+    from steinlab.discrepancy import coord_stein_sums, draw_subsets, scaled_scores
     from steinlab.kernels import squared_distances
     from steinlab.svgd import ssvgd_direction
 

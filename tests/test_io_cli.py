@@ -14,13 +14,13 @@ from steinlab import (
     ConfigError,
     SampleBatch,
     cli,
-    derive_seed,
     iid_gaussian,
     io,
     ksd,
     make_gaussian,
 )
 from steinlab.kernels import KernelSpec
+from steinlab.rng import derive_seed
 
 IMQ = KernelSpec("imq", beta=-0.5)
 
@@ -316,6 +316,34 @@ class TestCliScore:
         assert f"argument --threads: '{value}' is not a positive integer" \
             in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
+
+    def test_overflowing_pieces_exit_1_without_output(self, tmp_path, monkeypatch, capsys):
+        # Scores of order 1e160 overflow the pairwise terms; the command used
+        # to exit 0 with NaN and Infinity in its result.
+        monkeypatch.chdir(tmp_path)
+        io.write_samples_csv(tmp_path / "samples.csv", iid_gaussian(40, 3, 0.0, 1.0, seed=3))
+        config = _write(
+            tmp_path / "score.ini",
+            """\
+            [target]
+            kind = gaussian
+            dim = 3
+            mu = 0
+            sigma_sq = 1e-160
+            L = 4
+
+            [kernel]
+            family = imq
+            beta = -0.5
+
+            [score]
+            samples = samples.csv
+            """,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["score", "--config", str(config), "--out", "res.json"]) == 1
+        assert "score matrix 0: w_sq[0] = nan is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "res.json").exists()
 
     def test_missing_samples_no_partial_output(self, mode_fixture, capsys):
         tmp_path, config = mode_fixture

@@ -163,6 +163,28 @@ class TestGram:
         np.testing.assert_allclose(G, pointwise, rtol=5e-16)
 
 
+def _workspace_matrix(shape):
+    """A NaN-filled view of a larger flat array, as the Stein engine's
+    workspace hands out its matrices."""
+    size = shape[0] * shape[1]
+    return np.full(size + 256, np.nan)[:size].reshape(shape)
+
+
+def _squared_distances(X, Y):
+    """``kernels.squared_distances(X, Y)``, after checking that a call
+    given workspace matrices for ``out`` and ``scratch`` returns ``out``
+    with the same bits and leaves ``X`` and ``Y`` as they were."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    kept = X.copy(), Y.copy()
+    sq = kernels.squared_distances(X, Y)
+    out = _workspace_matrix(sq.shape)
+    assert kernels.squared_distances(X, Y, out=out,
+                                     scratch=_workspace_matrix(sq.shape)) is out
+    assert np.array_equal(out, sq)
+    assert np.array_equal(X, kept[0]) and np.array_equal(Y, kept[1])
+    return sq
+
+
 class TestSquaredDistances:
     @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 20])
     def test_matches_all_coordinates_reduction(self, d):
@@ -174,7 +196,7 @@ class TestSquaredDistances:
         Y = rng.standard_normal((30, d))
         diff = X[:, None, :] - Y[None, :, :]
         reference = np.add.reduce(diff * diff, axis=2)
-        sq = kernels.squared_distances(X, Y)
+        sq = _squared_distances(X, Y)
         if d < 8:
             assert np.array_equal(sq, reference)
         else:
@@ -182,13 +204,17 @@ class TestSquaredDistances:
 
     def test_symmetric_and_zero_diagonal(self):
         X = np.random.default_rng(4).standard_normal((25, 9))
-        sq = kernels.squared_distances(X, X)
+        sq = _squared_distances(X, X)
         assert np.array_equal(sq, sq.T)
         assert np.array_equal(np.diag(sq), np.zeros(25))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            kernels.squared_distances(np.zeros((2, 3)), np.zeros((2, 2)))
+        for buffers in ({}, {"out": np.empty((2, 2)), "scratch": np.empty((2, 2))}):
+            with pytest.raises(ValueError, match="dimension"):
+                kernels.squared_distances(np.zeros((2, 3)), np.zeros((2, 2)), **buffers)
+            # Nothing to sum would leave the buffers as they were.
+            with pytest.raises(ValueError, match="no coordinates"):
+                kernels.squared_distances(np.zeros((2, 0)), np.zeros((2, 0)), **buffers)
 
     @pytest.mark.parametrize("n", [257, 600])
     @pytest.mark.parametrize("d", [1, 3])
@@ -200,8 +226,17 @@ class TestSquaredDistances:
         sq = kernels.squared_distances(X, X)
         for i0 in range(0, n, 256):
             i1 = min(i0 + 256, n)
-            assert np.array_equal(kernels.squared_distances(X, X[i0:i1]),
-                                  sq[:, i0:i1])
+            assert np.array_equal(_squared_distances(X, X[i0:i1]), sq[:, i0:i1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_edge_block_pair_in_workspace_matrices(self, d):
+        # A Stein engine edge block pair: rows of one point matrix far from
+        # the origin, a 256 x 232 result, given and allocated.
+        X = 50.0 + np.random.default_rng(d).standard_normal((488, d))
+        sq = _squared_distances(X[:256], X[256:])
+        assert sq.shape == (256, 232)
+        diff = X[:256, None, :] - X[None, 256:, :]
+        assert np.array_equal(sq, np.add.reduce(diff * diff, axis=2))
 
 
 def _median(points):
@@ -297,6 +332,21 @@ class TestSpecValidation:
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
+            KernelSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # An infinite bandwidth is a constant kernel, and an infinite
+            # beta or alpha makes the log_inverse discrepancy NaN.
+            {"family": "log_inverse", "beta": -math.inf},
+            {"family": "log_inverse", "alpha": math.inf},
+            {"family": "rbf", "bandwidth": math.inf},
+        ],
+    )
+    def test_non_finite_parameters_name_the_field(self, kwargs):
+        field = next(key for key in kwargs if key != "family")
+        with pytest.raises(ValueError, match=rf"^{field} = -?inf is not finite$"):
             KernelSpec(**kwargs)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from steinlab import (
     SampleBatch,
     SgldConfig,
     SgldSweep,
-    draw_subsets,
     gen_gmm_data,
     gen_logreg_data,
     iid_gaussian,
@@ -21,6 +21,7 @@ from steinlab import (
     sgld_chain,
 )
 from steinlab import rng
+from steinlab.discrepancy import draw_subsets
 from steinlab.rng import make_generator, uniform_subset, uniform_subsets
 
 
@@ -40,6 +41,10 @@ class TestSgldConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SgldConfig(**kwargs)
+
+    def test_infinite_step_raises(self):
+        with pytest.raises(ValueError, match=r"^step = inf is not finite$"):
+            SgldConfig(step=math.inf, batch=1, steps=10, init=0.0, seed=0)
 
 
 class TestSgldChain:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,17 +11,16 @@ from steinlab import (
     KernelSpec,
     SampleBatch,
     SvgdConfig,
-    draw_subsets,
     gen_logreg_data,
     iid_gaussian,
     make_gaussian,
     make_logreg,
     run_ssvgd,
     sksd,
-    ssvgd_direction,
 )
 from steinlab import discrepancy, kernels, svgd
-from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND
+from steinlab.discrepancy import draw_subsets
+from steinlab.svgd import ADAGRAD, CONSTANT, MEDIAN_PER_ROUND, ssvgd_direction
 
 IMQ = KernelSpec("imq", beta=-0.5)
 RBF = KernelSpec("rbf", bandwidth=1.0)
@@ -452,3 +452,10 @@ class TestRunSsvgd:
         # it negative or infinite.
         with pytest.raises(ValueError, match="fudge"):
             SvgdConfig(rounds=1, batch=1, kernel=IMQ, fudge=fudge)
+
+    @pytest.mark.parametrize("field", ["step", "fudge"])
+    def test_infinite_step_or_fudge_raises(self, field):
+        # An infinite fudge makes every AdaGrad step zero, so the run would
+        # return its initial particles unmoved.
+        with pytest.raises(ValueError, match=rf"^{field} = inf is not finite$"):
+            SvgdConfig(rounds=1, batch=1, kernel=IMQ, **{field: math.inf})
