@@ -336,7 +336,11 @@ def coord_stein_sums(batch, B, spec, threads=1) -> np.ndarray:
             workspace = getattr(workspaces, "it", None)
             if workspace is None:
                 workspace = workspaces.it = _Workspace(min(batch.n, BLOCK_ROWS))
-            return block_fn(X, scores, spec, pair[0], pair[1], workspace)
+            # Overflowing terms are reported below, once, as a non-finite
+            # piece.  Set here, in the task: numpy's error state is
+            # context-local and does not reach the pool's threads.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return block_fn(X, scores, spec, pair[0], pair[1], workspace)
 
         return ordered_map(run, tasks, threads)
 
@@ -353,7 +357,7 @@ def coord_stein_sums(batch, B, spec, threads=1) -> np.ndarray:
             if np.any(pieces < floor):
                 j = int(np.argmin(pieces))
                 raise NumericalConsistencyError(
-                    f"score matrix {member}: w_sq[{j}] = {pieces[j]!r} is below "
+                    f"score matrix {member}: w_sq[{j}] = {float(pieces[j])!r} is below "
                     f"the float-noise floor {floor!r}"
                 )
     return w_sq

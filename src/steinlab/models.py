@@ -230,19 +230,39 @@ def make_gmm_posterior(
 
     def _score_terms(yy, th):
         """Per-term scores, shape (..., m, 2), of observations yy (..., m)
-        at the locations th (..., 2)."""
+        at the locations th (..., 2); yy is overwritten.
+
+        The arithmetic is that of
+
+            r1 = yy - t1;  r2 = yy - t1 - t2
+            la = -(r1 * r1) / (2 sx);  lb = -(r2 * r2) / (2 sx)
+            mm = max(la, lb);  wa = exp(la - mm);  wb = exp(lb - mm)
+            den = (wa + wb) * sx
+            g1 = (wa * r1 + wb * r2) / den;  g2 = (wb * r2) / den
+
+        in that order, run in place on four buffers of yy's shape, with g1
+        and g2 written into the two halves of the result.
+        """
         t1, t2 = th[..., 0:1], th[..., 1:2]
-        r1 = yy - t1
-        r2 = yy - t1 - t2
-        la = -(r1 * r1) / (2.0 * sx)
-        lb = -(r2 * r2) / (2.0 * sx)
-        mm = np.maximum(la, lb)
-        wa = np.exp(la - mm)
-        wb = np.exp(lb - mm)
-        den = (wa + wb) * sx
-        g1 = (wa * r1 + wb * r2) / den
-        g2 = (wb * r2) / den
-        return np.stack([g1, g2], axis=-1)
+        r1 = np.subtract(yy, t1, out=yy)
+        r2 = r1 - t2
+        wa = np.multiply(r1, r1)
+        np.negative(wa, out=wa)
+        wa /= 2.0 * sx
+        wb = np.multiply(r2, r2)
+        np.negative(wb, out=wb)
+        wb /= 2.0 * sx
+        den = np.maximum(wa, wb)
+        np.exp(np.subtract(wa, den, out=wa), out=wa)
+        np.exp(np.subtract(wb, den, out=wb), out=wb)
+        np.add(wa, wb, out=den)
+        den *= sx
+        r1 *= wa
+        r2 *= wb
+        out = np.empty(yy.shape + (2,))
+        np.divide(np.add(r1, r2, out=r1), den, out=out[..., 0])
+        np.divide(r2, den, out=out[..., 1])
+        return out
 
     return DecomposableTarget(
         dim=2,

@@ -53,15 +53,8 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     stream state no matter how later work is scheduled, and one call for
     ``k * count`` subsets returns, row for row, what k calls for ``count``
     would.  Rows of the returned ``(count, subset_size)`` int64 array are
-    sorted ascending.
-
-    All uniforms are drawn up front; the rows are then shuffled in chunks
-    whose tiled pool holds at most ``SUBSET_POOL_ENTRIES`` entries (one row
-    at least), and each row's swaps read only its own uniforms.  One pool
-    buffer serves every chunk of a call, refilled with ``0, 1, ...`` rows
-    before each, and the rows are sorted once at the end.  Each shuffle
-    step is one gather and one scatter on the chunk's flat pool, indexed by
-    the step's swap targets.  The result equals the
+    sorted ascending.  The swaps are :func:`subsets_from_uniforms` of the
+    drawn ``(count, subset_size)`` uniforms.  The result equals the
     fancy-indexed swaps of one tiled pool
     (``tests/helpers.uniform_subsets_oracle``) and leaves ``gen`` in the
     same state.
@@ -69,10 +62,31 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     _check_subset_size(pool_size, subset_size)
-    u = gen.random((count, subset_size))
+    return subsets_from_uniforms(gen.random((count, subset_size)), pool_size)
+
+
+def subsets_from_uniforms(u, pool_size) -> np.ndarray:
+    """The subsets of ``range(pool_size)`` that a partial Fisher-Yates
+    shuffle makes of a ``(count, subset_size)`` matrix of uniforms in
+    [0, 1), one sorted int64 row per row of ``u``.
+
+    At step j a row swaps its pool position j with position
+    ``j + floor(u[j] * (pool_size - j))``, and its subset is the first
+    ``subset_size`` positions, so each row's subset reads only its own
+    uniforms.  The rows are shuffled in chunks whose tiled pool holds at
+    most ``SUBSET_POOL_ENTRIES`` entries (one row at least).  One pool
+    buffer serves every chunk, refilled with ``0, 1, ...`` rows before
+    each, and the rows are sorted once at the end.  Each shuffle step is
+    one gather and one scatter on the chunk's flat pool, indexed by the
+    step's swap targets.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise ValueError(f"expected a (count, subset_size) matrix, got shape {u.shape}")
+    count, subset_size = u.shape
+    _check_subset_size(pool_size, subset_size)
     if subset_size == pool_size:
-        # Every subset is the whole pool; the draws above still advance the
-        # stream as the swaps would.
+        # Every subset is the whole pool, whatever the uniforms.
         return np.tile(np.arange(pool_size, dtype=np.int64), (count, 1))
     chunk = max(1, SUBSET_POOL_ENTRIES // pool_size)
     # Swap target j + floor(u * (pool_size - j)) of every subset at step j,
@@ -96,24 +110,3 @@ def uniform_subsets(gen, count, pool_size, subset_size) -> np.ndarray:
         out[c0:c0 + rows] = pool[:rows, :subset_size]
     out.sort(axis=1)
     return out
-
-
-def uniform_subset(gen, pool_size, subset_size) -> np.ndarray:
-    """One uniform subset: the same draws from ``gen`` and the same sorted
-    int64 result as ``uniform_subsets(gen, 1, pool_size, subset_size)[0]``.
-
-    For draws made one at a time in a loop, such as SGLD minibatches.  The
-    swaps run on Python ints (positions moved so far are kept in a dict)
-    instead of as about five numpy calls per member, each of which
-    releases the GIL and so hands it to any other busy thread.
-    """
-    _check_subset_size(pool_size, subset_size)
-    u = gen.random(subset_size).tolist()
-    moved = {}
-    picks = []
-    for j, uj in enumerate(u):
-        r = j + int(uj * (pool_size - j))
-        picks.append(moved.get(r, r))
-        moved[r] = moved.get(j, j)
-    picks.sort()
-    return np.array(picks, dtype=np.int64)

@@ -9,18 +9,29 @@ from its own stream, and every row of a stacked score call is computed as
 the one-row call would compute it, so a chain's iterates are bit-identical
 to running it alone.  ``sgld_chain(target, SgldConfig)`` is the one-chain
 case.
+
+The draws are made ahead of the steps, a chunk of steps at a time: each
+running chain reads its stream for every step of the chunk in stepping
+order (step t's minibatch uniforms, then its noise), and one
+``rng.subsets_from_uniforms`` call turns the uniforms of every chain and
+step into minibatches.  A chunk of a K-chain sweep takes as many steps
+as keep ``K * steps * max(batch, d)`` within ``SUBSET_POOL_ENTRIES``, so
+it holds at most that many uniforms and as many noise entries, and one
+step at least.  A chain that diverges discards the rest of its draws with
+its stream, so the chunking changes no bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrepancy import SampleBatch
 from .errors import DivergenceError, NonFiniteScoreError
-from .rng import make_generator, uniform_subset
+from .rng import SUBSET_POOL_ENTRIES, make_generator, subsets_from_uniforms
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,10 @@ class SgldConfig:
             raise ValueError("step size must be positive")
         if not math.isfinite(self.step):
             raise ValueError(f"step = {self.step!r} is not finite")
+        for name in ("batch", "steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} = {value!r} is not an integer")
         if self.batch < 1:
             raise ValueError("minibatch size must be at least 1")
         if self.steps < 1:
@@ -81,9 +96,9 @@ def sgld_chain(target, config):
     each step from the chain's own stream (minibatch first, then noise).
 
     A chain diverges at step t when its step-t score is non-finite or its
-    step-t iterate is.  It then leaves the stacked rows and draws nothing
-    more; the other chains go on, their step-t scores recomputed without it
-    when the score was at fault.
+    step-t iterate is.  It then leaves the stacked rows, and the draws it
+    made ahead are dropped with its stream; the other chains go on, their
+    step-t scores recomputed without it when the score was at fault.
 
     ``config`` is an ``SgldConfig`` or an ``SgldSweep``.  For one config the
     result is the chain's ``SampleBatch``, and a divergence raises
@@ -108,6 +123,8 @@ def _initial_point(target, init) -> np.ndarray:
         raise ValueError(
             f"init has dimension {x.shape[0]}, target expects {target.dim}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError(f"init = {x.tolist()!r} is not finite")
     return x
 
 
@@ -115,44 +132,68 @@ def _run_sweep(target, configs) -> list:
     batch, steps, dim = configs[0].batch, configs[0].steps, target.dim
     if batch > target.L:
         raise ValueError(f"minibatch size {batch} exceeds the {target.L} terms")
+    X = np.stack([_initial_point(target, c.init) for c in configs])
     results = [None] * len(configs)
     out = np.empty((len(configs), steps, dim))
     gens = [make_generator(c.seed) for c in configs]
-    # Per stacked row: its chain's index in ``configs`` and its state.
+    # Per stacked row: its chain's index in ``configs``, its state and its
+    # draws for the steps of the current chunk.
     chains = np.arange(len(configs))
-    X = np.stack([_initial_point(target, c.init) for c in configs])
     half = np.array([[0.5 * c.step] for c in configs])
     noise_scale = np.array([[math.sqrt(c.step)] for c in configs])
     ratio = target.L / batch
-    for t in range(steps):
-        idx = np.array([uniform_subset(gens[k], target.L, batch) for k in chains])
-        while True:
-            try:
-                terms = target.grad_log_terms(idx, X)
-                break
-            except NonFiniteScoreError as err:
-                keep = np.arange(len(chains)) != err.point_index
-                _diverged(results, configs, chains[~keep], t, err)
-                chains, X, idx, half, noise_scale = (
-                    a[keep] for a in (chains, X, idx, half, noise_scale)
+    chunk_steps = max(1, SUBSET_POOL_ENTRIES // (len(configs) * max(batch, dim)))
+    for t0 in range(0, steps, chunk_steps):
+        idx, noise = _draw_chunk(
+            [gens[k] for k in chains], min(chunk_steps, steps - t0), target.L, batch, dim
+        )
+        for s in range(idx.shape[1]):
+            t = t0 + s
+            while True:
+                try:
+                    terms = target.grad_log_terms(idx[:, s], X)
+                    break
+                except NonFiniteScoreError as err:
+                    keep = np.arange(len(chains)) != err.point_index
+                    _diverged(results, configs, chains[~keep], t, err)
+                    chains, X, half, noise_scale, idx, noise = (
+                        a[keep] for a in (chains, X, half, noise_scale, idx, noise)
+                    )
+                    if not len(chains):
+                        return results
+            ghat = target.grad_log_prior(X) + ratio * terms
+            X = X + half * ghat + noise_scale * noise[:, s]
+            keep = np.isfinite(X).all(axis=1)
+            if not keep.all():
+                _diverged(results, configs, chains[~keep], t)
+                chains, X, half, noise_scale, idx, noise = (
+                    a[keep] for a in (chains, X, half, noise_scale, idx, noise)
                 )
                 if not len(chains):
                     return results
-        noise = np.array([gens[k].standard_normal(dim) for k in chains])
-        ghat = target.grad_log_prior(X) + ratio * terms
-        X = X + half * ghat + noise_scale * noise
-        keep = np.isfinite(X).all(axis=1)
-        if not keep.all():
-            _diverged(results, configs, chains[~keep], t)
-            chains, X, half, noise_scale = (
-                a[keep] for a in (chains, X, half, noise_scale)
-            )
-            if not len(chains):
-                return results
-        out[chains, t] = X
+            out[chains, t] = X
     for k in chains:
         results[k] = SampleBatch(out[k])
     return results
+
+
+def _draw_chunk(gens, steps, pool_size, batch, dim):
+    """Each stream's minibatches and noise for ``steps`` SGLD steps, as
+    ``(chains, steps, batch)`` and ``(chains, steps, dim)`` arrays.
+
+    Every stream is read as its chain steps: step t's ``batch`` uniforms,
+    then its ``dim`` normals, then step t + 1's.  All the uniforms then
+    become minibatches in one ``subsets_from_uniforms`` call.
+    """
+    u = np.empty((len(gens), steps, batch))
+    noise = np.empty((len(gens), steps, dim))
+    for gen, u_rows, noise_rows in zip(gens, u, noise):
+        random, standard_normal = gen.random, gen.standard_normal
+        for u_step, noise_step in zip(u_rows, noise_rows):
+            random(out=u_step)
+            standard_normal(out=noise_step)
+    idx = subsets_from_uniforms(u.reshape(-1, batch), pool_size)
+    return idx.reshape(u.shape), noise
 
 
 def _diverged(results, configs, chains, t, cause=None):

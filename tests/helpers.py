@@ -2,8 +2,9 @@
 calls of the stacked score and Stein-sum layers, dense Stein-term
 assemblies, an eager-peak ``coord_stein_sums``, a per-point score
 loop, a ``np.median`` median heuristic, a step-by-step subset shuffle, a
-one-chain SGLD loop, a blocked SSVGD direction, a one-round-at-a-time
-SSVGD loop, a tally of the term gradients a target evaluates, log
+one-subset draw on Python ints, a one-chain SGLD loop, a blocked SSVGD direction, a one-round-at-a-time
+SSVGD loop, a tally of the term gradients a target evaluates, the mixture
+posterior's term scores with one temporary per expression, log
 densities of the three model families written from their formulas, and
 random problem builders.
 
@@ -42,7 +43,7 @@ from steinlab import (
 )
 from steinlab.discrepancy import NEGATIVE_TOLERANCE, coord_stein_sums
 from steinlab.parallel import ordered_map, row_blocks, tree_reduce_sum
-from steinlab.rng import make_generator, uniform_subset
+from steinlab.rng import make_generator
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -239,6 +240,24 @@ def uniform_subsets_oracle(gen, count, pool_size, subset_size):
     return np.sort(pool[:, :subset_size], axis=1)
 
 
+def uniform_subset(gen, pool_size, subset_size):
+    """One uniform subset: the same draws from ``gen`` and the same sorted
+    int64 result as ``uniform_subsets(gen, 1, pool_size, subset_size)[0]``,
+    with the swaps run on Python ints (positions moved so far are kept in
+    a dict).  The minibatch draw of ``sgld_chain_oracle``."""
+    if not 1 <= subset_size <= pool_size:
+        raise ValueError(f"subset size {subset_size} not in [1, {pool_size}]")
+    u = gen.random(subset_size).tolist()
+    moved = {}
+    picks = []
+    for j, uj in enumerate(u):
+        r = j + int(uj * (pool_size - j))
+        picks.append(moved.get(r, r))
+        moved[r] = moved.get(j, j)
+    picks.sort()
+    return np.array(picks, dtype=np.int64)
+
+
 def pointwise_scaled_scores(batch, target, subsets=None):
     """Score matrix B built one point at a time: row i is
     ``(L/m) * grad_log_subset(subsets[i], x_i)``, or ``grad_log_full(x_i)``
@@ -277,6 +296,31 @@ class TermTally:
             return terms_sum(subsets, X)
 
         self.target = replace(target, terms_sum=counted)
+
+
+def gmm_terms_sum_oracle(observations, sigma_x_sq=2.0):
+    """The ``terms_sum`` of ``make_gmm_posterior(observations,
+    sigma_x_sq=...)`` written with one temporary array per expression and
+    an ``np.stack`` of the two coordinates, the form the library computes
+    in place; its results must match to the bit."""
+    y = np.asarray(observations, dtype=np.float64).reshape(-1)
+    sx = float(sigma_x_sq)
+
+    def score_terms(yy, th):
+        t1, t2 = th[..., 0:1], th[..., 1:2]
+        r1 = yy - t1
+        r2 = yy - t1 - t2
+        la = -(r1 * r1) / (2.0 * sx)
+        lb = -(r2 * r2) / (2.0 * sx)
+        mm = np.maximum(la, lb)
+        wa = np.exp(la - mm)
+        wb = np.exp(lb - mm)
+        den = (wa + wb) * sx
+        g1 = (wa * r1 + wb * r2) / den
+        g2 = (wb * r2) / den
+        return np.stack([g1, g2], axis=-1)
+
+    return lambda subsets, TH: np.add.reduce(score_terms(y[subsets], TH), axis=1)
 
 
 def sgld_chain_oracle(target, config):

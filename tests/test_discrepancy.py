@@ -366,6 +366,21 @@ class TestCoordSteinSums:
         with pytest.raises(NumericalConsistencyError):
             one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
 
+    def test_negative_piece_is_printed_as_a_float(self, monkeypatch):
+        # K = P2 = 0 and P1 = 1 at two equal points with zero scores: each
+        # of the four terms is -2, so w_sq = -2 and the peak is 2.
+        def hostile_profile(spec, sq, out=None, scratch=None):
+            q = np.asarray(sq, dtype=np.float64)
+            return np.zeros_like(q), np.ones_like(q), np.zeros_like(q)
+
+        monkeypatch.setattr(kernels_module, "radial_profile", hostile_profile)
+        batch = SampleBatch(np.zeros((2, 1)))
+        with pytest.raises(NumericalConsistencyError) as err:
+            one_matrix_stein_sums(batch, np.zeros((2, 1)), IMQ)
+        assert str(err.value) == (
+            "score matrix 0: w_sq[0] = -2.0 is below the float-noise floor -2e-08"
+        )
+
     def test_overflowing_pieces_raise(self):
         # Scores of order 1e160 overflow the pairwise products; the pieces
         # were [nan, inf, nan] and the value NaN, with no error.

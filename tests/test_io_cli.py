@@ -345,6 +345,42 @@ class TestCliScore:
         assert "score matrix 0: w_sq[0] = nan is not finite" in capsys.readouterr().err
         assert not (tmp_path / "res.json").exists()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_pieces_print_one_line(self, tmp_path, threads):
+        # Run in a child process, so numpy's RuntimeWarnings would reach
+        # stderr; they used to print two before the error.  300 points make
+        # three block pairs, which run on the pool's threads at 2 workers.
+        io.write_samples_csv(tmp_path / "samples.csv", iid_gaussian(300, 3, 0.0, 1.0, seed=3))
+        _write(
+            tmp_path / "score.ini",
+            """\
+            [target]
+            kind = gaussian
+            dim = 3
+            mu = 0
+            sigma_sq = 1e-160
+            L = 4
+
+            [kernel]
+            family = imq
+            beta = -0.5
+
+            [score]
+            samples = samples.csv
+            """,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinlab.cli", "score", "--config", "score.ini",
+             "--out", "res.json", "--threads", str(threads)],
+            cwd=tmp_path, env=_with_src_on_path(dict(os.environ)),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "steinlab: score matrix 0: w_sq[0] = nan is not finite"
+        ]
+        assert not (tmp_path / "res.json").exists()
+
     def test_missing_samples_no_partial_output(self, mode_fixture, capsys):
         tmp_path, config = mode_fixture
         (tmp_path / "samples.csv").unlink()

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     assert_rel_close,
     fd_gradient,
     gaussian_log_density,
+    gmm_terms_sum_oracle,
     gmm_log_density,
     logreg_log_density,
     one_point_score,
@@ -21,6 +23,7 @@ from steinlab import (
     make_gmm_posterior,
     make_logreg,
 )
+from steinlab.rng import make_generator, uniform_subsets
 
 # Frozen against a 50-digit evaluation of the mixture-posterior score at
 # theta = (0, 1) for the seeded observations below (gen_gmm_data with
@@ -80,6 +83,27 @@ class TestGmmPosterior:
         g2 = -th[1] / 1.0 + np.sum(b * (obs - th[0] - th[1]) / ((a + b) * 2.0))
         got = one_point_score(target.grad_log_full, th)
         assert_rel_close(got, np.array([g1, g2]), rtol=1e-12)
+
+    def test_term_sums_match_the_expression_oracle(self):
+        # The in-place term scores give, to the bit, the sums of the
+        # expressions written with one temporary each: L from 1 to 300, 1 to
+        # 256 rows, every m, and points near and far from the data.
+        rng = np.random.default_rng(23)
+        shapes = [(1, 1), (300, 256), (2, 256), (300, 1)]
+        shapes += [(int(rng.integers(1, 301)), int(rng.integers(1, 257))) for _ in range(4)]
+        for case, (L, rows) in enumerate(shapes):
+            sx = float(rng.uniform(0.5, 5.0))
+            y = gen_gmm_data(0.0, 1.0, sx, L, seed=case)
+            target = make_gmm_posterior(y, sigma_x_sq=sx)
+            oracle = gmm_terms_sum_oracle(y, sigma_x_sq=sx)
+            TH = rng.standard_normal((rows, 2)) * rng.choice([0.1, 3.0, 40.0], (rows, 1))
+            gen = make_generator(case)
+            for m in range(1, L + 1):
+                subsets = uniform_subsets(gen, rows, L, m)
+                got = target.terms_sum(subsets, TH)
+                assert got.tobytes() == oracle(subsets, TH).tobytes(), (L, rows, m)
+            full = replace(target, terms_sum=oracle)
+            assert target.grad_log_full(TH).tobytes() == full.grad_log_full(TH).tobytes()
 
     def test_l_equals_observation_count(self):
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 100, seed=3))

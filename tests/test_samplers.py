@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import TermTally, sgld_chain_oracle, uniform_subsets_oracle
+from helpers import TermTally, sgld_chain_oracle, uniform_subset, uniform_subsets_oracle
 from steinlab import (
     DecomposableTarget,
     DivergenceError,
@@ -20,9 +20,9 @@ from steinlab import (
     make_logreg,
     sgld_chain,
 )
-from steinlab import rng
+from steinlab import rng, samplers
 from steinlab.discrepancy import draw_subsets
-from steinlab.rng import make_generator, uniform_subset, uniform_subsets
+from steinlab.rng import make_generator, subsets_from_uniforms, uniform_subsets
 
 
 def _std_normal_target(L=10):
@@ -45,6 +45,32 @@ class TestSgldConfig:
     def test_infinite_step_raises(self):
         with pytest.raises(ValueError, match=r"^step = inf is not finite$"):
             SgldConfig(step=math.inf, batch=1, steps=10, init=0.0, seed=0)
+
+    @pytest.mark.parametrize("field", ["batch", "steps"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
+    def test_non_integer_batch_or_steps_raises(self, field, value):
+        kwargs = dict(step=0.1, batch=1, steps=10, init=0.0, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} = .* is not an integer$"):
+            SgldConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        config = SgldConfig(step=0.1, batch=np.int64(2), steps=np.int32(5),
+                            init=0.0, seed=0)
+        assert sgld_chain(_std_normal_target(), config).points.shape == (5, 1)
+
+    @pytest.mark.parametrize("init", [math.nan, [0.0, math.inf], [-math.inf, 1.0]])
+    def test_non_finite_init_raises_before_stepping(self, init):
+        # It used to step once, with numpy warnings, and then report a
+        # divergence at step 0.
+        tally = TermTally(make_gaussian(0.0, 1.0, 4, dim=2))
+        config = SgldConfig(step=0.1, batch=2, steps=10, init=init, seed=0)
+        with pytest.raises(ValueError, match=r"^init = \[.*\] is not finite$"):
+            sgld_chain(tally.target, config)
+        good = SgldConfig(step=0.1, batch=2, steps=10, init=0.0, seed=1)
+        with pytest.raises(ValueError, match=r"^init = \[.*\] is not finite$"):
+            sgld_chain(tally.target, SgldSweep([good, config]))
+        assert tally.value == 0
 
 
 class TestSgldChain:
@@ -285,6 +311,117 @@ class TestSgldSweep:
             sgld_chain(_sweep_target("gaussian", 1, seed=0), sweep)
 
 
+class TestChunkedSweep:
+    """A sweep reads each chain's stream a chunk of steps ahead, with at
+    most ``SUBSET_POOL_ENTRIES`` minibatch entries per chunk; every chain
+    must still be bit-identical to ``helpers.sgld_chain_oracle``."""
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        rows = []
+        swaps = samplers.subsets_from_uniforms
+
+        def counting_swaps(u, pool_size):
+            rows.append(u.shape[0])
+            return swaps(u, pool_size)
+
+        monkeypatch.setattr(samplers, "subsets_from_uniforms", counting_swaps)
+        return rows
+
+    @pytest.mark.parametrize("chains", [1, 6])
+    @pytest.mark.parametrize("chunk_steps, steps", [
+        (1, 4), (4, 12), (4, 13), (5, 23), (7, 3), (40, 120),
+    ])
+    def test_chunks_match_oracle(self, monkeypatch, chains, chunk_steps, steps):
+        # Several chunks, chunks that end the sweep partway, and a chunk
+        # longer than the sweep.
+        batch = 3
+        monkeypatch.setattr(samplers, "SUBSET_POOL_ENTRIES", chains * chunk_steps * batch)
+        rows = self._count_draws(monkeypatch)
+        target = _sweep_target("gmm", 2, seed=chains + steps)
+        rng = np.random.default_rng(steps)
+        configs = [
+            SgldConfig(step=float(rng.choice([1e-3, 2e-2, 1e-1])), batch=batch,
+                       steps=steps, init=rng.standard_normal(2), seed=100 + i)
+            for i in range(chains)
+        ]
+        _assert_matches_oracle(target, configs, sgld_chain(target, SgldSweep(configs)))
+        lengths = [chunk_steps] * (steps // chunk_steps) + [steps % chunk_steps] * (
+            steps % chunk_steps > 0
+        )
+        assert rows == [chains * n for n in lengths]
+
+    def test_one_step_per_chunk_at_least(self, monkeypatch):
+        monkeypatch.setattr(samplers, "SUBSET_POOL_ENTRIES", 1)
+        rows = self._count_draws(monkeypatch)
+        target = _sweep_target("logreg", 9, seed=2)
+        configs = [SgldConfig(step=1e-2, batch=4, steps=6, init=0.0, seed=i)
+                   for i in range(2)]
+        _assert_matches_oracle(target, configs, sgld_chain(target, SgldSweep(configs)))
+        assert rows == [2] * 6
+
+    def test_chunk_bound_counts_the_noise(self, monkeypatch):
+        # At d = 9 > batch = 4 a step draws 9 noise entries per chain, and
+        # 2 chains * 9 entries * 3 steps fill a 54-entry chunk.
+        monkeypatch.setattr(samplers, "SUBSET_POOL_ENTRIES", 54)
+        rows = self._count_draws(monkeypatch)
+        target = _sweep_target("logreg", 9, seed=3)
+        configs = [SgldConfig(step=1e-2, batch=4, steps=7, init=0.0, seed=i)
+                   for i in range(2)]
+        _assert_matches_oracle(target, configs, sgld_chain(target, SgldSweep(configs)))
+        assert rows == [6, 6, 2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, cause", [
+        ("gaussian", type(None)), ("gmm", NonFiniteScoreError),
+    ], ids=["iterate-overflow", "non-finite-score"])
+    def test_divergence_inside_a_chunk(self, monkeypatch, kind, cause):
+        # Chunks of 7 steps; the diverging chains leave partway through a
+        # chunk, and the next chunk draws for the remaining chains only.
+        chunk_steps, batch = 7, 4
+        monkeypatch.setattr(samplers, "SUBSET_POOL_ENTRIES", 6 * chunk_steps * batch)
+        rows = self._count_draws(monkeypatch)
+        target = _sweep_target(kind, 2, seed=3)
+        steps = [1e-2, 1e3, 5e-3, 1e3, 1e-2, 50.0]
+        configs = [
+            SgldConfig(step=eps, batch=batch, steps=300, init=0.0, seed=40 + i)
+            for i, eps in enumerate(steps)
+        ]
+        results = sgld_chain(target, SgldSweep(configs))
+        _assert_matches_oracle(target, configs, results)
+        diverged = [r for r in results if isinstance(r, DivergenceError)]
+        assert diverged == results[1::2]
+        assert all(type(r.__cause__) is cause for r in diverged)
+        assert any(r.step % chunk_steps not in (0, chunk_steps - 1) for r in diverged)
+        # Each chunk draws for the chains still running when it starts.
+        running = [sum(r.step >= t for r in diverged) + 3
+                   for t in range(0, 300, chunk_steps)]
+        starts = range(0, 300, chunk_steps)
+        assert rows == [k * min(chunk_steps, 300 - t) for t, k in zip(starts, running)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_draw_memory_is_bounded_by_the_chunk(self):
+        # 60 chains of 20000 steps with minibatches of 100 would draw
+        # 60 * 20000 * 100 uniforms, 960 MB, if all steps were drawn at
+        # once.  Steps of 10 on a unit Gaussian grow each iterate about
+        # fourfold, so the chains run past 400 steps, about 80 chunks of
+        # 5 steps, then all overflow; the result holds 9.6 MB.
+        target = make_gaussian(0.0, 1.0, 200)
+        sweep = SgldSweep(
+            SgldConfig(step=10.0, batch=100, steps=20_000, init=1.0, seed=i)
+            for i in range(60)
+        )
+        result_bytes = 60 * 20_000 * 8
+        tracemalloc.start()
+        try:
+            results = sgld_chain(target, sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(r, DivergenceError) and r.step > 400 for r in results)
+        assert peak <= result_bytes + 2 * 2 ** 20
+
+
 class TestUniformSubset:
     @pytest.mark.parametrize(
         "pool_size, subset_size",
@@ -315,6 +452,22 @@ class TestUniformSubset:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
             assert np.array_equal(rows.random(8), twin.random(8))
+
+    @pytest.mark.parametrize("count, pool_size, subset_size", [
+        (1, 1, 1), (5, 7, 7), (50, 20, 5), (300, 200, 100), (3001, 50, 49),
+    ])
+    def test_swaps_of_drawn_uniforms_match_uniform_subsets(self, count, pool_size,
+                                                           subset_size):
+        # The swap step alone, on uniforms drawn by hand, gives the subsets
+        # of the full draw, and the stream ends in the same state.
+        for seed in range(5):
+            gen = make_generator(seed)
+            twin = make_generator(seed)
+            got = subsets_from_uniforms(gen.random((count, subset_size)), pool_size)
+            want = uniform_subsets(twin, count, pool_size, subset_size)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(gen.random(3), twin.random(3))
 
     @pytest.mark.parametrize(
         "count, pool_size, subset_size",
@@ -389,6 +542,10 @@ class TestUniformSubset:
             uniform_subset(make_generator(0), 5, 6)
         with pytest.raises(ValueError, match="subset size"):
             uniform_subset(make_generator(0), 5, 0)
+        with pytest.raises(ValueError, match="subset size"):
+            subsets_from_uniforms(np.zeros((3, 6)), 5)
+        with pytest.raises(ValueError, match="matrix"):
+            subsets_from_uniforms(np.zeros(3), 5)
 
 
 class TestIidGaussian:
