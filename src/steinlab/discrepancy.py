@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteScoreError, NumericalConsistencyError
+from .errors import NonFiniteScoreError, NumericalConsistencyError, check_int
 from .parallel import BLOCK_ROWS, ordered_map, row_blocks, tree_reduce_sum
 from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
@@ -394,21 +394,23 @@ def sksd(batch, target, spec, m, seed, threads=1):
     set and the result is bit-identical to :func:`ksd`.  The per-coordinate
     pieces combine in the l2 norm.
 
-    ``m`` and ``seed`` may also be equal-length sequences.  Each entry then
-    draws its own subsets and score matrix, the kernel part of the pairwise
-    pass is built once for all of them, and a list with one result per
-    entry is returned in order, each bit-identical to the scalar call with
-    that entry's ``m`` and ``seed``.
+    ``m`` and ``seed`` are scalars (a 0-d array is one) or equal-length
+    sequences.  Each entry of a sequence draws its own subsets and score
+    matrix, the kernel part of the pairwise pass is built once for all of
+    them, and a list with one result per entry is returned in order, each
+    bit-identical to the scalar call with that entry's ``m`` and ``seed``.
     """
-    stacked = not np.isscalar(m)
-    if stacked == np.isscalar(seed) or (stacked and len(m) != len(seed)):
-        raise ValueError(
-            "m and seed must both be scalars or both be sequences of one length"
-        )
-    ms, seeds = (list(m), [int(s) for s in seed]) if stacked else ([m], [int(seed)])
-    if not ms:
+    stacked = np.ndim(m) > 0
+    if stacked == (np.ndim(seed) == 0) or (stacked and len(m) != len(seed)):
+        raise ValueError("m and seed must both be scalars or both be sequences "
+                         "of one length")
+    if not stacked:
+        m, seed = [np.asarray(m).item()], [np.asarray(seed).item()]
+    if not len(m):
         raise ValueError("no subset sizes to score")
-    subset_mats = [draw_subsets(batch.n, target.L, mi, si) for mi, si in zip(ms, seeds)]
+    seeds = [check_int("seed", s) for s in seed]
+    subset_mats = [draw_subsets(batch.n, target.L, check_int("m", mi), si)
+                   for mi, si in zip(m, seeds)]
     results = _finish(batch, target, spec, subset_mats, seeds, threads)
     return results if stacked else results[0]
 

@@ -1,4 +1,7 @@
-"""Exceptions and warnings shared across the package."""
+"""Exceptions and warnings shared across the package, and its numeric-parameter checks."""
+
+import math
+import numbers
 
 
 class SteinlabError(Exception):
@@ -32,3 +35,23 @@ class ConfigError(SteinlabError):
 
 class DegenerateBandwidthWarning(UserWarning):
     """The median pairwise distance is zero; the bandwidth was floored."""
+
+
+def check_int(name, value, minimum=None) -> int:
+    """``int(value)`` for an integer (not a ``bool``) >= ``minimum``; else a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} = {value!r} is less than {minimum}")
+    return int(value)
+
+
+def check_real(name, value, positive=False):
+    """``value`` if a finite real (not a ``bool``), positive if asked; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value!r} is not finite")
+    if positive and not value > 0:
+        raise ValueError(f"{name} = {value!r} is not positive")
+    return value

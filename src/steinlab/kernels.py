@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBandwidthWarning
+from .errors import DegenerateBandwidthWarning, check_real
 
 IMQ = "imq"
 LOG_INVERSE = "log_inverse"
@@ -65,10 +65,7 @@ class KernelSpec:
             raise ValueError(f"family = {self.family!r} is not one of "
                              f"{', '.join(FAMILIES)}")
         for name in ("beta", "alpha", "bandwidth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
-        if not self.bandwidth > 0.0:
-            raise ValueError(f"bandwidth = {self.bandwidth!r} is not positive")
+            check_real(name, getattr(self, name), positive=name == "bandwidth")
         if self.family == IMQ and not -1.0 < self.beta < 0.0:
             raise ValueError(f"beta = {self.beta!r} is not in (-1, 0) for family imq")
         if self.family == LOG_INVERSE:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteScoreError
+from .errors import NonFiniteScoreError, check_int, check_real
 from .rng import make_generator
 
 
@@ -59,6 +59,10 @@ class DecomposableTarget:
     L: int
     grad_log_prior: Callable
     terms_sum: Callable
+
+    def __post_init__(self):
+        check_int("dim", self.dim, 1)
+        check_int("L", self.L, 1)
 
     def _points(self, x) -> np.ndarray:
         """The call's points as an (rows, d) matrix."""
@@ -170,6 +174,13 @@ def _first_bad_row(values) -> int:
     return int(np.argmin(np.isfinite(values).all(axis=1)))
 
 
+def _check_entries(name, values, positive=False):
+    """``check_real`` of the first failing entry of an array, e.g. ``sigma_sq[1]``."""
+    bad = np.argwhere(~np.isfinite(values) | (values <= 0 if positive else False))
+    if len(bad):
+        check_real(f"{name}{bad[0].tolist()}", float(values[tuple(bad[0])]), positive)
+
+
 def make_gaussian(mu, sigma_sq, L, dim=None) -> DecomposableTarget:
     """Gaussian N(mu, diag(sigma_sq)) split into L identical likelihood
     factors under a flat prior.
@@ -180,20 +191,13 @@ def make_gaussian(mu, sigma_sq, L, dim=None) -> DecomposableTarget:
     the last bit whenever ``L / count`` is a power of two, which the
     equal-factor identity tests exploit.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    sigma_sq = np.atleast_1d(np.asarray(sigma_sq, dtype=np.float64))
-    mu, sigma_sq = np.broadcast_arrays(mu, sigma_sq)
-    if dim is not None:
-        mu = np.broadcast_to(mu, (int(dim),))
-        sigma_sq = np.broadcast_to(sigma_sq, (int(dim),))
-    mu = np.array(mu, dtype=np.float64)
-    sigma_sq = np.array(sigma_sq, dtype=np.float64)
+    mu, sigma_sq = np.broadcast_arrays(np.atleast_1d(mu), np.atleast_1d(sigma_sq))
+    shape = mu.shape if dim is None else (check_int("dim", dim, 1),)
+    mu, sigma_sq = (np.array(np.broadcast_to(a, shape), dtype=np.float64)
+                    for a in (mu, sigma_sq))
     d = mu.shape[0]
-    if not np.all(sigma_sq > 0):
-        raise ValueError("variances must be positive")
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    L = int(L)
+    _check_entries("mu", mu)
+    _check_entries("sigma_sq", sigma_sq, positive=True)
 
     def full_score(X):
         return -(np.asarray(X, dtype=np.float64) - mu) / sigma_sq
@@ -223,10 +227,10 @@ def make_gmm_posterior(
     y = np.asarray(observations, dtype=np.float64).reshape(-1)
     if y.size == 0:
         raise ValueError("observations must be nonempty")
-    if min(sigma1_sq, sigma2_sq, sigma_x_sq) <= 0:
-        raise ValueError("variances must be positive")
-    prior_var = np.array([sigma1_sq, sigma2_sq], dtype=np.float64)
-    sx = float(sigma_x_sq)
+    _check_entries("observations", y)
+    prior_var = np.array([check_real("sigma1_sq", sigma1_sq, positive=True),
+                          check_real("sigma2_sq", sigma2_sq, positive=True)], dtype=np.float64)
+    sx = float(check_real("sigma_x_sq", sigma_x_sq, positive=True))
 
     def _score_terms(yy, th):
         """Per-term scores, shape (..., m, 2), of observations yy (..., m)
@@ -289,6 +293,7 @@ def make_logreg(X, y) -> DecomposableTarget:
         )
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must take values in {0, 1}")
+    _check_entries("X", X)
     d = X.shape[1]
 
     def _score_terms(idx, w):
@@ -308,10 +313,8 @@ def make_logreg(X, y) -> DecomposableTarget:
 
 def gen_gmm_data(theta1, theta2, sigma_x_sq, L, seed) -> np.ndarray:
     """L i.i.d. draws from 0.5 N(th1, sx) + 0.5 N(th1 + th2, sx)."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    if sigma_x_sq <= 0:
-        raise ValueError("sigma_x_sq must be positive")
+    check_int("L", L, 1)
+    check_real("sigma_x_sq", sigma_x_sq, positive=True)
     gen = make_generator(seed)
     mix = gen.random(L) < 0.5
     means = np.where(mix, float(theta1), float(theta1) + float(theta2))
@@ -320,8 +323,8 @@ def gen_gmm_data(theta1, theta2, sigma_x_sq, L, seed) -> np.ndarray:
 
 def gen_logreg_data(n, d, w_true, seed):
     """Standard-normal design matrix and Bernoulli(sigmoid(X w)) labels."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
+    check_int("n", n, 1)
+    check_int("d", d, 1)
     w = np.broadcast_to(np.atleast_1d(np.asarray(w_true, float)), (d,))
     gen = make_generator(seed)
     X = gen.standard_normal((n, d))

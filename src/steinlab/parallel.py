@@ -3,13 +3,14 @@
 Work is always split into the same fixed row blocks and partial results are
 combined in a fixed order (ordered concatenation or a pairwise reduction
 tree), so numeric outputs are bit-identical for any worker count.  The
-worker count is a plain positive integer argument, checked where
-:func:`ordered_map` spends it, or by :func:`check_workers` where a caller
-that could spend it has only one item and skips the map.
+worker count is a plain positive integer argument, checked by
+``errors.check_int`` in :func:`ordered_map`, or by a caller that skips the
+map for one item.
 """
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import check_int
 
 BLOCK_ROWS = 256
 
@@ -19,19 +20,10 @@ def row_blocks(n):
     return [(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
 
 
-def check_workers(workers):
-    """Raise ``ValueError`` unless ``workers`` is a positive integer (a
-    ``bool`` is not)."""
-    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
-        raise ValueError(f"thread count must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"thread count must be positive, got {workers!r}")
-
-
 def ordered_map(fn, items, workers):
     """Apply ``fn`` to every item on ``workers`` threads, preserving item
     order in the result.  ``workers`` must be a positive integer."""
-    check_workers(workers)
+    check_int("thread count", workers, 1)
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import check_int
+
 _MASK64 = (1 << 64) - 1
 
 # A subset draw shuffles its int64 pool in row chunks of at most this many
@@ -22,7 +24,7 @@ SUBSET_POOL_ENTRIES = 2 ** 15
 
 def make_generator(seed) -> np.random.Generator:
     """Philox-backed generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=check_int("seed", seed) & _MASK64))
 
 
 def derive_seed(seed, *parts) -> int:
@@ -33,7 +35,7 @@ def derive_seed(seed, *parts) -> int:
     """
     label = "|".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.blake2b(label, digest_size=8).digest()
-    return (int(seed) ^ int.from_bytes(digest, "little")) & _MASK64
+    return (check_int("seed", seed) ^ int.from_bytes(digest, "little")) & _MASK64
 
 
 def _check_subset_size(pool_size, subset_size):

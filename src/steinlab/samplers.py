@@ -24,13 +24,12 @@ its stream, so the chunking changes no bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrepancy import SampleBatch
-from .errors import DivergenceError, NonFiniteScoreError
+from .errors import DivergenceError, NonFiniteScoreError, check_int, check_real
 from .rng import SUBSET_POOL_ENTRIES, make_generator, subsets_from_uniforms
 
 
@@ -49,18 +48,9 @@ class SgldConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step size must be positive")
-        if not math.isfinite(self.step):
-            raise ValueError(f"step = {self.step!r} is not finite")
-        for name in ("batch", "steps"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} = {value!r} is not an integer")
-        if self.batch < 1:
-            raise ValueError("minibatch size must be at least 1")
-        if self.steps < 1:
-            raise ValueError("chain length must be at least 1")
+        check_real("step", self.step, positive=True)
+        for name, minimum in (("batch", 1), ("steps", 1), ("seed", None)):
+            check_int(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -208,10 +198,9 @@ def _diverged(results, configs, chains, t, cause=None):
 
 def iid_gaussian(n, d, mu, sigma, seed) -> SampleBatch:
     """n i.i.d. N(mu, sigma^2 I_d) rows, deterministic given the seed."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    check_int("n", n, 1)
+    check_int("d", d, 1)
+    check_real("sigma", sigma, positive=True)
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=np.float64)), (d,))
     gen = make_generator(seed)
     return SampleBatch(mu + float(sigma) * gen.standard_normal((n, d)))

@@ -41,7 +41,6 @@ a round holds O(n^2) memory.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -50,8 +49,8 @@ import numpy as np
 
 from . import kernels
 from .discrepancy import SampleBatch, scaled_scores
-from .errors import DivergenceError
-from .parallel import BLOCK_ROWS, check_workers, ordered_map, row_blocks, tree_reduce_sum
+from .errors import DivergenceError, check_int, check_real
+from .parallel import BLOCK_ROWS, ordered_map, row_blocks, tree_reduce_sum
 from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
 
 CONSTANT = "constant"
@@ -86,16 +85,11 @@ class SvgdConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
-        if self.batch < 1:
-            raise ValueError("batch must be at least 1")
-        for name in ("step", "fudge"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} = {value!r} is not finite")
+        for name, minimum in (("rounds", 0), ("batch", 1), ("checkpoint_every", 0),
+                              ("seed", None)):
+            check_int(name, getattr(self, name), minimum)
+        check_real("step", self.step, positive=True)
+        check_real("fudge", self.fudge, positive=True)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.bandwidth_policy is None:
@@ -104,8 +98,6 @@ class SvgdConfig:
             )
         if self.bandwidth_policy not in BANDWIDTH_POLICIES:
             raise ValueError(f"unknown bandwidth policy {self.bandwidth_policy!r}")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be nonnegative")
 
 
 def default_bandwidth_policy(kernel) -> str:
@@ -168,7 +160,7 @@ def ssvgd_direction(batch, target, spec, sq, subsets=None, threads=1) -> np.ndar
         return (drift + 2.0 * rep) / n
 
     if one_block:
-        check_workers(threads)
+        check_int("thread count", threads, 1)
         direction = block_direction((0, n))
     else:
         direction = np.concatenate(ordered_map(block_direction, sources, threads), axis=0)

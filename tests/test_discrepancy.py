@@ -39,6 +39,7 @@ from steinlab import discrepancy as discrepancy_module
 from steinlab import kernels as kernels_module
 from steinlab.discrepancy import (
     NEGATIVE_TOLERANCE,
+    DiscrepancyResult,
     _block_pair_peak,
     _block_pair_sums,
     _Workspace,
@@ -899,8 +900,17 @@ class TestSksdAndKsd:
             assert result.term_evals == batch.n * m
         assert results[2].to_dict() == dict(ksd(batch, target, IMQ).to_dict(), seed=5)
 
+    def test_zero_d_arrays_act_as_scalars(self):
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 6, seed=4))
+        batch = iid_gaussian(10, 2, 0.0, 1.0, seed=6)
+        result = sksd(batch, target, IMQ, np.array(2), np.array(3))
+        assert isinstance(result, DiscrepancyResult)
+        assert result.to_dict() == sksd(batch, target, IMQ, 2, 3).to_dict()
+        assert type(result.seed) is int
+
     @pytest.mark.parametrize(
-        "m, seed", [([1, 2], [3]), ([1], 3), (1, [3]), ([], [])]
+        "m, seed", [([1, 2], [3]), ([1], 3), (1, [3]), ([], []),
+                    (np.array(1), [3]), ([1], np.array(3))]
     )
     def test_sequence_form_validation(self, m, seed):
         target = make_gaussian(0.0, 1.0, 4, dim=1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,17 +19,18 @@ class TestResolveThreads:
         for value in (0, -3):
             with pytest.raises(ValueError) as err:
                 ordered_map(abs, [1, 2], value)
-            assert str(err.value) == f"thread count must be positive, got {value}"
+            assert str(err.value) == f"thread count = {value} is less than 1"
 
     @pytest.mark.parametrize("value, shown", [
         (2.5, "2.5"), (0.5, "0.5"), (True, "True"), ("3", "'3'"), (None, "None"),
+        (math.nan, "nan"), (-math.inf, "-inf"),
     ])
     def test_rejects_non_integers_as_given(self, value, shown):
         # Also for one item or none, which need no pool.
         for items in ([], [1], [1, 2]):
             with pytest.raises(ValueError) as err:
                 ordered_map(abs, items, value)
-            assert str(err.value) == f"thread count must be an integer, got {shown}"
+            assert str(err.value) == f"thread count = {shown} is not an integer"
 
     def test_accepts_numpy_integers(self):
         assert ordered_map(abs, [-1, 2, -3], np.int64(2)) == [1, 2, 3]
@@ -35,7 +38,7 @@ class TestResolveThreads:
     def test_library_calls_check_the_count_where_they_spend_it(self):
         batch = SampleBatch(np.zeros((3, 1)))
         target = make_gaussian(0.0, 1.0, L=2)
-        with pytest.raises(ValueError, match="thread count must be positive, got 0"):
+        with pytest.raises(ValueError, match="thread count = 0 is less than 1"):
             ksd(batch, target, IMQ, threads=0)
         with pytest.raises(ValueError, match="does not match batch"):
             coord_stein_sums(batch, np.zeros((1, 2, 1)), IMQ, threads=0)
@@ -43,8 +46,8 @@ class TestResolveThreads:
         for n in (3, 257):
             points = iid_gaussian(n, 1, 0.0, 1.0, seed=n)
             sq = squared_distances(points.points, points.points)
-            for threads, message in ((0, "positive, got 0"), (1.0, "an integer, got 1.0")):
-                with pytest.raises(ValueError, match=f"thread count must be {message}"):
+            for threads, message in ((0, "0 is less than 1"), (1.0, "1.0 is not an integer")):
+                with pytest.raises(ValueError, match=f"thread count = {message}"):
                     ssvgd_direction(points, target, IMQ, sq, threads=threads)
         # No round, no direction: nothing spends the count.
         config = SvgdConfig(rounds=0, batch=2, kernel=IMQ)

@@ -47,7 +47,7 @@ class TestSgldConfig:
             SgldConfig(step=math.inf, batch=1, steps=10, init=0.0, seed=0)
 
     @pytest.mark.parametrize("field", ["batch", "steps"])
-    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2", math.nan, math.inf, -math.inf])
     def test_non_integer_batch_or_steps_raises(self, field, value):
         kwargs = dict(step=0.1, batch=1, steps=10, init=0.0, seed=0)
         kwargs[field] = value

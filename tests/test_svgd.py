@@ -446,7 +446,7 @@ class TestRunSsvgd:
         assert SvgdConfig(rounds=1, batch=1, kernel=RBF,
                           bandwidth_policy="fixed").bandwidth_policy == "fixed"
 
-    @pytest.mark.parametrize("fudge", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("fudge", [0.0, -1.0, float("nan"), -math.inf, True, "1"])
     def test_fudge_must_be_positive(self, fudge):
         # The AdaGrad step is step / (fudge + sqrt(acc)): a fudge <= 0 makes
         # it negative or infinite.
