@@ -31,7 +31,6 @@ import gc
 import json
 import math
 import os
-import statistics
 import sys
 
 from . import io as sio
@@ -364,6 +363,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_tune_sgld(args) -> int:
+    # Only this command summarises with statistics; imported before any
+    # compute, so the others never load it.
+    import statistics
+
     cfg = _Config(args, "tune")
     target, spec, opts = cfg.target, cfg.kernel, cfg.read("tune", _TUNE)
     eps_grid, m_values, seed = opts["eps_grid"], opts["m_list"], opts["seed"]

@@ -19,9 +19,10 @@ that.  Once the kernel profile ``K, P1, P2`` is built from them, every
 coordinate's sum comes from three matrix products of those profiles with
 per-point columns (centred coordinates, scores, and their products),
 combined per row; no per-coordinate pass over a block matrix follows the
-profile.  Every block matrix lives in a per-call workspace of
-six 256 x 256 matrices per worker, whatever the dimension, written with
-``out=`` and freed when the call returns; no ``(n, n, d)`` or
+profile, which is written over the squared distances.  Every block
+matrix lives in a per-call workspace of three 256 x 256 matrices per worker
+(five for log_inverse), whatever the dimension, written with ``out=`` and
+freed when the call returns; no ``(n, n, d)`` or
 ``(256, 256, d)`` array and no per-pair block matrix is allocated.  The
 kernel profile takes one ``pow`` per block pair for the power families
 (see :func:`kernels.radial_profile`).  The largest pairwise term
@@ -223,14 +224,17 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
     that carry the weight (with two clusters 50 apart mixed in one block
     and bandwidths near 1, a block sum's error is up to about 20 times that
     of summing the formed terms).  No matrix product reduces over more than
-    one block, so the bits do not depend on the BLAS thread count.  Six
+    one block, so the bits do not depend on the BLAS thread count.  Three
     workspace matrices hold the block matrices, whatever the dimension and
-    the stack size.
+    the stack size, and log_inverse takes two more for its intermediates:
+    the profile is written over ``S``, and below three dimensions ``P1``
+    is the scratch of the distance sums.
     """
     a0, a1 = rows_a
     b0, b1 = rows_b
     Xa, Xb = X[a0:a1], X[b0:b1]
-    S, K, P1, P2, W, D = workspace.matrices(6, (a1 - a0, b1 - b0))
+    count = 5 if spec.family == kernels.LOG_INVERSE else 3
+    S, P1, P2, *scratch = workspace.matrices(count, (a1 - a0, b1 - b0))
     d = X.shape[1]
     c = Xb.mean(axis=0)
     xa = Xa - c
@@ -246,8 +250,8 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
         S += cols[:, :d].sum(axis=1)
         np.maximum(S, 0.0, out=S)
     else:
-        kernels.squared_distances(Xa, Xb, out=S, scratch=D)
-    K, P1, P2 = kernels.radial_profile(spec, S, out=(K, P1, P2), scratch=(W, D))
+        kernels.squared_distances(Xa, Xb, out=S, scratch=P1)
+    K, P1, P2 = kernels.radial_profile(spec, S, out=(S, P1, P2), scratch=scratch)
     cols[:, d] = 1.0
     p2_xb2, r2, p2_xb = np.split(P2 @ cols[:, : 2 * d + 1], [d, d + 1], axis=1)
     # Per row and coordinate: 4 sum_b P2 D_j^2, shared by every member.

@@ -21,7 +21,8 @@ dimensions call it on each block pair (from three on, the block sums come
 from one matrix product, see :mod:`steinlab.discrepancy`).  It and
 :func:`radial_profile` write into caller-supplied arrays when given them
 (``out=``, ``scratch=``), which is how the Stein engine reuses one
-workspace across block pairs.  Finite differences and pointwise kernel
+workspace across block pairs; :func:`radial_profile` may write the kernel
+over its own input.  Finite differences and pointwise kernel
 values are test oracles only.
 """
 
@@ -94,9 +95,12 @@ def radial_profile(spec: KernelSpec, sq_dist, out=None, scratch=None):
 
     ``out`` is three float64 arrays of ``sq_dist``'s shape that receive
     ``k, p1, p2`` and are returned; ``scratch`` is two more that
-    log_inverse uses for intermediates.  Both are allocated when None, and
-    neither may share memory with ``sq_dist``.  The arithmetic is the same
-    either way, so the results are too, bit for bit.  A caller that needs
+    log_inverse uses for intermediates.  Both are allocated when None.
+    Every family reads ``sq_dist`` only in its first operation, which
+    writes ``k``, so ``out[0]`` may be ``sq_dist`` itself and the profile
+    then overwrites it; no other buffer may share memory with it.  The
+    arithmetic is the same either way, so the results are too, bit for
+    bit.  A caller that needs
     only ``k`` and ``p1``, such as the SVGD direction, passes None as the
     third entry of ``out``: the last steps of ``p2`` are then skipped and
     None is returned in its place, with ``k`` and ``p1`` unchanged.

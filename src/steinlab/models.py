@@ -313,8 +313,10 @@ def make_logreg(X, y) -> DecomposableTarget:
 
 def gen_gmm_data(theta1, theta2, sigma_x_sq, L, seed) -> np.ndarray:
     """L i.i.d. draws from 0.5 N(th1, sx) + 0.5 N(th1 + th2, sx)."""
-    check_int("L", L, 1)
+    check_real("theta1", theta1)
+    check_real("theta2", theta2)
     check_real("sigma_x_sq", sigma_x_sq, positive=True)
+    check_int("L", L, 1)
     gen = make_generator(seed)
     mix = gen.random(L) < 0.5
     means = np.where(mix, float(theta1), float(theta1) + float(theta2))
@@ -326,6 +328,7 @@ def gen_logreg_data(n, d, w_true, seed):
     check_int("n", n, 1)
     check_int("d", d, 1)
     w = np.broadcast_to(np.atleast_1d(np.asarray(w_true, float)), (d,))
+    _check_entries("w_true", w)
     gen = make_generator(seed)
     X = gen.standard_normal((n, d))
     p = sigmoid(X @ w)

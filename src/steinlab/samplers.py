@@ -30,6 +30,7 @@ import numpy as np
 
 from .discrepancy import SampleBatch
 from .errors import DivergenceError, NonFiniteScoreError, check_int, check_real
+from .models import _check_entries
 from .rng import SUBSET_POOL_ENTRIES, make_generator, subsets_from_uniforms
 
 
@@ -200,7 +201,8 @@ def iid_gaussian(n, d, mu, sigma, seed) -> SampleBatch:
     """n i.i.d. N(mu, sigma^2 I_d) rows, deterministic given the seed."""
     check_int("n", n, 1)
     check_int("d", d, 1)
-    check_real("sigma", sigma, positive=True)
     mu = np.broadcast_to(np.atleast_1d(np.asarray(mu, dtype=np.float64)), (d,))
+    _check_entries("mu", mu)
+    check_real("sigma", sigma, positive=True)
     gen = make_generator(seed)
     return SampleBatch(mu + float(sigma) * gen.standard_normal((n, d)))

@@ -100,6 +100,12 @@ ROWS = [
     (lambda seed: sksd(POINTS, GAUSS, IMQ, [2, 3], [1, seed]), "seed", [True, 5.5]),
     (lambda m: sksd(POINTS, GAUSS, IMQ, m, 0), "m", [True, 2.5, math.nan, np.float64(2.0)]),
     (lambda m: sksd(POINTS, GAUSS, IMQ, [2, m], [0, 1]), "m", [True, 2.5]),
+    # Location parameters, checked before they are used: a non-finite one
+    # was blamed on the sample points, returned NaN data or all-zero labels.
+    (_with(_iid, d=2), "mu", _entries(False) + [math.inf]),
+    (_gmm_data, "theta1", _reals(False)),
+    (_gmm_data, "theta2", _reals(False)),
+    (_logreg_data, "w_true", _entries(False)),
 ]
 
 CASES = [pytest.param(call, name, value, id=f"{i}-{name}-{value!r}")

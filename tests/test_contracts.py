@@ -9,14 +9,18 @@ bypasses fails a traced benchmark run.  The tracer's counters read some call
 arguments by position, or by name when they are passed as keywords; those
 parameters must stay where they are.  The engine imports only the
 standard library, numpy and its own modules, and reads no environment
-variable: a run is a function of its config and flags.
+variable: a run is a function of its config and flags.  Importing the CLI
+loads no module that only some commands run, but does load every module
+whose entry point the benchmark wraps right after that import.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +127,23 @@ def test_benchmark_commands_call_every_expected_layer(perfbench, monkeypatch,
         if report["spans"].get(name, {}).get("calls", 0) == 0
     ]
     assert not missing, f"{workload} calls no {sorted(set(missing))}"
+
+
+def test_cli_import_loads_what_every_command_runs(perfbench):
+    # In a fresh interpreter: the thread pool (which brings logging) and
+    # statistics are never run by score, and the first-call stamp that
+    # perfbench installs after this import wraps the entry points in place.
+    _, _, tracer = perfbench
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, steinlab.cli; print(*sorted(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert not loaded & {"concurrent.futures", "logging", "statistics"}
+    stamped = {f"steinlab.{module}" for module, _ in tracer.COMPUTE_ENTRY_POINTS}
+    assert {"steinlab.samplers", "steinlab.svgd"} <= stamped <= loaded
 
 
 def test_counted_arguments_keep_their_places():

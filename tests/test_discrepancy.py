@@ -715,37 +715,43 @@ class TestStackedEngine:
 
 
 class TestWorkspaceMemory:
-    """One call holds six 256 x 256 workspace matrices per worker and
-    frees them on return, whatever the number of stacked score matrices;
-    the stated slack of 256 KiB covers the O(256 d) row vectors and the
-    per-pair results."""
+    """One call holds three 256 x 256 workspace matrices per worker (five
+    for log_inverse) and frees them on return, whatever the dimension and
+    the number of stacked score matrices: the kernel profile is written over
+    the squared distances, and below three dimensions ``P1`` is the scratch
+    of their sums.  The stated slack of 256 KiB covers the O(256 d) row
+    vectors and the per-pair results.  The test names keep the six matrices
+    of the bound they were written with."""
 
-    @staticmethod
-    def _assert_six_block_matrices(members, family):
-        rng = np.random.default_rng(3)
-        X = rng.normal(0.3, 1.0, size=(600, 9))
-        B = -X + 0.5 * rng.standard_normal((600, 9))
-        B = np.stack([B * (1.0 + member) for member in range(members)])
-        batch = SampleBatch(X)
-        spec = ENGINE_SPECS[family]
-        coord_stein_sums(batch, B, spec, threads=1)
-        tracemalloc.start()
-        try:
+    BLOCK_MATRICES = {"imq": 3, "log_inverse": 5, "rbf": 3}
+
+    @classmethod
+    def _assert_block_matrices(cls, members, family):
+        for d in (2, 9):
+            rng = np.random.default_rng(3)
+            X = rng.normal(0.3, 1.0, size=(600, d))
+            B = -X + 0.5 * rng.standard_normal((600, d))
+            B = np.stack([B * (1.0 + member) for member in range(members)])
+            batch = SampleBatch(X)
+            spec = ENGINE_SPECS[family]
             coord_stein_sums(batch, B, spec, threads=1)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        block = 256 * 256 * 8
-        assert peak <= 6 * block + 256 * 1024
-        assert current < block
+            tracemalloc.start()
+            try:
+                coord_stein_sums(batch, B, spec, threads=1)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            block = 256 * 256 * 8
+            assert peak <= cls.BLOCK_MATRICES[family] * block + 256 * 1024, d
+            assert current < block
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     def test_peak_allocation_is_six_block_matrices(self, family):
-        self._assert_six_block_matrices(1, family)
+        self._assert_block_matrices(1, family)
 
     @pytest.mark.parametrize("family", sorted(ENGINE_SPECS))
     def test_stack_of_three_shares_the_six_block_matrices(self, family):
-        self._assert_six_block_matrices(3, family)
+        self._assert_block_matrices(3, family)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -25,6 +25,57 @@ from steinlab.rng import derive_seed
 IMQ = KernelSpec("imq", beta=-0.5)
 
 
+# Cells that float() and numpy's reader may read differently: underscores,
+# non-ASCII digits and spaces, ASCII control spaces, hex, exponent forms,
+# overflow and underflow, and malformed numbers.
+ODD_CELLS = [
+    "1_0", "\uff11", "\u0663", " 1.5 ", "\t2\t", "\x0b3", "\x0c4", "\x1c5", "\x1f6",
+    "+1", "-0", ".5", "5.", "1e3", "1E-3", "0x10", "1d3", "", " ", "1 2", "1.2.3",
+    "1e", "1e500", "4.9e-324", "1e-400", "0001.25", "\xa07", "7\u2003", "1j", "--1",
+    "nan(1)",
+]
+
+SAMPLE_PARITY_FILES = [
+    *(f"x1,x2\n0.5,{cell}\n".encode() for cell in ODD_CELLS),
+    *(f"x1,x2\n0.5,1\n{cell},2\n".encode() for cell in ODD_CELLS),
+    b"x1,x2\n\n1,2\n\n3,4\n\n",  # blank lines
+    b"x1,x2\n1,2\n   \n3,4\n",  # a line of spaces
+    b"x1,x2\n1,2\n3,4\n \t",
+    b"x1,x2\r\n1,2\r\n3,4\r\n",  # CRLF
+    b"x1,x2\r1,2\r3,4\r",  # CR only
+    b"x1,x2\n1,2\r3,4\n",
+    b"# a\rx1,x2\n1,2\n",
+    "\ufeffx1,x2\n1,2\n".encode(),  # BOM
+    b"# seed = 1\n\n  # m = 2\nx1,x2\n1,2\n",  # # lines before the header
+    b"x1,x2\n1,2\n# note\n3,4\n",  # and inside the body
+    b"x1,x2\n1,2\n  # note\n",
+    b'x1,x2\n"1",2\n',  # quoted cells
+    b'"x1",x2\n1,2\n',
+    b"x1,x2\n1,2\n3\n",  # ragged rows
+    b"x1,x2\n1\n",
+    b"x1,x2\n1,2,3\n",
+    b"x1,x2\n1,2,\n",
+    b"x1,x2\n1,2\xe9\n",  # non-UTF-8 bytes
+    b"# \xe9\nx1,x2\n1,2\n",
+    "# \u00e9\nx1,x2\n1,2\n".encode(),
+    b"x1,x2\n",  # a header with no rows
+    b"# a\nx1,x2\n\n\n",
+    b"",
+    b"# only meta\n\n",
+    b"x1,x2\nnan,2\n",  # non-finite values
+    b"x1,x2\n1,inf\n",
+    b"x1,x2\n1,2\n-Infinity,2\n",
+    b"a,b\n1,2\n",  # headers
+    b"1,2\n3,4\n",
+    b" x1 , x2 \n1,2\n",
+    b"x1,x2,x3\n1,2\n",
+    b"x1\n1\n2\n",
+    b"x1,x2\n1,2\n3,4",  # no final newline
+    b" 1 , 2\nx1\n",
+    b"x1,x2\n 1 ,\t2\n\x0c3,4\x0b\n",
+]
+
+
 class TestSampleCsv:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -70,19 +121,45 @@ class TestSampleCsv:
             io.read_samples_csv(path)
         assert str(err.value) == f"{path}:3: byte 0xe9 is not UTF-8"
 
-    def test_file_read_once(self, tmp_path, monkeypatch):
+    def test_file_read_once(self, tmp_path):
+        # Every open of a path-like object resolves it through __fspath__.
+        class CountedPath(os.PathLike):
+            def __init__(self, path):
+                self.path, self.opens = path, 0
+
+            def __fspath__(self):
+                self.opens += 1
+                return os.fspath(self.path)
+
+        for name, meta in (("plain.csv", None), ("meta.csv", {"seed": 5, "m": 2})):
+            path = CountedPath(tmp_path / name)
+            io.write_samples_csv(path.path, SampleBatch(np.eye(3)), meta=meta)
+            assert np.array_equal(io.read_samples_csv(path).points, np.eye(3))
+            assert path.opens == 1, name
+
+    def test_numpy_reader_reads_written_samples(self, tmp_path):
         path = tmp_path / "s.csv"
-        io.write_samples_csv(path, SampleBatch(np.eye(3)))
-        reads = []
-        data_lines = io._data_lines
+        points = np.random.default_rng(4).standard_normal((9, 3))
+        io.write_samples_csv(path, SampleBatch(points), meta={"seed": 1})
+        rows = io._loadtxt_rows(path, path.read_bytes())
+        assert rows is not None and np.array_equal(rows, points)
 
-        def counted(source):
-            reads.append(source)
-            return data_lines(source)
+    @pytest.mark.parametrize("data", SAMPLE_PARITY_FILES)
+    def test_fast_path_gives_the_line_parsers_result(self, tmp_path, data):
+        # Numpy's reader takes some of these files and leaves the rest to the
+        # line parser; either way the result is the line parser's.
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
 
-        monkeypatch.setattr(io, "_data_lines", counted)
-        assert np.array_equal(io.read_samples_csv(path).points, np.eye(3))
-        assert reads == [path]
+        def outcome(read):
+            try:
+                rows = read()
+            except ConfigError as err:
+                return "error", str(err)
+            return rows.shape, rows.tobytes()
+
+        expected = outcome(lambda: io._parse_rows(path, data, sample_header=True)[1])
+        assert outcome(lambda: io.read_samples_csv(path).points) == expected
 
 
 class TestDatasetCsv:

@@ -138,6 +138,23 @@ class TestRadialProfile:
             assert got[0] is out[0] and got[1] is out[1] and got[2] is None
             assert np.array_equal(got[0], k) and np.array_equal(got[1], p1)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("with_p2", [True, False])
+    def test_in_place_over_the_input_gives_the_same_bits(self, spec, with_p2):
+        # The Stein engine writes k over its squared distances.
+        rng = np.random.default_rng(6)
+        q = kernels.squared_distances(rng.standard_normal((40, 3)),
+                                      rng.standard_normal((30, 3)))
+        q[0, :3] = 0.0
+        expected = kernels.radial_profile(spec, q)
+        sq = q.copy()
+        out = (sq, np.empty_like(q), np.empty_like(q) if with_p2 else None)
+        got = kernels.radial_profile(spec, sq, out=out,
+                                     scratch=(np.empty_like(q), np.empty_like(q)))
+        assert got[0] is sq and got[1] is out[1] and got[2] is out[2]
+        for mine, theirs in zip(got, expected):
+            assert mine is None or np.array_equal(mine, theirs)
+
 
 class TestGram:
     def test_psd_up_to_float_noise(self):

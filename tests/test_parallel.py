@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -66,6 +69,54 @@ class TestBlocksAndReduction:
         assert ordered_map(lambda v: v * v, items, workers=4) == [
             v * v for v in items
         ]
+
+    def test_ordered_map_keeps_item_order_when_later_items_finish_first(self):
+        last_done = threading.Event()
+
+        def fn(item):
+            if item == 0:
+                assert last_done.wait(timeout=10)
+            if item == 5:
+                last_done.set()
+            return -item
+
+        assert ordered_map(fn, range(6), workers=2) == [0, -1, -2, -3, -4, -5]
+
+    def test_ordered_map_raises_the_first_failing_item_in_item_order(self):
+        # Item 2 fails first, while item 1 still runs; item 1's exception is
+        # raised, as a loop over the items would raise it.
+        two_failed = threading.Event()
+
+        def fn(item):
+            if item == 1:
+                assert two_failed.wait(timeout=10)
+                raise KeyError(1)
+            if item == 2:
+                two_failed.set()
+                raise KeyError(2)
+            return item
+
+        with pytest.raises(KeyError) as err:
+            ordered_map(fn, range(6), workers=2)
+        assert err.value.args == (1,)
+
+    def test_ordered_map_runs_every_item_once_under_contention(self):
+        # More workers than cores and a short switch interval: a lost update
+        # of the shared item counter would run an item twice or skip one.
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            return 3 * item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = ordered_map(fn, range(3000), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [3 * item for item in range(3000)]
+        assert Counter(calls) == Counter(range(3000))
 
     def test_tree_reduction_is_shape_deterministic(self):
         rng = np.random.default_rng(0)
