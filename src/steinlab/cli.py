@@ -495,10 +495,10 @@ def cmd_ssvgd(args) -> int:
 
     records = []
     for round_no, positions, evals in result.checkpoints:
-        records.append(record(round_no, evals, SampleBatch(positions)))
+        batch = SampleBatch(positions)
+        records.append(record(round_no, evals, batch))
         if opts["save_trajectory"]:
-            sio.write_samples_csv(f"{stem}.round-{round_no}.csv", SampleBatch(positions),
-                                  meta=cfg.echo)
+            sio.write_samples_csv(f"{stem}.round-{round_no}.csv", batch, meta=cfg.echo)
     if not records or records[-1]["round"] != config.rounds:
         records.append(record(config.rounds, result.term_evals, result.final))
 

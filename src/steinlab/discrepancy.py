@@ -34,7 +34,8 @@ at several subset sizes: :func:`coord_stein_sums` takes a stack of score
 matrices and builds each block pair's distances, kernel profile and
 score-free products once for all of them, and :func:`sksd` takes
 sequences of ``m`` and ``seed``.  Each member's result is bit-identical to
-scoring it alone.
+scoring it alone.  A member with ``m = L`` draws no subsets: it is scored
+on the exact path, which is what every full-size subset would give.
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
     None.  The target checks the indices and scores
     ``min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // m)`` points per call (at least
     one; m = L on the exact path), so a call's ``(rows, m, d)`` term array
-    stays small at any m; when one call covers the batch its result is
-    returned as it is.  Every row is scored on its own, so the rows per
-    call do not change the bits.  Consumes ``n * m`` (respectively
-    ``n * L``) term-gradient evaluations.
+    stays small at any m; each call's scores are written into their rows of
+    B.  Every row is scored on its own, so the rows per call do not change
+    the bits.  Consumes ``n * m`` (respectively ``n * L``) term-gradient
+    evaluations.
     """
     X = batch.points
     m = target.L
@@ -159,12 +160,6 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
         m = shape[1]
     # An empty subset (m = 0) reaches the target, which rejects it.
     rows = max(1, min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // max(m, 1)))
-    if rows >= batch.n:
-        # One call covers the batch.
-        if subsets is None:
-            return target.grad_log_full(X)
-        scores = target.grad_log_subset(subsets, X)
-        return (target.L / m) * scores
     B = np.empty_like(X)
     for i0 in range(0, batch.n, rows):
         i1 = min(i0 + rows, batch.n)
@@ -173,7 +168,7 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
                 B[i0:i1] = target.grad_log_full(X[i0:i1])
             else:
                 scores = target.grad_log_subset(subsets[i0:i1], X[i0:i1])
-                B[i0:i1] = (target.L / m) * scores
+                np.multiply(target.L / m, scores, out=B[i0:i1])
         except NonFiniteScoreError as err:
             err.point_index += i0
             raise
@@ -253,10 +248,11 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
         kernels.squared_distances(Xa, Xb, out=S, scratch=P1)
     K, P1, P2 = kernels.radial_profile(spec, S, out=(S, P1, P2), scratch=scratch)
     cols[:, d] = 1.0
-    p2_xb2, r2, p2_xb = np.split(P2 @ cols[:, : 2 * d + 1], [d, d + 1], axis=1)
+    p2 = P2 @ cols[:, : 2 * d + 1]
+    p2_xb2, r2, p2_xb = p2[:, :d], p2[:, d : d + 1], p2[:, d + 1 :]
     # Per row and coordinate: 4 sum_b P2 D_j^2, shared by every member.
     four_p2dd = 4.0 * ((xa * r2 - 2.0 * p2_xb) * xa + p2_xb2)
-    del p2_xb2, r2, p2_xb  # frees the P2 product to keep a call's peak low
+    del p2, p2_xb2, r2, p2_xb  # frees the P2 product to keep a call's peak low
 
     def member_sums(B):
         # One member's P1 and K products; its block matrices are freed on
@@ -264,9 +260,9 @@ def _block_pair_sums(X, Bs, spec, rows_a, rows_b, workspace):
         Ba, Bb = B[a0:a1], B[b0:b1]
         cols[:, 2 * d + 1 : 3 * d + 1] = Bb
         np.multiply(xb, Bb, out=cols[:, 3 * d + 1 :])
-        r1, p1_xb, p1_b, p1_xbb = np.split(
-            P1 @ cols[:, d:], [1, d + 1, 2 * d + 1], axis=1
-        )
+        p1 = P1 @ cols[:, d:]
+        r1, p1_xb, p1_b, p1_xbb = (p1[:, :1], p1[:, 1 : d + 1],
+                                   p1[:, d + 1 : 2 * d + 1], p1[:, 2 * d + 1 :])
         # sum_b P1 D_j and sum_b P1 D_j Bb_j, over the products they come from.
         p1d = np.subtract(xa * r1, p1_xb, out=p1_xb)
         p1d_b = np.subtract(xa * p1_b, p1_xbb, out=p1_b)
@@ -394,9 +390,10 @@ def sksd(batch, target, spec, m, seed, threads=1):
     """Stochastic kernel Stein discrepancy with one independent size-m
     subset of likelihood terms per sample point.
 
-    With ``m == target.L`` the drawn subsets are necessarily the full index
-    set and the result is bit-identical to :func:`ksd`.  The per-coordinate
-    pieces combine in the l2 norm.
+    With ``m == target.L`` every subset would be the full index set, so
+    none is drawn: the scores are exact and the result, which keeps its
+    ``m``, ``seed`` and ``term_evals = n * L``, is bit-identical to
+    :func:`ksd`.  The per-coordinate pieces combine in the l2 norm.
 
     ``m`` and ``seed`` are scalars (a 0-d array is one) or equal-length
     sequences.  Each entry of a sequence draws its own subsets and score
@@ -413,8 +410,12 @@ def sksd(batch, target, spec, m, seed, threads=1):
     if not len(m):
         raise ValueError("no subset sizes to score")
     seeds = [check_int("seed", s) for s in seed]
-    subset_mats = [draw_subsets(batch.n, target.L, check_int("m", mi), si)
-                   for mi, si in zip(m, seeds)]
+    subset_mats = []
+    for mi, si in zip(m, seeds):
+        mi = check_int("m", mi)
+        # At m = L every subset is the full set: it is scored exactly, undrawn.
+        subset_mats.append(None if mi == target.L
+                           else draw_subsets(batch.n, target.L, mi, si))
     results = _finish(batch, target, spec, subset_mats, seeds, threads)
     return results if stacked else results[0]
 

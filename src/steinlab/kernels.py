@@ -205,17 +205,18 @@ def median_heuristic_bandwidth(sq) -> float:
     n = shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least two points")
-    sq = np.ravel(sq)[_pair_index(n)]
-    half = sq.size // 2
+    # The gather is a private copy, so it is partitioned in place.
+    pairs = np.ravel(sq)[_pair_index(n)]
+    half = pairs.size // 2
     # The last position is partitioned too, as np.median does, so that a
     # NaN distance, which sorts last, still gives a NaN median.
-    if sq.size % 2:
-        part = np.partition(sq, (half, -1))
-        med = math.sqrt(part[half])
+    if pairs.size % 2:
+        pairs.partition((half, -1))
+        med = math.sqrt(pairs[half])
     else:
-        part = np.partition(sq, (half - 1, half, -1))
-        med = (math.sqrt(part[half - 1]) + math.sqrt(part[half])) / 2.0
-    if math.isnan(part[-1]):
+        pairs.partition((half - 1, half, -1))
+        med = (math.sqrt(pairs[half - 1]) + math.sqrt(pairs[half])) / 2.0
+    if math.isnan(pairs[-1]):
         med = math.nan
     if med == 0.0:
         warnings.warn(

@@ -2,7 +2,8 @@
 
 A target is given by two functions, its prior score and the sum of its term
 scores over a subset; from them it exposes the full score, term-score sums,
-and subset scores (with the prior share weighted by ``|subset| / L``).
+and subset scores (with the prior share weighted by ``|subset| / L``),
+each a one-line wrapper of one checked scoring routine.
 Scores are computed on stacked rows: each factory supplies one batched
 ``terms_sum(subsets, X)`` that gathers the ``(rows, m)`` term subsets into
 an ``(rows, m, d)`` stack and reduces it over the term axis, so scoring a
@@ -52,7 +53,8 @@ class DecomposableTarget:
 
     The score methods take an ``(n, d)`` point matrix and, where they score
     subsets, an ``(n, m)`` index matrix whose rows are strictly ascending,
-    and return ``(n, d)``.  A target is immutable after construction.
+    and return ``(n, d)``.  All three check their arguments and score in
+    one private routine.  A target is immutable after construction.
     """
 
     dim: int
@@ -64,49 +66,66 @@ class DecomposableTarget:
         check_int("dim", self.dim, 1)
         check_int("L", self.L, 1)
 
-    def _points(self, x) -> np.ndarray:
-        """The call's points as an (rows, d) matrix."""
+    def _scores(self, x, indices=None, with_prior=True) -> np.ndarray:
+        """The one scoring routine behind the three score methods.
+
+        Checks the ``(rows, d)`` points and, when given, the ``(rows, m)``
+        index matrix (shape, non-empty, in range, rows strictly ascending);
+        with no indices every row scores all L terms.  Returns
+        ``(m/L) * prior score + term sums`` per row, or the term sums alone
+        when ``with_prior`` is False.  The prior is scored before the terms.
+        The parts are checked finite only when the result is not: with
+        ``m <= L`` the prior's share of a finite prior score is finite, so a
+        finite total has finite parts.  A total that overflows from finite
+        parts is returned as it is.
+        """
         X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(
                 f"points have shape {X.shape}, target expects (n, {self.dim})"
             )
-        return X
-
-    def _subsets(self, indices, X) -> np.ndarray:
-        """The call's term subsets as an (rows, m) int64 matrix whose rows
-        are strictly ascending."""
-        subs = np.asarray(indices, dtype=np.int64)
-        if subs.ndim != 2 or subs.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"expected one term subset per point as an ({X.shape[0]}, m) "
-                f"matrix, got shape {subs.shape}"
-            )
-        if subs.shape[1] == 0:
-            raise ValueError("term subset must be nonempty")
-        # One unsigned maximum checks both ends: a negative index reads as
-        # at least 2**63.
-        if subs.view(np.uint64).max() >= self.L:
-            raise ValueError(f"term indices must lie in [0, {self.L})")
-        if (subs[:, 1:] <= subs[:, :-1]).any():
-            raise ValueError("term subset rows must be strictly ascending")
-        return subs
-
-    def _term_sums(self, subs: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``terms_sum`` of the call, shape-checked but not yet checked
-        finite (see :meth:`_check_term_sums`)."""
+        if indices is None:
+            subs = np.broadcast_to(np.arange(self.L), (X.shape[0], self.L))
+        else:
+            subs = np.asarray(indices, dtype=np.int64)
+            if subs.ndim != 2 or subs.shape[0] != X.shape[0]:
+                raise ValueError(
+                    f"expected one term subset per point as an ({X.shape[0]}, m) "
+                    f"matrix, got shape {subs.shape}"
+                )
+            if subs.shape[1] == 0:
+                raise ValueError("term subset must be nonempty")
+            # One unsigned maximum checks both ends: a negative index reads
+            # as at least 2**63.
+            if subs.view(np.uint64).max() >= self.L:
+                raise ValueError(f"term indices must lie in [0, {self.L})")
+            if (subs[:, 1:] <= subs[:, :-1]).any():
+                raise ValueError("term subset rows must be strictly ascending")
+        prior = np.asarray(self.grad_log_prior(X), dtype=np.float64) if with_prior else None
         sums = np.asarray(self.terms_sum(subs, X), dtype=np.float64)
         if sums.shape != X.shape:
             raise ValueError(
                 f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
-        return sums
+        scores = sums if prior is None else (subs.shape[1] / self.L) * prior + sums
+        if not np.isfinite(scores).all():
+            self._raise_non_finite(subs, X, prior, sums)
+        return scores
 
-    def _check_term_sums(self, subs, X, sums):
-        if not np.isfinite(sums).all():
-            self._raise_non_finite(subs, X, _first_bad_row(sums))
-
-    def _raise_non_finite(self, subs, X, row):
+    def _raise_non_finite(self, subs, X, prior, sums):
+        """Report the first non-finite part of a non-finite score: the prior
+        score (None when unused), else a term sum, traced to its term by
+        calling ``terms_sum`` on one-term subsets of the faulty row.
+        Returns when both parts are finite."""
+        if prior is not None and not np.isfinite(prior).all():
+            row = _first_bad_row(np.broadcast_to(prior, X.shape))
+            raise NonFiniteScoreError(
+                f"non-finite prior score at point {row}, x={X[row]!r}",
+                point_index=row,
+            )
+        if np.isfinite(sums).all():
+            return
+        row = _first_bad_row(sums)
         x = X[row]
         for l in subs[row]:
             g = np.asarray(self.terms_sum(np.array([[l]]), X[row:row + 1]),
@@ -124,49 +143,20 @@ class DecomposableTarget:
             point_index=row,
         )
 
-    def _subset_scores(self, subs, X) -> np.ndarray:
-        """``(m/L) * prior score + sum of subset term scores`` per row.
-
-        The parts are checked finite only when the total is not: with
-        ``m <= L`` the prior's share of a finite prior score is finite, so a
-        finite total has finite parts.  A non-finite prior is reported
-        before a non-finite term sum, and a total that overflows from
-        finite parts is returned as it is.
-        """
-        prior = np.asarray(self.grad_log_prior(X), dtype=np.float64)
-        sums = self._term_sums(subs, X)
-        scores = (subs.shape[1] / self.L) * prior + sums
-        if not np.isfinite(scores).all():
-            if not np.isfinite(prior).all():
-                row = _first_bad_row(np.broadcast_to(prior, X.shape))
-                raise NonFiniteScoreError(
-                    f"non-finite prior score at point {row}, x={X[row]!r}",
-                    point_index=row,
-                )
-            self._check_term_sums(subs, X, sums)
-        return scores
-
     def grad_log_terms(self, indices, x) -> np.ndarray:
         """Ascending-order sum of per-term scores over each index row."""
-        X = self._points(x)
-        subs = self._subsets(indices, X)
-        sums = self._term_sums(subs, X)
-        self._check_term_sums(subs, X, sums)
-        return sums
+        return self._scores(x, indices, with_prior=False)
 
     def grad_log_full(self, x) -> np.ndarray:
         """Exact full score: prior score plus the sum of all L term scores."""
-        X = self._points(x)
-        subs = np.broadcast_to(np.arange(self.L), (X.shape[0], self.L))
-        return self._subset_scores(subs, X)
+        return self._scores(x)
 
     def grad_log_subset(self, sigma, x) -> np.ndarray:
         """Score of the subset posterior prior^(|sigma|/L) * prod_{l in sigma}
         term_l, i.e. ``(|sigma|/L) * prior score + sum of subset term scores``,
         one subset row of ``sigma`` per point.
         """
-        X = self._points(x)
-        return self._subset_scores(self._subsets(sigma, X), X)
+        return self._scores(x, sigma)
 
 
 def _first_bad_row(values) -> int:

@@ -77,12 +77,17 @@ class TestDrawSubsets:
     def test_regenerates_from_stored_metadata(self, monkeypatch):
         # Every sksd result's (n, L, m, seed) regenerates, through
         # draw_subsets, exactly the subsets it was scored with, for the
-        # scalar call and for each member of a stacked one.
+        # scalar call and for each member of a stacked one.  An m = L
+        # member is scored on the exact path, which scores every row on
+        # arange(L), the only subset draw_subsets can give it.
         scored = []
         scores = discrepancy_module.scaled_scores
 
         def recording_scores(batch, target, subsets=None):
-            scored.append(subsets)
+            if subsets is None:
+                scored.append(np.tile(np.arange(target.L), (batch.n, 1)))
+            else:
+                scored.append(subsets)
             return scores(batch, target, subsets)
 
         monkeypatch.setattr(discrepancy_module, "scaled_scores", recording_scores)
@@ -94,6 +99,28 @@ class TestDrawSubsets:
         for result, subsets in zip(results, scored):
             again = draw_subsets(result.n, result.L, result.m, result.seed)
             assert np.array_equal(again, subsets)
+
+    def test_full_size_member_draws_nothing(self, monkeypatch):
+        # An m = L member takes the exact path with no subset draw; it keeps
+        # its m, seed and n * L term evaluations, and equals ksd bit for bit.
+        draws = []
+        draw = discrepancy_module.draw_subsets
+
+        def recording_draw(n, L, m, seed):
+            draws.append(m)
+            return draw(n, L, m, seed)
+
+        monkeypatch.setattr(discrepancy_module, "draw_subsets", recording_draw)
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 6, seed=4))
+        batch = iid_gaussian(20, 2, 0.0, 1.0, seed=3)
+        full = sksd(batch, target, IMQ, m=6, seed=11)
+        assert draws == []
+        stacked = sksd(batch, target, IMQ, m=[6, 2], seed=[5, 5])
+        assert draws == [2]
+        exact = ksd(batch, target, IMQ)
+        for result, seed in ((full, 11), (stacked[0], 5)):
+            assert (result.m, result.seed, result.term_evals) == (6, seed, 20 * 6)
+            assert np.array_equal(result.w_sq, exact.w_sq) and result.value == exact.value
 
     def test_rows_sorted_unique_in_range(self):
         subs = draw_subsets(200, 9, 5, seed=1)

@@ -308,6 +308,18 @@ class TestMedianHeuristic:
         assert kernels.median_heuristic_bandwidth(sq) == median_heuristic_oracle(pts)
         assert np.array_equal(sq, kept)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_leaves_the_callers_matrix_unchanged(self, n):
+        # Only a gathered copy of the pair entries is partitioned.  The
+        # entries here fall in row order, so partitioning them where they
+        # lie would reorder them; n = 3 and 4 give odd and even pair counts.
+        sq = np.arange(n * n, 0, -1.0).reshape(n, n)
+        kept = sq.copy()
+        median = np.median(np.sqrt(sq[np.triu_indices(n, k=1)]))
+        bw = kernels.median_heuristic_bandwidth(sq)
+        assert bw == pytest.approx(median**2 / math.log(n), rel=1e-15)
+        assert np.array_equal(sq, kept)
+
     def test_squared_distances_of_wrong_shape_raise(self):
         for shape in ((4, 3), (3, 4), (16,), (4, 4, 1)):
             with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
