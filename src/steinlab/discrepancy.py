@@ -8,7 +8,8 @@ with per-coordinate squared pieces
 
 where row i of ``B`` is either the full score of ``x_i`` (exact case) or
 ``(L/m)`` times the score of a subset posterior built from an independent
-uniform size-m subset of the L likelihood terms.  The double sum is
+uniform size-m subset of the L likelihood terms; ``B`` comes from one
+target call, which blocks its own rows.  The double sum is
 accumulated over fixed 256-row blocks combined by a fixed reduction tree, so
 results are bit-identical for any worker count.  Within a block pair the
 pairwise terms are never formed.  The squared distances come from one
@@ -47,9 +48,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteScoreError, NumericalConsistencyError, check_int
+from .errors import NumericalConsistencyError, check_int
 from .parallel import BLOCK_ROWS, ordered_map, row_blocks, tree_reduce_sum
-from .rng import SUBSET_POOL_ENTRIES, make_generator, uniform_subsets
+from .rng import make_generator, uniform_subsets
 
 NEGATIVE_TOLERANCE = 1e-8
 
@@ -138,41 +139,21 @@ def scaled_scores(batch, target, subsets=None) -> np.ndarray:
 
     Row i is ``(L/m) * grad_log_subset(subsets[i], x_i)`` for an ``(n, m)``
     index matrix ``subsets``, or the exact ``grad_log_full(x_i)`` when it is
-    None.  The target checks the indices and scores
-    ``min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // m)`` points per call (at least
-    one; m = L on the exact path), so a call's ``(rows, m, d)`` term array
-    stays small at any m; each call's scores are written into their rows of
-    B.  Every row is scored on its own, so the rows per call do not change
-    the bits.  Consumes ``n * m`` (respectively ``n * L``) term-gradient
+    None: one target call, which checks the indices and bounds its own term
+    stacks.  Consumes ``n * m`` (respectively ``n * L``) term-gradient
     evaluations.
     """
-    X = batch.points
-    m = target.L
-    if subsets is not None:
-        # The target sees a few rows at a time, so only this check notices
-        # rows beyond the batch.
-        shape = np.shape(subsets)
-        if len(shape) != 2 or shape[0] != batch.n:
-            raise ValueError(
-                f"subsets have shape {shape}, expected one row for each of "
-                f"{batch.n} points"
-            )
-        m = shape[1]
-    # An empty subset (m = 0) reaches the target, which rejects it.
-    rows = max(1, min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // max(m, 1)))
-    B = np.empty_like(X)
-    for i0 in range(0, batch.n, rows):
-        i1 = min(i0 + rows, batch.n)
-        try:
-            if subsets is None:
-                B[i0:i1] = target.grad_log_full(X[i0:i1])
-            else:
-                scores = target.grad_log_subset(subsets[i0:i1], X[i0:i1])
-                np.multiply(target.L / m, scores, out=B[i0:i1])
-        except NonFiniteScoreError as err:
-            err.point_index += i0
-            raise
-    return B
+    if subsets is None:
+        return target.grad_log_full(batch.points)
+    shape = np.shape(subsets)
+    if len(shape) != 2 or shape[0] != batch.n:
+        raise ValueError(
+            f"subsets have shape {shape}, expected one row for each of "
+            f"{batch.n} points"
+        )
+    # The target rejects an empty subset (m = 0) before the scale is formed.
+    scores = target.grad_log_subset(subsets, batch.points)
+    return np.multiply(target.L / shape[1], scores, out=scores)
 
 
 class _Workspace:

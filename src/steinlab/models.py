@@ -6,11 +6,12 @@ and subset scores (with the prior share weighted by ``|subset| / L``),
 each a one-line wrapper of one checked scoring routine.
 Scores are computed on stacked rows: each factory supplies one batched
 ``terms_sum(subsets, X)`` that gathers the ``(rows, m)`` term subsets into
-an ``(rows, m, d)`` stack and reduces it over the term axis, so scoring a
+a stack of term scores and reduces it over the term axis, so scoring a
 block of points is one gather-and-reduce rather than one Python call per
-point.  Factories cover an equal-factor Gaussian, the bimodal
-Gaussian-mixture location posterior used for sampler step-size tuning, and
-Bayesian logistic regression with a flat prior.
+point; the target bounds its blocks, so any m keeps the stacks small.
+Factories cover an equal-factor Gaussian, the bimodal Gaussian-mixture
+location posterior used for sampler step-size tuning, and Bayesian
+logistic regression with a flat prior.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteScoreError, check_int, check_real
-from .rng import make_generator
+from .parallel import BLOCK_ROWS
+from .rng import SUBSET_POOL_ENTRIES, make_generator
 
 
 def sigmoid(z):
@@ -53,8 +55,8 @@ class DecomposableTarget:
 
     The score methods take an ``(n, d)`` point matrix and, where they score
     subsets, an ``(n, m)`` index matrix whose rows are strictly ascending,
-    and return ``(n, d)``.  All three check their arguments and score in
-    one private routine.  A target is immutable after construction.
+    and return ``(n, d)``.  All three check their arguments and score, in
+    blocks of rows, in one private routine.  A target is immutable.
     """
 
     dim: int
@@ -69,15 +71,13 @@ class DecomposableTarget:
     def _scores(self, x, indices=None, with_prior=True) -> np.ndarray:
         """The one scoring routine behind the three score methods.
 
-        Checks the ``(rows, d)`` points and, when given, the ``(rows, m)``
-        index matrix (shape, non-empty, in range, rows strictly ascending);
-        with no indices every row scores all L terms.  Returns
-        ``(m/L) * prior score + term sums`` per row, or the term sums alone
-        when ``with_prior`` is False.  The prior is scored before the terms.
-        The parts are checked finite only when the result is not: with
-        ``m <= L`` the prior's share of a finite prior score is finite, so a
-        finite total has finite parts.  A total that overflows from finite
-        parts is returned as it is.
+        Checks the ``(n, d)`` points and, when given, the ``(n, m)`` index
+        matrix (shape, non-empty, in range, rows strictly ascending); with
+        no indices every row scores all L terms.  Returns ``(m/L) * prior
+        score + term sums`` per row, or the term sums alone when
+        ``with_prior`` is False, in blocks of ``min(BLOCK_ROWS,
+        SUBSET_POOL_ENTRIES // m)`` rows (one at least) that keep the term
+        stacks small; rows are scored on their own, so blocks keep the bits.
         """
         X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -101,6 +101,19 @@ class DecomposableTarget:
                 raise ValueError(f"term indices must lie in [0, {self.L})")
             if (subs[:, 1:] <= subs[:, :-1]).any():
                 raise ValueError("term subset rows must be strictly ascending")
+        rows = max(1, min(BLOCK_ROWS, SUBSET_POOL_ENTRIES // subs.shape[1]))
+        if X.shape[0] <= rows:
+            return self._block_scores(X, subs, with_prior, 0)
+        scores = np.empty(X.shape)
+        for i0 in range(0, X.shape[0], rows):
+            block = slice(i0, i0 + rows)
+            scores[block] = self._block_scores(X[block], subs[block], with_prior, i0)
+        return scores
+
+    def _block_scores(self, X, subs, with_prior, offset):
+        """Scores of the points ``X``, point ``offset`` on, prior first.  A
+        non-finite entry makes the result's sum non-finite; only then are the
+        parts checked (with ``m <= L`` a finite total has finite parts)."""
         prior = np.asarray(self.grad_log_prior(X), dtype=np.float64) if with_prior else None
         sums = np.asarray(self.terms_sum(subs, X), dtype=np.float64)
         if sums.shape != X.shape:
@@ -108,20 +121,20 @@ class DecomposableTarget:
                 f"terms_sum returned shape {sums.shape}, expected {X.shape}"
             )
         scores = sums if prior is None else (subs.shape[1] / self.L) * prior + sums
-        if not np.isfinite(scores).all():
-            self._raise_non_finite(subs, X, prior, sums)
+        if not math.isfinite(np.add.reduce(scores, axis=None)):
+            self._raise_non_finite(subs, X, prior, sums, offset)
         return scores
 
-    def _raise_non_finite(self, subs, X, prior, sums):
-        """Report the first non-finite part of a non-finite score: the prior
-        score (None when unused), else a term sum, traced to its term by
-        calling ``terms_sum`` on one-term subsets of the faulty row.
-        Returns when both parts are finite."""
+    def _raise_non_finite(self, subs, X, prior, sums, offset):
+        """Report the first non-finite part of a score of the block ``X``
+        as point ``offset + row``: the prior score (None when unused), else
+        a term sum, traced to its term by calling ``terms_sum`` on one-term
+        subsets of the faulty row.  Returns when both parts are finite."""
         if prior is not None and not np.isfinite(prior).all():
             row = _first_bad_row(np.broadcast_to(prior, X.shape))
             raise NonFiniteScoreError(
-                f"non-finite prior score at point {row}, x={X[row]!r}",
-                point_index=row,
+                f"non-finite prior score at point {offset + row}, x={X[row]!r}",
+                point_index=offset + row,
             )
         if np.isfinite(sums).all():
             return
@@ -133,14 +146,14 @@ class DecomposableTarget:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteScoreError(
                     f"non-finite score from likelihood term {int(l)} at point "
-                    f"{row}, x={x!r}",
+                    f"{offset + row}, x={x!r}",
                     term_index=int(l),
-                    point_index=row,
+                    point_index=offset + row,
                 )
         raise NonFiniteScoreError(
             f"non-finite summed score over {subs.shape[1]} terms at point "
-            f"{row}, x={x!r}",
-            point_index=row,
+            f"{offset + row}, x={x!r}",
+            point_index=offset + row,
         )
 
     def grad_log_terms(self, indices, x) -> np.ndarray:
@@ -213,6 +226,11 @@ def make_gmm_posterior(
     is drawn from ``0.5 N(th1, sigma_x_sq) + 0.5 N(th1 + th2, sigma_x_sq)``.
     The posterior is bimodal, which makes it a sharp fixture for sampler
     step-size selection.  One likelihood term per observation.
+
+    A block's term scores are stacked ``(m, 2, rows)`` and summed one
+    contiguous ``(2, rows)`` term slice at a time, in term order; the
+    coordinate axis sits in the middle as a ``(2, m, rows)`` stack of one
+    row would sum its terms pairwise.
     """
     y = np.asarray(observations, dtype=np.float64).reshape(-1)
     if y.size == 0:
@@ -223,8 +241,8 @@ def make_gmm_posterior(
     sx = float(check_real("sigma_x_sq", sigma_x_sq, positive=True))
 
     def _score_terms(yy, th):
-        """Per-term scores, shape (..., m, 2), of observations yy (..., m)
-        at the locations th (..., 2); yy is overwritten.
+        """Per-term scores, shape (m, 2, rows), of the observations
+        yy (m, rows) at the locations th (rows, 2); yy is overwritten.
 
         The arithmetic is that of
 
@@ -235,9 +253,9 @@ def make_gmm_posterior(
             g1 = (wa * r1 + wb * r2) / den;  g2 = (wb * r2) / den
 
         in that order, run in place on four buffers of yy's shape, with g1
-        and g2 written into the two halves of the result.
+        and g2 written into the two coordinate slices of the result.
         """
-        t1, t2 = th[..., 0:1], th[..., 1:2]
+        t1, t2 = th[:, 0], th[:, 1]
         r1 = np.subtract(yy, t1, out=yy)
         r2 = r1 - t2
         wa = np.multiply(r1, r1)
@@ -253,9 +271,9 @@ def make_gmm_posterior(
         den *= sx
         r1 *= wa
         r2 *= wb
-        out = np.empty(yy.shape + (2,))
-        np.divide(np.add(r1, r2, out=r1), den, out=out[..., 0])
-        np.divide(r2, den, out=out[..., 1])
+        out = np.empty((yy.shape[0], 2, yy.shape[1]))
+        np.divide(np.add(r1, r2, out=r1), den, out=out[:, 0])
+        np.divide(r2, den, out=out[:, 1])
         return out
 
     return DecomposableTarget(
@@ -263,8 +281,8 @@ def make_gmm_posterior(
         L=int(y.size),
         grad_log_prior=lambda th: -np.asarray(th, dtype=np.float64) / prior_var,
         terms_sum=lambda subsets, TH: np.add.reduce(
-            _score_terms(y[subsets], TH), axis=1
-        ),
+            _score_terms(y[subsets.T], TH), axis=0
+        ).T,
     )
 
 

@@ -20,9 +20,9 @@ the package's one exact squared-distance summation, once; under
 ``median_per_round``, ``kernels.median_heuristic_bandwidth`` on that
 matrix; then :func:`ssvgd_direction`, which calls
 ``discrepancy.scaled_scores`` (one ``DecomposableTarget.grad_log_subset``
-call, or ``grad_log_full`` on a full batch, whenever one call covers the
-particles) and ``kernels.radial_profile`` once per 256-column block,
-asking it for ``k`` and ``p1`` only; then it steps the particles in place.
+call, or ``grad_log_full`` on a full batch) and ``kernels.radial_profile``
+once per 256-column block, asking it for ``k`` and ``p1`` only; then it
+steps the particles in place.
 Up to ``BLOCK_ROWS`` = 256 particles make one block, which the direction
 computes directly, without the blocked path's block list, thread pool,
 reduction tree and concatenation; its products have the shapes of that

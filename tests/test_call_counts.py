@@ -66,18 +66,18 @@ def _gaussian_case():
 class TestScoreMethods:
     def test_grad_log_subset(self):
         target, X, subsets = _gaussian_case()
-        assert_at_most(call_counts(lambda: target.grad_log_subset(subsets, X)), (7, 10))
+        assert_at_most(call_counts(lambda: target.grad_log_subset(subsets, X)), (7, 13))
 
     def test_grad_log_full(self):
         target, X, _ = _gaussian_case()
-        assert_at_most(call_counts(lambda: target.grad_log_full(X)), (7, 7))
+        assert_at_most(call_counts(lambda: target.grad_log_full(X)), (7, 10))
 
     def test_grad_log_terms(self):
         # One SGLD step of a 6-chain sweep with minibatches of 10 terms.
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 100, seed=3))
         TH = iid_gaussian(6, 2, 0.0, 1.0, seed=4).points
         indices = uniform_subsets(make_generator(5), 6, 100, 10)
-        assert_at_most(call_counts(lambda: target.grad_log_terms(indices, TH)), (6, 9))
+        assert_at_most(call_counts(lambda: target.grad_log_terms(indices, TH)), (6, 12))
 
 
 class TestSsvgdRound:
@@ -93,4 +93,4 @@ class TestSsvgdRound:
             return call_counts(lambda: run_ssvgd(init, target, config))
 
         short, long = rounds(100), rounds(200)
-        assert_at_most(np.subtract(long, short), (3312, 3354))
+        assert_at_most(np.subtract(long, short), (3012, 3254))

@@ -272,8 +272,8 @@ class TestBatchedScores:
 
     @pytest.mark.parametrize("m", [200, 1000, "exact"])
     def test_large_m_matches_pointwise_loop(self, m):
-        # SUBSET_POOL_ENTRIES // m rows per target call: 163, 32 and 16 here,
-        # each leaving a partial last call.
+        # SUBSET_POOL_ENTRIES // m rows per block: 163, 32 and 16 here,
+        # each leaving a partial last block.
         target = make_logreg(*gen_logreg_data(2000, 3, [0.7, -0.4, 0.1], seed=4))
         batch = iid_gaussian(300, 3, 0.2, 1.5, seed=5)
         subsets = None if m == "exact" else draw_subsets(300, 2000, m, seed=6)
@@ -281,8 +281,8 @@ class TestBatchedScores:
         assert np.array_equal(scaled_scores(batch, target, subsets), want)
 
     def test_exact_scores_of_many_terms_stay_small(self):
-        # 256 points per call would hold (256, 20000) term arrays, over
-        # 500 MB at peak; one point per call holds a few MB.
+        # 256 points per block would hold (256, 20000) term arrays, over
+        # 500 MB at peak; one point per block holds a few MB.
         target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 20000, seed=1))
         batch = iid_gaussian(300, 2, 0.0, 1.0, seed=3)
         tracemalloc.start()
@@ -294,6 +294,19 @@ class TestBatchedScores:
         assert peak <= 16 * 2 ** 20
         assert np.array_equal(B[:5], pointwise_scaled_scores(SampleBatch(batch.points[:5]),
                                                              target))
+
+    def test_exact_scores_of_a_direct_call_stay_small(self):
+        # The target blocks its own rows: 300 points at once would hold
+        # (300, 4000) term arrays, over 60 MiB at peak.
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 4000, seed=1))
+        X = iid_gaussian(300, 2, 0.0, 1.0, seed=3).points
+        tracemalloc.start()
+        try:
+            target.grad_log_full(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("exact", [True, False])
@@ -318,6 +331,19 @@ class TestBatchedScores:
             scaled_scores(batch, target, subsets)
         assert err.value.point_index == 300
         assert err.value.term_index == 3
+        assert "at point 300" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_of_a_direct_call_names_its_point(self):
+        # Row 300 lies in the second 256-row block of an exact GMM call;
+        # its huge location overflows every term score.
+        target = make_gmm_posterior(gen_gmm_data(0.0, 1.0, 2.0, 100, seed=2))
+        X = iid_gaussian(1000, 2, 0.0, 1.0, seed=4).points
+        X[300] = [1e200, 0.0]
+        with pytest.raises(NonFiniteScoreError) as err:
+            target.grad_log_full(X)
+        assert (err.value.point_index, err.value.term_index) == (300, 0)
+        assert "likelihood term 0 at point 300," in str(err.value)
 
 
 class TestCoordSteinSums:

@@ -87,10 +87,13 @@ class TestGmmPosterior:
     def test_term_sums_match_the_expression_oracle(self):
         # The in-place term scores give, to the bit, the sums of the
         # expressions written with one temporary each: L from 1 to 300, 1 to
-        # 256 rows, every m, and points near and far from the data.
+        # 257 rows, every m, and points near and far from the data.  One row
+        # at m = 8 and 9 is where a sum over a contiguous term axis would go
+        # pairwise.
         rng = np.random.default_rng(23)
         shapes = [(1, 1), (300, 256), (2, 256), (300, 1)]
         shapes += [(int(rng.integers(1, 301)), int(rng.integers(1, 257))) for _ in range(4)]
+        shapes += [(8, 1), (9, 1), (100, 2), (100, 255), (100, 257)]
         for case, (L, rows) in enumerate(shapes):
             sx = float(rng.uniform(0.5, 5.0))
             y = gen_gmm_data(0.0, 1.0, sx, L, seed=case)
@@ -289,6 +292,21 @@ class TestSubsetScores:
         with pytest.raises(NonFiniteScoreError) as err:
             one_point_score(target.grad_log_full, np.zeros(1))
         assert err.value.term_index == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_parts_are_returned_even_when_sums_overflow(self):
+        # The finiteness check sums the scores: finite rows whose sum
+        # overflows, and a total that overflows from finite parts, are
+        # returned as they are.
+        target = DecomposableTarget(
+            dim=1,
+            L=1,
+            grad_log_prior=lambda x: x,
+            terms_sum=lambda subsets, X: X.copy(),
+        )
+        X = np.array([[1e308], [1e308], [-1e308]])
+        assert np.array_equal(target.grad_log_terms(np.zeros((3, 1), dtype=int), X), X)
+        assert np.array_equal(target.grad_log_full(X), X * np.inf)
 
 
 class TestTermEvaluations:
